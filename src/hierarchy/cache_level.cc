@@ -323,54 +323,65 @@ CacheLevelModel::insertAtStackPosition(CoreId core, Addr line_addr,
     const auto &group = groupSlices(core);
     const std::uint64_t set = slices_[core].setIndex(line_addr);
 
-    // Victim: the first member (in group order) holding an invalid
-    // way wins with its lowest invalid way, else the group-wide LRU
-    // line (strict-min stamp, member-major way-minor scan order).
+    // One member-major, way-minor pass gathers every valid stamp and
+    // finds the victim: the first member holding an invalid way wins
+    // with its lowest invalid way, else the group-wide LRU line (the
+    // first strict-min stamp). The gather buffer is a reserved
+    // member: this runs once per PIPP insert and must not allocate
+    // (std::nth_element is in-place).
     SliceId target = invalidSlice;
     std::uint32_t target_way = 0;
+    SliceId lru_slice = invalidSlice;
+    std::uint32_t lru_way = 0;
     std::uint64_t oldest = ~std::uint64_t{0};
-    for (SliceId member : group) {
-        const std::uint32_t inv = slices_[member].firstInvalidWay(set);
-        if (inv != params_.sliceGeom.assoc) {
-            target = member;
-            target_way = inv;
-            break;
-        }
-        for (std::uint32_t way = 0; way < params_.sliceGeom.assoc;
-             ++way) {
-            const std::uint64_t stamp =
-                slices_[member].stampAt(set, way);
-            if (stamp < oldest) {
-                oldest = stamp;
-                target = member;
-                target_way = way;
-            }
-        }
-    }
-    MC_ASSERT(target != invalidSlice);
-
-    // The new line's recency equals that of the line currently at
-    // LRU-stack `position` (excluding the victim), so it enters the
-    // stack exactly there instead of at MRU. The gather buffer is a
-    // reserved member: this runs once per PIPP insert and must not
-    // allocate (std::sort is in-place).
     stampScratch_.clear();
     for (SliceId member : group) {
-        std::uint64_t m = slices_[member].validMask(set);
+        const CacheSlice &s = slices_[member];
+        if (target == invalidSlice) {
+            const std::uint32_t inv = s.firstInvalidWay(set);
+            if (inv != params_.sliceGeom.assoc) {
+                target = member;
+                target_way = inv;
+            }
+        }
+        std::uint64_t m = s.validMask(set);
         while (m != 0) {
             const auto way =
                 static_cast<std::uint32_t>(std::countr_zero(m));
             m &= m - 1;
-            if (member == target && way == target_way)
-                continue;
-            stampScratch_.push_back(
-                slices_[member].stampAt(set, way));
+            const std::uint64_t stamp = s.stampAt(set, way);
+            stampScratch_.push_back(stamp);
+            if (stamp < oldest) {
+                oldest = stamp;
+                lru_slice = member;
+                lru_way = way;
+            }
         }
     }
-    std::sort(stampScratch_.begin(), stampScratch_.end());
-    const std::uint64_t stamp = position < stampScratch_.size()
-                                    ? stampScratch_[position]
-                                    : nextStamp();
+
+    // The new line's recency equals that of the line currently at
+    // LRU-stack `position` once the victim is gone, so it enters the
+    // stack exactly there instead of at MRU. A valid victim is the
+    // minimum stamp: dropping one copy of it shifts every rank up
+    // by one, duplicate stamps included, so select `position + 1`
+    // over the full gather instead of excluding it.
+    std::size_t rank = position;
+    if (target == invalidSlice) {
+        target = lru_slice;
+        target_way = lru_way;
+        ++rank;
+    }
+    MC_ASSERT(target != invalidSlice);
+    std::uint64_t stamp;
+    if (rank < stampScratch_.size()) {
+        const auto nth =
+            stampScratch_.begin() + static_cast<std::ptrdiff_t>(rank);
+        std::nth_element(stampScratch_.begin(), nth,
+                         stampScratch_.end());
+        stamp = *nth;
+    } else {
+        stamp = nextStamp();
+    }
     return fillInto(core, target, target_way, line_addr, dirty,
                     stamp);
 }

@@ -44,14 +44,6 @@ Simulation::Simulation(MemorySystem &system, Workload &workload,
     baselineInstrs_.reserve(cores);
 }
 
-EpochMetrics
-Simulation::runEpoch(EpochId epoch)
-{
-    EpochMetrics metrics;
-    runEpochInto(epoch, metrics);
-    return metrics;
-}
-
 void
 Simulation::runEpochInto(EpochId epoch, EpochMetrics &metrics)
 {

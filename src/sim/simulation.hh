@@ -108,12 +108,6 @@ class Simulation
     void loadState(CkptReader &r);
 
     /**
-     * Run a single epoch (after beginEpoch on the workload) and
-     * return its metrics. Exposed for the step-by-step harnesses.
-     */
-    EpochMetrics runEpoch(EpochId epoch);
-
-    /**
      * Attach a tracer (not owned; nullptr detaches). The simulation
      * stamps the epoch id and simulated time into it, forwards it
      * to the system, and emits one "epoch" event per epoch with the
@@ -133,10 +127,12 @@ class Simulation
     void markWarmupDone();
 
     /**
-     * runEpoch() into caller-provided storage. `metrics` arrives
-     * with its per-core vectors already sized (the ctor pre-sizes
-     * every slot of recorded_ and the warmup scratch), so one epoch
-     * touches the heap zero times in steady state.
+     * Run one epoch (workload beginEpoch, the accesses, the system's
+     * epoch boundary) and write its metrics into caller-provided
+     * storage. `metrics` arrives with its per-core vectors already
+     * sized (the ctor pre-sizes every slot of recorded_ and the
+     * warmup scratch), so one epoch touches the heap zero times in
+     * steady state.
      */
     void runEpochInto(EpochId epoch, EpochMetrics &metrics);
 

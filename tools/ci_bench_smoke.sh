@@ -20,6 +20,9 @@
 #      floor on every shared cell (both files were measured on the
 #      same author machine, so a real ratio gate is meaningful).
 #
+# "Newest" is by PR number, so the files are version-sorted
+# (BENCH_10 after BENCH_7); a self-check pins that ordering.
+#
 # Run from the repo root: tools/ci_bench_smoke.sh [build-dir]
 set -eu
 
@@ -77,7 +80,21 @@ if python3 tools/mc_benchdiff.py "$out/now.json" "$out/slow.json" \
 fi
 echo "slowdown regression detected (as required)"
 
-baseline="$(ls BENCH_*.json 2>/dev/null | sort | tail -1 || true)"
+# Oldest-to-newest order of BENCH_<n>.json names on stdin.
+bench_order() {
+    sort -V
+}
+
+echo "== bench smoke: trajectory ordering self-check =="
+newest="$(printf 'BENCH_10.json\nBENCH_7.json\n' | bench_order | tail -1)"
+if [ "$newest" != "BENCH_10.json" ]; then
+    echo "FAIL: BENCH_10.json must order after BENCH_7.json," \
+         "got newest=$newest" >&2
+    exit 1
+fi
+echo "BENCH_10.json orders after BENCH_7.json"
+
+baseline="$(ls BENCH_*.json 2>/dev/null | bench_order | tail -1 || true)"
 if [ -n "$baseline" ]; then
     echo "== bench smoke: diff vs committed $baseline =="
     # Cross-machine: gate only on schema/id compatibility and
@@ -89,8 +106,8 @@ else
          "trajectory diff"
 fi
 
-previous="$(ls BENCH_*.json 2>/dev/null | sort | tail -2 | head -1 \
-            || true)"
+previous="$(ls BENCH_*.json 2>/dev/null | bench_order | tail -2 \
+            | head -1 || true)"
 if [ -n "$previous" ] && [ "$previous" != "$baseline" ]; then
     echo "== bench smoke: trajectory $previous -> $baseline =="
     # Both committed files came from the same author machine, so a
