@@ -22,6 +22,8 @@
 #include <sstream>
 #include <string>
 
+#include <unistd.h>
+
 namespace {
 
 bool
@@ -36,12 +38,16 @@ struct RunResult
     std::string output;
 };
 
-/** Run mc_analyze with `args`, capturing exit code and output. */
+/**
+ * Run mc_analyze with `args`, capturing exit code and output. The
+ * capture file is per process: ctest -j runs these tests side by
+ * side in one temp directory.
+ */
 RunResult
 runAnalyze(const std::string &args)
 {
-    const std::string out =
-        ::testing::TempDir() + "mc_analyze_out.txt";
+    const std::string out = ::testing::TempDir() + "mc_analyze_out_" +
+                            std::to_string(getpid()) + ".txt";
     const std::string cmd = "python3 " MC_SOURCE_DIR
                             "/tools/mc_analyze " +
                             args + " > '" + out + "' 2>&1";
@@ -52,6 +58,7 @@ runAnalyze(const std::string &args)
     std::stringstream ss;
     ss << in.rdbuf();
     r.output = ss.str();
+    std::remove(out.c_str());
     return r;
 }
 
