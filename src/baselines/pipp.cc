@@ -66,22 +66,27 @@ UtilityMonitor::decay()
         h /= 2;
 }
 
-std::vector<std::uint32_t>
+void
 lookaheadAllocate(const std::vector<UtilityMonitor> &monitors,
-                  std::uint32_t total_ways)
+                  std::uint32_t total_ways,
+                  std::vector<std::uint32_t> &alloc,
+                  std::vector<std::uint64_t> &prefix)
 {
     const auto cores = static_cast<std::uint32_t>(monitors.size());
     MC_ASSERT(cores > 0 && total_ways >= cores);
-    std::vector<std::uint32_t> alloc(cores, 1);
+    alloc.assign(cores, 1);
     std::uint32_t balance = total_ways - cores;
 
-    // Prefix sums of the hit counters make utility lookups O(1).
-    std::vector<std::vector<std::uint64_t>> prefix(cores);
+    // Prefix sums of the hit counters make utility lookups O(1):
+    // core c's sums are prefix[c * stride + 0 .. total_ways].
+    const std::size_t stride = std::size_t{total_ways} + 1;
+    prefix.assign(cores * stride, 0);
     for (std::uint32_t c = 0; c < cores; ++c) {
         const auto &hits = monitors[c].hits();
-        prefix[c].assign(hits.size() + 1, 0);
-        for (std::size_t p = 0; p < hits.size(); ++p)
-            prefix[c][p + 1] = prefix[c][p] + hits[p];
+        MC_ASSERT(hits.size() >= total_ways);
+        std::uint64_t *sums = &prefix[c * stride];
+        for (std::uint32_t p = 0; p < total_ways; ++p)
+            sums[p + 1] = sums[p] + hits[p];
     }
 
     while (balance > 0) {
@@ -91,11 +96,11 @@ lookaheadAllocate(const std::vector<UtilityMonitor> &monitors,
         for (std::uint32_t c = 0; c < cores; ++c) {
             const std::uint32_t room =
                 std::min(balance, total_ways - alloc[c]);
-            const std::uint64_t base = prefix[c][alloc[c]];
+            const std::uint64_t *sums = &prefix[c * stride];
+            const std::uint64_t base = sums[alloc[c]];
             for (std::uint32_t k = 1; k <= room; ++k) {
                 const double mu =
-                    static_cast<double>(prefix[c][alloc[c] + k] -
-                                        base) /
+                    static_cast<double>(sums[alloc[c] + k] - base) /
                     static_cast<double>(k);
                 if (mu > best_mu) {
                     best_mu = mu;
@@ -117,7 +122,6 @@ lookaheadAllocate(const std::vector<UtilityMonitor> &monitors,
         alloc[best_core] += best_k;
         balance -= best_k;
     }
-    return alloc;
 }
 
 PippPolicy::PippPolicy(std::uint32_t num_cores, std::uint64_t num_sets,
@@ -130,6 +134,8 @@ PippPolicy::PippPolicy(std::uint32_t num_cores, std::uint64_t num_sets,
     for (std::uint32_t c = 0; c < num_cores; ++c)
         monitors_.emplace_back(num_sets, total_ways);
     alloc_.assign(num_cores, std::max(1u, total_ways / num_cores));
+    prefixScratch_.reserve(std::size_t{num_cores} *
+                           (std::size_t{total_ways} + 1));
 }
 
 bool
@@ -163,7 +169,7 @@ PippPolicy::insert(CacheLevelModel &level, CoreId core,
 void
 PippPolicy::epochBoundary()
 {
-    alloc_ = lookaheadAllocate(monitors_, totalWays_);
+    lookaheadAllocate(monitors_, totalWays_, alloc_, prefixScratch_);
     for (auto &monitor : monitors_)
         monitor.decay();
 }

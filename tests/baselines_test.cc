@@ -73,7 +73,9 @@ TEST(Lookahead, GivesWaysToTheUtiliyHeavyCore)
         for (Addr a = 0; a < 12; ++a)
             monitors[0].access(a * 64);
     }
-    const auto alloc = lookaheadAllocate(monitors, 16);
+    std::vector<std::uint32_t> alloc;
+    std::vector<std::uint64_t> prefix;
+    lookaheadAllocate(monitors, 16, alloc, prefix);
     EXPECT_EQ(alloc[0] + alloc[1], 16u);
     EXPECT_GE(alloc[0], 12u);
     EXPECT_GE(alloc[1], 1u); // everyone keeps at least one way
@@ -84,7 +86,9 @@ TEST(Lookahead, EvenSplitWithoutUtility)
     std::vector<UtilityMonitor> monitors;
     monitors.emplace_back(64, 8, 0);
     monitors.emplace_back(64, 8, 0);
-    const auto alloc = lookaheadAllocate(monitors, 8);
+    std::vector<std::uint32_t> alloc;
+    std::vector<std::uint64_t> prefix;
+    lookaheadAllocate(monitors, 8, alloc, prefix);
     EXPECT_EQ(alloc[0] + alloc[1], 8u);
     EXPECT_GE(alloc[0], 1u);
     EXPECT_GE(alloc[1], 1u);
