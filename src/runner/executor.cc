@@ -33,14 +33,13 @@ runCellAttempt(const CampaignCell &cell,
     run.system->registerStats(registry);
 
     Simulation simulation(*run.system, *run.workload, run.sim);
-    if (opts.wantStatsJson)
-        simulation.setRegistry(&registry);
+    simulation.setRegistry(&registry);
 
     CkptRunState state;
     state.simulation = &simulation;
     state.system = run.system.get();
     state.workload = run.workload.get();
-    state.registry = opts.wantStatsJson ? &registry : nullptr;
+    state.registry = &registry;
 
     std::uint64_t last_ckpt = 0;
     if (fileExists(ckpt_path) || fileExists(ckpt_path + ".prev")) {
@@ -91,8 +90,7 @@ runCellAttempt(const CampaignCell &cell,
     } else {
         o.finalTopology = run.system->name();
     }
-    if (opts.wantStatsJson)
-        o.statsJson = registry.jsonString();
+    o.statsJson = registry.jsonString();
     return o;
 }
 
@@ -100,8 +98,11 @@ namespace {
 
 /**
  * The leases this worker process currently holds, shared between
- * claim threads (which add/update/remove entries) and the single
- * heartbeat thread (which renews every entry). Generations never
+ * claim threads (which reserve/set/update/remove entries) and the
+ * single heartbeat thread (which renews every claimed entry). A
+ * claim thread reserves a cell before claiming its lease and keeps
+ * the entry for as long as it holds the lease, so no two threads of
+ * one process ever claim or drive the same cell. Generations never
  * change while a lease is held, so concurrent renewals only ever
  * push the deadline; attempts are mirrored in so a reclaimer who
  * takes over after our death inherits the freshest count.
@@ -109,18 +110,23 @@ namespace {
 class HeldLeases
 {
   public:
+    /** Reserve a cell ahead of its claim (generation 0: nothing to
+     * renew yet); false when a sibling thread already has it. */
+    bool
+    reserve(std::size_t index)
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        LeaseInfo reservation;
+        reservation.index = index;
+        return held_.emplace(index, reservation).second;
+    }
+
+    /** Fill a reservation with the lease just claimed. */
     void
-    add(const LeaseInfo &lease)
+    set(const LeaseInfo &lease)
     {
         std::lock_guard<std::mutex> lock(mutex_);
         held_[lease.index] = lease;
-    }
-
-    bool
-    contains(std::size_t index)
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        return held_.find(index) != held_.end();
     }
 
     void
@@ -145,8 +151,10 @@ class HeldLeases
         std::lock_guard<std::mutex> lock(mutex_);
         std::vector<LeaseInfo> out;
         out.reserve(held_.size());
-        for (const auto &kv : held_)
-            out.push_back(kv.second);
+        for (const auto &kv : held_) {
+            if (kv.second.generation != 0)
+                out.push_back(kv.second);
+        }
         return out;
     }
 
@@ -259,8 +267,7 @@ driveClaimedCell(ExecutorCtx &ctx, std::size_t index,
             CellOutcome o = runCellAttempt(
                 cell, cellCkptPath(ctx.dir, index),
                 CellAttemptOptions{ctx.opts.ckptEvery,
-                                   ctx.opts.cellTimeoutSec,
-                                   ctx.opts.wantStatsJson});
+                                   ctx.opts.cellTimeoutSec});
             o.attempts = attempts + 1;
             if (commit(o)) {
                 appendQuiet(ctx, index, "done", attempts + 1);
@@ -308,9 +315,10 @@ driveClaimedCell(ExecutorCtx &ctx, std::size_t index,
 /**
  * One claim thread: scan for cells without results, claim what it
  * can (stealing expired leases), and drive each claimed cell to a
- * durable result. Exits when every cell has a result or on
- * interrupt. `slot` staggers the scan origin so a fleet's threads
- * fan out across the cell list instead of racing for cell 0.
+ * durable result. Exits when every cell has a result, when every
+ * unfinished cell is held by a sibling thread, or on interrupt.
+ * `slot` staggers the scan origin so a fleet's threads fan out
+ * across the cell list instead of racing for cell 0.
  */
 void
 claimLoop(ExecutorCtx &ctx, unsigned slot, unsigned slots)
@@ -340,6 +348,10 @@ claimLoop(ExecutorCtx &ctx, unsigned slot, unsigned slots)
 
         bool pending_left = false;
         bool claimed_any = false;
+        // An unfinished cell this pass could not claim and no
+        // sibling thread has: only another worker, or its lease
+        // expiring, can move it on.
+        bool foreign_left = false;
         for (std::size_t k = 0; k < n; ++k) {
             if (ckptInterruptRequested() || ctx.interrupted)
                 break;
@@ -348,16 +360,19 @@ claimLoop(ExecutorCtx &ctx, unsigned slot, unsigned slots)
             if (fileExists(cellResultPath(ctx.dir, i)))
                 continue;
             pending_left = true;
-            // Never steal from a sibling thread: if this process
+            // Never claim what a sibling thread has: if this process
             // already drives the cell, its lease expiring only
             // means our own heartbeat stalled (machine overload) —
             // reclaiming it here would have two threads of one
-            // worker racing on the same cell state.
-            if (ctx.held.contains(i))
+            // worker racing on the same cell state. Two threads
+            // reclaiming one stale lease at once would both win,
+            // too: both read back this worker's (worker,
+            // generation).
+            if (!ctx.held.reserve(i))
                 continue;
 
             LeaseInfo mine;
-            LeaseClaim claim;
+            LeaseClaim claim = LeaseClaim::Raced;
             try {
                 claim = tryClaimCell(ctx.dir, i,
                                      ctx.opts.workerId,
@@ -365,14 +380,17 @@ claimLoop(ExecutorCtx &ctx, unsigned slot, unsigned slots)
             } catch (const LeaseError &err) {
                 warn("worker %s: claim of cell %zu failed: %s",
                      ctx.opts.workerId.c_str(), i, err.what());
+            }
+            if (claim != LeaseClaim::Claimed) {
+                ctx.held.remove(i);
+                foreign_left = true;
                 continue;
             }
-            if (claim != LeaseClaim::Claimed)
-                continue;
             // A second look after the claim: the previous owner may
             // have committed its result between our existence check
             // and the claim; never rerun a finished cell.
             if (fileExists(cellResultPath(ctx.dir, i))) {
+                ctx.held.remove(i);
                 releaseLease(ctx.dir, mine);
                 continue;
             }
@@ -380,7 +398,7 @@ claimLoop(ExecutorCtx &ctx, unsigned slot, unsigned slots)
                 ++ctx.reclaimed;
             if (progress[i].attempts > mine.attempts)
                 mine.attempts = progress[i].attempts;
-            ctx.held.add(mine);
+            ctx.held.set(mine);
             claimed_any = true;
             driveClaimedCell(ctx, i, mine);
         }
@@ -388,9 +406,15 @@ claimLoop(ExecutorCtx &ctx, unsigned slot, unsigned slots)
         if (!pending_left)
             break;
         if (!claimed_any) {
-            // Everything unfinished is leased to live workers: wait
-            // for them to finish or their leases to expire (either
-            // way the next pass makes progress).
+            // Sibling threads hold every other unfinished cell, and
+            // each finishes its own — or, fenced out by a thief,
+            // drops it and rescans for itself — so there is nothing
+            // left here to wait for.
+            if (!foreign_left)
+                break;
+            // The rest are leased to live workers: wait for them to
+            // finish or their leases to expire (either way the next
+            // pass makes progress).
             std::this_thread::sleep_for(
                 std::chrono::duration<double>(poll_sec));
         }

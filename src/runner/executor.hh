@@ -13,23 +13,24 @@
  *    (lease.hh): atomic link(2) claims, heartbeat renewals from a
  *    per-process heartbeat thread, generation-bump reclaims of
  *    expired leases;
- *  - a claimed cell runs through the same attempt/retry/checkpoint
- *    machinery as the in-process campaign runner — resuming from
- *    the newest per-cell checkpoint, retrying with the seeded
- *    deterministic backoff jitter (retryDelayMs), and recording
- *    every status transition in the shared manifest;
+ *  - a claimed cell runs through runCellAttempt — resuming from
+ *    the newest per-cell checkpoint — and retries with the seeded
+ *    deterministic backoff jitter (retryDelayMs), recording every
+ *    status transition in the shared manifest;
  *  - results are committed through the stale-lease fence
  *    (commitCellResult), so a worker that was descheduled past its
  *    lease deadline and resurrects can never clobber a newer
  *    attempt;
  *  - a worker keeps scanning until every cell has a durable result
  *    (stealing cells whose owners die along the way), so the fleet
- *    as a whole survives any worker dying at any point.
+ *    as a whole survives any worker dying at any point. A claim
+ *    thread stops early only when every unfinished cell is held by
+ *    a sibling thread of its own process.
  *
  * Because every cell's result bytes are a pure function of its
- * RunSpec, `mc_campaign merge` over the result files emits bytes
- * identical to an uninterrupted serial run, for any worker count
- * and any kill schedule.
+ * RunSpec, `mc_campaign merge` (mergeCampaignResults) over the
+ * result files emits bytes identical to an uninterrupted run, for
+ * any worker count and any kill schedule.
  */
 
 #ifndef MORPHCACHE_RUNNER_EXECUTOR_HH
@@ -59,17 +60,14 @@ struct CellAttemptOptions
     std::uint32_t ckptEvery = 0;
     /** Wall-clock watchdog per attempt, seconds (0 = off). */
     double cellTimeoutSec = 0.0;
-    /** Collect the stats-registry JSON into the outcome. */
-    bool wantStatsJson = false;
 };
 
 /**
  * One try of one cell: build the run, restore from `ckpt_path` (or
  * its .prev fallback) when a checkpoint exists, step epochs —
  * checkpointing every ckptEvery and honouring the interrupt flag
- * and watchdog — and return the completed outcome (attempts is left
- * for the caller to fill). Shared by the in-process campaign runner
- * and the work-stealing executor so their cells cannot diverge.
+ * and watchdog — and return the completed outcome with its
+ * stats-registry JSON (attempts is left for the caller to fill).
  */
 CellOutcome runCellAttempt(const CampaignCell &cell,
                            const std::string &ckpt_path,
@@ -87,8 +85,6 @@ struct ExecutorOptions
     double cellTimeoutSec = 0.0;
     /** Lease TTL: a worker silent this long is presumed dead. */
     double leaseTtlSec = 30.0;
-    /** Store per-cell stats JSON in result files (merge needs it). */
-    bool wantStatsJson = true;
     /** Worker identity in leases; empty = "<host>:<pid>". */
     std::string workerId;
 };

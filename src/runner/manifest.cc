@@ -556,8 +556,7 @@ appendReportLine(std::string &out, std::size_t index,
 
 RenderedReport
 renderCampaignReport(const std::vector<CampaignCell> &cells,
-                     const std::vector<CellOutcome> &outcomes,
-                     bool want_stats_json)
+                     const std::vector<CellOutcome> &outcomes)
 {
     RenderedReport report;
     char buf[96];
@@ -577,21 +576,44 @@ renderCampaignReport(const std::vector<CampaignCell> &cells,
                   report.failed);
     report.reportText += buf;
 
-    if (want_stats_json) {
-        std::string doc = "[\n";
-        bool first = true;
-        for (const CellOutcome &o : outcomes) {
-            if (o.failed || o.statsJson.empty())
-                continue;
-            if (!first)
-                doc += ",\n";
-            first = false;
-            doc += o.statsJson;
-        }
-        doc += "\n]\n";
-        report.statsJsonArray = std::move(doc);
+    std::string doc = "[\n";
+    bool first = true;
+    for (const CellOutcome &o : outcomes) {
+        if (o.failed || o.statsJson.empty())
+            continue;
+        if (!first)
+            doc += ",\n";
+        first = false;
+        doc += o.statsJson;
     }
+    doc += "\n]\n";
+    report.statsJsonArray = std::move(doc);
     return report;
+}
+
+RenderedReport
+mergeCampaignResults(const std::string &manifestPath,
+                     const std::vector<CampaignCell> &cells)
+{
+    const std::string dir = campaignStateDir(manifestPath);
+    std::vector<CellOutcome> outcomes(cells.size());
+    std::size_t missing = 0;
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+        const std::string path = cellResultPath(dir, i);
+        if (!fileExists(path)) {
+            ++missing;
+            continue;
+        }
+        const std::vector<std::uint8_t> bytes = readFileBytes(path);
+        outcomes[i] = parseOutcome(
+            path, std::string(bytes.begin(), bytes.end()));
+    }
+    if (missing != 0) {
+        RenderedReport partial;
+        partial.missing = missing;
+        return partial;
+    }
+    return renderCampaignReport(cells, outcomes);
 }
 
 std::vector<CampaignCell>
@@ -720,13 +742,22 @@ initManifestWithPlan(const std::string &path,
                ",\"status\":\"pending\",\"attempts\":0}\n";
         // Clear any stale state a previous campaign under the same
         // manifest path left behind, so cells never restore from
-        // another campaign's checkpoints or leases. A missing file
-        // is the normal case; anything else is best-effort here
-        // and caught by the hash check when the cell first runs.
-        vfs().unlinkPath(cellCkptPath(dir, i));
-        vfs().unlinkPath(cellCkptPath(dir, i) + ".prev");
-        vfs().unlinkPath(cellResultPath(dir, i));
-        vfs().unlinkPath(cellLeasePath(dir, i));
+        // another campaign's checkpoints, results, or leases. ENOENT
+        // is the common case (nothing there); any other failure
+        // means the stale file survived — workers would skip a cell
+        // whose old result exists and merge would render it — so
+        // it is a typed error before the manifest is written.
+        const std::string stale[] = {
+            cellCkptPath(dir, i),
+            cellCkptPath(dir, i) + ".prev",
+            cellResultPath(dir, i),
+            cellLeasePath(dir, i),
+        };
+        for (const std::string &file : stale) {
+            const int rm_rc = vfs().unlinkPath(file);
+            if (rm_rc < 0 && rm_rc != -ENOENT)
+                throwIo(VfsOp::Unlink, file, rm_rc);
+        }
     }
     atomicWriteFile(path, doc.data(), doc.size());
 }

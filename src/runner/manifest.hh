@@ -15,11 +15,10 @@
  *                            attempt count); the last event per cell
  *                            wins and a torn final line is ignored
  *
- * Everything here is shared by the in-process campaign runner
- * (campaign.cc), the multi-process work-stealing executor
- * (executor.cc), and the mc_campaign tool — one serializer, one
- * folder, one report renderer, so a distributed campaign's merged
- * bytes cannot drift from a serial run's.
+ * Everything here is shared by the work-stealing executor
+ * (executor.cc), the mc_campaign tool, and the tests — one
+ * serializer, one folder, one merge, so a campaign's merged bytes
+ * cannot depend on how many workers ran it or how often they died.
  *
  * Next to the manifest lives the state directory `<manifest>.d/`
  * with per-cell checkpoint chains (`cellNNNN.ckpt[.prev]`), atomic
@@ -245,26 +244,41 @@ ManifestTiming foldManifestTiming(const std::string &path);
 // Report rendering
 // ---------------------------------------------------------------
 
-/** A fully rendered campaign report (see CampaignReport). */
+/** A fully rendered campaign report. */
 struct RenderedReport
 {
+    /** Per-cell report block; no paths, no timing. */
     std::string reportText;
+    /** JSON array of the done cells' stats registries. */
     std::string statsJsonArray;
     std::size_t done = 0;
     std::size_t failed = 0;
+    /** Cells without a result file (mergeCampaignResults only);
+     * nothing is rendered unless this is 0. */
+    std::size_t missing = 0;
 };
 
 /**
  * Render the canonical campaign report from per-cell outcomes.
  * Pure function of (cells, outcomes): contains no paths, timing,
  * worker identity, or attempt counts for successful cells, so a
- * serial run, a -jN run, a resumed run, and a distributed
- * mc_campaign merge all emit identical bytes.
+ * -j1 run, a -jN run, a resumed run, and a multi-worker campaign
+ * all emit identical bytes.
  */
 RenderedReport
 renderCampaignReport(const std::vector<CampaignCell> &cells,
-                     const std::vector<CellOutcome> &outcomes,
-                     bool want_stats_json);
+                     const std::vector<CellOutcome> &outcomes);
+
+/**
+ * Merge a campaign's result files (`mc_campaign merge`): read every
+ * cell's result under the manifest's state directory and render the
+ * report. When some cells have no result yet, returns only their
+ * count in `missing`. A result file that exists but does not parse
+ * is a typed CkptError naming the file (delete it and rerun `work`).
+ */
+RenderedReport
+mergeCampaignResults(const std::string &manifestPath,
+                     const std::vector<CampaignCell> &cells);
 
 // ---------------------------------------------------------------
 // Campaign plan (manifest-embedded cell recipe)
@@ -289,8 +303,8 @@ struct CampaignPlan
 
     /**
      * The cell list: rep-major, mix-minor, seeds derived via
-     * sweepCellSeed(base.seed, cellIndex) — byte-compatible with
-     * morphcache_sim's --sweep --manifest campaigns.
+     * sweepCellSeed(base.seed, cellIndex) — the same labels and
+     * seeds as the cells of a `morphcache_sim --sweep` run.
      */
     std::vector<CampaignCell> cells() const;
 
@@ -300,9 +314,8 @@ struct CampaignPlan
 
 /**
  * Recover the plan line from a manifest. Throws CkptError when the
- * manifest has no plan (e.g. it was written by `morphcache_sim
- * --manifest`, which fixes the cell list in its command line) or
- * the plan is malformed.
+ * manifest has no plan (it was not written by initManifestWithPlan)
+ * or the plan is malformed.
  */
 CampaignPlan planFromManifest(const std::string &path);
 
@@ -310,7 +323,8 @@ CampaignPlan planFromManifest(const std::string &path);
  * Write a fresh manifest atomically: header, plan line, and one
  * pending event per cell. Creates the state directory and clears
  * any stale per-cell state a previous campaign under the same path
- * left behind.
+ * left behind; a stale file that cannot be removed is a typed
+ * IoError, thrown before the new manifest is written.
  */
 void initManifestWithPlan(const std::string &path,
                           const CampaignPlan &plan);

@@ -1,34 +1,29 @@
 /**
  * @file
- * Tests for checkpoint/restore and resumable campaigns.
+ * Tests for checkpoint/restore.
  *
  * The headline contract under test: a run restored from a
  * checkpoint finishes with results byte-identical to the same-seed
- * run that was never interrupted — for every scheme — and a
- * campaign SIGKILLed mid-flight resumes to identical report and
- * stats bytes. Corruption never crashes or silently diverges: every
- * bit flip either restores from the previous checkpoint in the
- * chain or fails with a typed CkptError.
+ * run that was never interrupted — for every scheme. Corruption
+ * never crashes or silently diverges: every bit flip either
+ * restores from the previous checkpoint in the chain or fails with
+ * a typed CkptError. Campaigns, which resume cells through the same
+ * checkpoints, are tested in executor_test.cc.
  */
 
 #include <gtest/gtest.h>
 
-#include <csignal>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
-#include <sys/wait.h>
-#include <unistd.h>
 #include <vector>
 
 #include "ckpt/ckpt.hh"
 #include "common/error.hh"
 #include "common/rng.hh"
 #include "common/serial.hh"
-#include "runner/campaign.hh"
 #include "runner/run_factory.hh"
-#include "runner/sweep.hh"
 #include "stats/registry.hh"
 #include "stats/tracing.hh"
 
@@ -463,239 +458,6 @@ TEST(Ckpt, InspectReportsHeaderAndSections)
     EXPECT_EQ(info.sections[4].first, "REGY");
     EXPECT_EQ(info.sections[5].first, "TRCE");
     std::remove(path.c_str());
-}
-
-// ---------------------------------------------------------------
-// Campaigns
-// ---------------------------------------------------------------
-
-std::vector<CampaignCell>
-smallCampaign(std::uint32_t mixes)
-{
-    std::vector<CampaignCell> cells;
-    for (std::uint32_t m = 1; m <= mixes; ++m) {
-        CampaignCell cell;
-        cell.spec = smallSpec("morph");
-        char workload[16];
-        std::snprintf(workload, sizeof(workload), "mix:%u", m);
-        cell.spec.workload = workload;
-        cell.spec.seed = sweepCellSeed(9, m - 1);
-        char label[64];
-        std::snprintf(label, sizeof(label), "mix:%02u seed=%llu",
-                      m,
-                      static_cast<unsigned long long>(
-                          cell.spec.seed));
-        cell.label = label;
-        cells.push_back(std::move(cell));
-    }
-    return cells;
-}
-
-void
-removeCampaignFiles(const std::string &manifest, std::size_t cells)
-{
-    std::remove(manifest.c_str());
-    for (std::size_t i = 0; i < cells; ++i) {
-        char name[64];
-        std::snprintf(name, sizeof(name), "cell%04zu", i);
-        const std::string base =
-            manifest + ".d/" + std::string(name);
-        std::remove((base + ".ckpt").c_str());
-        std::remove((base + ".ckpt.prev").c_str());
-        std::remove((base + ".result.json").c_str());
-    }
-}
-
-TEST(Campaign, ReportIsIdenticalAcrossJobCounts)
-{
-    const std::vector<CampaignCell> cells = smallCampaign(3);
-    CampaignOptions opts;
-    opts.wantStatsJson = true;
-
-    opts.manifestPath = tmpPath("camp_j1.jsonl");
-    opts.jobs = 1;
-    const CampaignReport serial = runCampaign(cells, opts);
-    removeCampaignFiles(opts.manifestPath, cells.size());
-
-    opts.manifestPath = tmpPath("camp_j4.jsonl");
-    opts.jobs = 4;
-    const CampaignReport parallel = runCampaign(cells, opts);
-    removeCampaignFiles(opts.manifestPath, cells.size());
-
-    EXPECT_EQ(serial.reportText, parallel.reportText);
-    EXPECT_EQ(serial.statsJsonArray, parallel.statsJsonArray);
-    EXPECT_EQ(serial.done, cells.size());
-    EXPECT_EQ(serial.failed, 0u);
-}
-
-TEST(Campaign, ResumeOfFinishedCampaignReplaysResultBytes)
-{
-    const std::vector<CampaignCell> cells = smallCampaign(2);
-    CampaignOptions opts;
-    opts.manifestPath = tmpPath("camp_done.jsonl");
-    opts.jobs = 2;
-    opts.wantStatsJson = true;
-    const CampaignReport first = runCampaign(cells, opts);
-
-    opts.resume = true;
-    const CampaignReport replay = runCampaign(cells, opts);
-    EXPECT_EQ(first.reportText, replay.reportText);
-    EXPECT_EQ(first.statsJsonArray, replay.statsJsonArray);
-    removeCampaignFiles(opts.manifestPath, cells.size());
-}
-
-TEST(Campaign, FailedCellsAreMarkedAndExcludedNotDropped)
-{
-    std::vector<CampaignCell> cells = smallCampaign(2);
-    cells[1].spec.scheme = "bogus"; // buildRun throws ConfigError
-    cells[1].label = "broken cell";
-
-    CampaignOptions opts;
-    opts.manifestPath = tmpPath("camp_fail.jsonl");
-    opts.jobs = 2;
-    opts.retryCells = 1;
-    opts.wantStatsJson = true;
-    const CampaignReport report = runCampaign(cells, opts);
-
-    EXPECT_EQ(report.done, 1u);
-    EXPECT_EQ(report.failed, 1u);
-    EXPECT_NE(report.reportText.find("FAILED"), std::string::npos);
-    EXPECT_NE(report.reportText.find("after 2 attempts"),
-              std::string::npos)
-        << report.reportText;
-    // The failed cell's stats must not pollute the aggregate.
-    EXPECT_EQ(report.statsJsonArray.find("bogus"),
-              std::string::npos);
-
-    // The manifest says so explicitly.
-    std::FILE *f = std::fopen(opts.manifestPath.c_str(), "rb");
-    ASSERT_NE(f, nullptr);
-    std::string manifest;
-    char buf[4096];
-    std::size_t n;
-    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0)
-        manifest.append(buf, n);
-    std::fclose(f);
-    EXPECT_NE(manifest.find("\"status\":\"failed\""),
-              std::string::npos);
-    EXPECT_NE(manifest.find("\"attempts\":2"), std::string::npos);
-    removeCampaignFiles(opts.manifestPath, cells.size());
-}
-
-TEST(Campaign, WatchdogCancelsOverrunningCells)
-{
-    std::vector<CampaignCell> cells = smallCampaign(1);
-    CampaignOptions opts;
-    opts.manifestPath = tmpPath("camp_watchdog.jsonl");
-    opts.jobs = 1;
-    opts.cellTimeoutSec = 1e-9; // expires before the first epoch
-    const CampaignReport report = runCampaign(cells, opts);
-    EXPECT_EQ(report.failed, 1u);
-    EXPECT_NE(report.reportText.find("watchdog"),
-              std::string::npos)
-        << report.reportText;
-    removeCampaignFiles(opts.manifestPath, cells.size());
-}
-
-TEST(Campaign, ResumeAgainstMismatchedManifestIsTyped)
-{
-    const std::vector<CampaignCell> cells = smallCampaign(2);
-    CampaignOptions opts;
-    opts.manifestPath = tmpPath("camp_mismatch.jsonl");
-    opts.jobs = 1;
-    runCampaign(cells, opts);
-
-    opts.resume = true;
-    const std::vector<CampaignCell> fewer = smallCampaign(1);
-    EXPECT_THROW(runCampaign(fewer, opts), CkptError);
-    removeCampaignFiles(opts.manifestPath, cells.size());
-}
-
-TEST(Campaign, InterruptFlagStopsResumablyAndResumeCompletes)
-{
-    const std::vector<CampaignCell> cells = smallCampaign(2);
-
-    CampaignOptions ref_opts;
-    ref_opts.manifestPath = tmpPath("camp_int_ref.jsonl");
-    ref_opts.jobs = 2;
-    ref_opts.wantStatsJson = true;
-    const CampaignReport reference = runCampaign(cells, ref_opts);
-    removeCampaignFiles(ref_opts.manifestPath, cells.size());
-
-    CampaignOptions opts = ref_opts;
-    opts.manifestPath = tmpPath("camp_int.jsonl");
-    requestCkptInterrupt();
-    const CampaignReport stopped = runCampaign(cells, opts);
-    clearCkptInterrupt();
-    EXPECT_TRUE(stopped.interrupted);
-
-    opts.resume = true;
-    const CampaignReport resumed = runCampaign(cells, opts);
-    EXPECT_FALSE(resumed.interrupted);
-    EXPECT_EQ(resumed.reportText, reference.reportText);
-    EXPECT_EQ(resumed.statsJsonArray, reference.statsJsonArray);
-    removeCampaignFiles(opts.manifestPath, cells.size());
-}
-
-/**
- * The crash test: fork a child that runs the campaign, SIGKILL it
- * mid-flight (no atexit, no flush — the hard way), then resume in
- * this process and demand byte-identical output to a reference
- * campaign that was never interrupted.
- */
-TEST(Campaign, SigkilledCampaignResumesToIdenticalBytes)
-{
-    std::vector<CampaignCell> cells = smallCampaign(4);
-    for (CampaignCell &cell : cells)
-        cell.spec.refs = 20000; // slow enough to die mid-flight
-
-    CampaignOptions ref_opts;
-    ref_opts.manifestPath = tmpPath("camp_kill_ref.jsonl");
-    ref_opts.jobs = 2;
-    ref_opts.ckptEvery = 1;
-    ref_opts.wantStatsJson = true;
-    const CampaignReport reference = runCampaign(cells, ref_opts);
-    removeCampaignFiles(ref_opts.manifestPath, cells.size());
-
-    CampaignOptions opts = ref_opts;
-    opts.manifestPath = tmpPath("camp_kill.jsonl");
-    removeCampaignFiles(opts.manifestPath, cells.size());
-
-    const pid_t child = fork();
-    ASSERT_GE(child, 0);
-    if (child == 0) {
-        // In the child: run the campaign and exit quietly if the
-        // parent never gets around to killing us.
-        runCampaign(cells, opts);
-        _exit(0);
-    }
-
-    // Give the child a moment to make durable progress, then kill
-    // it without warning.
-    for (int i = 0; i < 200; ++i) {
-        std::FILE *f = std::fopen(opts.manifestPath.c_str(), "rb");
-        if (f) {
-            std::fseek(f, 0, SEEK_END);
-            const long size = std::ftell(f);
-            std::fclose(f);
-            if (size > 200)
-                break;
-        }
-        usleep(10000);
-    }
-    kill(child, SIGKILL);
-    int status = 0;
-    waitpid(child, &status, 0);
-
-    // Resume in-process: whatever state the kill left behind must
-    // fold into the exact reference bytes.
-    opts.resume = true;
-    const CampaignReport resumed = runCampaign(cells, opts);
-    EXPECT_FALSE(resumed.interrupted);
-    EXPECT_EQ(resumed.done, cells.size());
-    EXPECT_EQ(resumed.reportText, reference.reportText);
-    EXPECT_EQ(resumed.statsJsonArray, reference.statsJsonArray);
-    removeCampaignFiles(opts.manifestPath, cells.size());
 }
 
 } // namespace

@@ -1,13 +1,17 @@
 /**
  * @file
- * Tests for the work-stealing campaign executor and lease protocol.
+ * Tests for campaigns: the work-stealing executor, the lease
+ * protocol, and the result merge.
  *
  * The headline contracts under test:
  *
- *  - a fleet of worker processes draining one manifest produces
- *    merged report and stats bytes identical to a serial
- *    runCampaign of the same cells — including when a worker is
+ *  - a campaign — one worker process at any job count, or a fleet
+ *    of them — produces merged report and stats bytes identical to
+ *    an in-memory reference that runs each cell once, including
+ *    when the run is interrupted and rerun, or a worker is
  *    SIGKILLed mid-flight and its cells are stolen;
+ *  - failed cells exhaust their retry budget, stay marked in the
+ *    manifest and the report, and are left out of the stats;
  *  - stale-lease fencing: a zombie worker (one whose lease was
  *    reclaimed while it was presumed dead) cannot commit a result
  *    over the newer attempt — the write throws a typed LeaseError;
@@ -34,7 +38,6 @@
 #include "ckpt/ckpt.hh"
 #include "common/error.hh"
 #include "common/serial.hh"
-#include "runner/campaign.hh"
 #include "runner/executor.hh"
 #include "runner/lease.hh"
 
@@ -76,35 +79,62 @@ removeCampaignFiles(const std::string &manifest, std::size_t cells)
     }
 }
 
-/** Merge result files the way `mc_campaign merge` does. */
+/**
+ * Reference bytes for a cell list, computed in memory: each cell
+ * runs once through runCellAttempt, and a cell that throws stands
+ * for one that failed all `1 + retries` attempts. Independent of
+ * manifests, leases, and result files.
+ */
 RenderedReport
-mergeResults(const std::string &manifest,
-             const std::vector<CampaignCell> &cells)
-{
-    const std::string dir = campaignStateDir(manifest);
-    std::vector<CellOutcome> outcomes(cells.size());
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-        const std::string path = cellResultPath(dir, i);
-        const std::vector<std::uint8_t> bytes = readFileBytes(path);
-        outcomes[i] = parseOutcome(
-            path, std::string(bytes.begin(), bytes.end()));
-    }
-    return renderCampaignReport(cells, outcomes, true);
-}
-
-/** Serial reference bytes for a plan, via the in-process runner. */
-CampaignReport
-serialReference(const CampaignPlan &plan, const std::string &name,
+serialReference(const std::vector<CampaignCell> &cells,
                 std::uint32_t retries = 0)
 {
-    CampaignOptions opts;
-    opts.manifestPath = tmpPath(name);
-    opts.jobs = 1;
-    opts.retryCells = retries;
-    opts.wantStatsJson = true;
-    const CampaignReport report = runCampaign(plan.cells(), opts);
-    removeCampaignFiles(opts.manifestPath, plan.cells().size());
-    return report;
+    std::vector<CellOutcome> outcomes;
+    for (const CampaignCell &cell : cells) {
+        try {
+            outcomes.push_back(
+                runCellAttempt(cell, "", CellAttemptOptions{}));
+        } catch (const std::exception &err) {
+            CellOutcome o;
+            o.failed = true;
+            o.label = cell.label;
+            o.seed = cell.spec.seed;
+            o.attempts = 1 + retries;
+            o.error = err.what();
+            outcomes.push_back(std::move(o));
+        }
+    }
+    return renderCampaignReport(cells, outcomes);
+}
+
+/** Init a fresh manifest for `plan`, drain it with one worker of
+ * `jobs` claim threads, and merge the results. */
+RenderedReport
+drainFresh(const CampaignPlan &plan, const std::string &manifest,
+           unsigned jobs)
+{
+    initManifestWithPlan(manifest, plan);
+    ExecutorOptions eopts;
+    eopts.manifestPath = manifest;
+    eopts.jobs = jobs;
+    EXPECT_TRUE(runExecutor(plan.cells(), eopts).campaignComplete);
+    return mergeCampaignResults(manifest, plan.cells());
+}
+
+/**
+ * A manifest for an arbitrary cell list, which no plan generates:
+ * the header alone (every cell folds to pending) and the state
+ * directory.
+ */
+void
+writeBareManifest(const std::string &manifest,
+                  const std::vector<CampaignCell> &cells)
+{
+    removeCampaignFiles(manifest, cells.size());
+    const std::string header =
+        manifestHeaderLine(cells.size(), campaignHash(cells));
+    atomicWriteFile(manifest, header.data(), header.size());
+    ::mkdir(campaignStateDir(manifest).c_str(), 0777);
 }
 
 // ---------------------------------------------------------------
@@ -375,12 +405,10 @@ TEST(CampaignPlan, RoundTripsThroughManifest)
 TEST(CampaignPlan, ManifestWithoutPlanIsTyped)
 {
     const CampaignPlan plan = smallPlan(1);
-    CampaignOptions opts;
-    opts.manifestPath = tmpPath("plan_missing.jsonl");
-    opts.jobs = 1;
-    runCampaign(plan.cells(), opts); // plain manifest, no plan line
-    EXPECT_THROW(planFromManifest(opts.manifestPath), CkptError);
-    removeCampaignFiles(opts.manifestPath, plan.cells().size());
+    const std::string manifest = tmpPath("plan_missing.jsonl");
+    writeBareManifest(manifest, plan.cells()); // no plan line
+    EXPECT_THROW(planFromManifest(manifest), CkptError);
+    removeCampaignFiles(manifest, plan.cells().size());
 }
 
 // ---------------------------------------------------------------
@@ -390,8 +418,8 @@ TEST(CampaignPlan, ManifestWithoutPlanIsTyped)
 TEST(Executor, MergedBytesMatchSerialCampaign)
 {
     const CampaignPlan plan = smallPlan(3);
-    const CampaignReport reference =
-        serialReference(plan, "exec_ref.jsonl");
+    const RenderedReport reference =
+        serialReference(plan.cells());
 
     const std::string manifest = tmpPath("exec_run.jsonl");
     initManifestWithPlan(manifest, plan);
@@ -406,7 +434,7 @@ TEST(Executor, MergedBytesMatchSerialCampaign)
     EXPECT_EQ(report.failedCells, 0u);
 
     const RenderedReport merged =
-        mergeResults(manifest, plan.cells());
+        mergeCampaignResults(manifest, plan.cells());
     EXPECT_EQ(merged.reportText, reference.reportText);
     EXPECT_EQ(merged.statsJsonArray, reference.statsJsonArray);
     removeCampaignFiles(manifest, plan.cells().size());
@@ -416,8 +444,8 @@ TEST(Executor, FailingCellsExhaustBudgetIdenticallyToSerial)
 {
     CampaignPlan plan = smallPlan(2);
     plan.base.scheme = "bogus"; // buildRun throws ConfigError
-    const CampaignReport reference =
-        serialReference(plan, "exec_fail_ref.jsonl", 1);
+    const RenderedReport reference =
+        serialReference(plan.cells(), 1);
 
     const std::string manifest = tmpPath("exec_fail.jsonl");
     initManifestWithPlan(manifest, plan);
@@ -432,7 +460,7 @@ TEST(Executor, FailingCellsExhaustBudgetIdenticallyToSerial)
     EXPECT_EQ(report.failedCells, plan.cells().size());
 
     const RenderedReport merged =
-        mergeResults(manifest, plan.cells());
+        mergeCampaignResults(manifest, plan.cells());
     EXPECT_EQ(merged.reportText, reference.reportText);
     EXPECT_NE(merged.reportText.find("after 2 attempts"),
               std::string::npos)
@@ -457,14 +485,14 @@ TEST(Executor, HeaderMismatchIsTyped)
  * The tentpole crash test: SIGKILL a whole worker process
  * mid-campaign, then let a second worker steal its leased cells
  * (resuming from their checkpoints) and finish. The merge must be
- * byte-identical to a serial run that was never interrupted.
+ * byte-identical to the in-memory reference.
  */
 TEST(Executor, SigkilledWorkerIsStolenAndBytesMatchSerial)
 {
     CampaignPlan plan = smallPlan(4);
     plan.base.refs = 20000; // slow enough to die mid-flight
-    const CampaignReport reference =
-        serialReference(plan, "exec_kill_ref.jsonl");
+    const RenderedReport reference =
+        serialReference(plan.cells());
 
     const std::string manifest = tmpPath("exec_kill.jsonl");
     removeCampaignFiles(manifest, plan.cells().size());
@@ -513,7 +541,7 @@ TEST(Executor, SigkilledWorkerIsStolenAndBytesMatchSerial)
     EXPECT_TRUE(report.campaignComplete);
 
     const RenderedReport merged =
-        mergeResults(manifest, plan.cells());
+        mergeCampaignResults(manifest, plan.cells());
     EXPECT_EQ(merged.reportText, reference.reportText);
     EXPECT_EQ(merged.statsJsonArray, reference.statsJsonArray);
     removeCampaignFiles(manifest, plan.cells().size());
@@ -522,8 +550,8 @@ TEST(Executor, SigkilledWorkerIsStolenAndBytesMatchSerial)
 TEST(Executor, ManifestTruncatedMidLineIsToleratedAndCompletes)
 {
     const CampaignPlan plan = smallPlan(2);
-    const CampaignReport reference =
-        serialReference(plan, "exec_trunc_ref.jsonl");
+    const RenderedReport reference =
+        serialReference(plan.cells());
 
     const std::string manifest = tmpPath("exec_trunc.jsonl");
     initManifestWithPlan(manifest, plan);
@@ -544,7 +572,7 @@ TEST(Executor, ManifestTruncatedMidLineIsToleratedAndCompletes)
     EXPECT_TRUE(report.campaignComplete);
 
     const RenderedReport merged =
-        mergeResults(manifest, plan.cells());
+        mergeCampaignResults(manifest, plan.cells());
     EXPECT_EQ(merged.reportText, reference.reportText);
     EXPECT_EQ(merged.statsJsonArray, reference.statsJsonArray);
     removeCampaignFiles(manifest, plan.cells().size());
@@ -553,8 +581,8 @@ TEST(Executor, ManifestTruncatedMidLineIsToleratedAndCompletes)
 TEST(Executor, DeletedResultFileIsRebuiltToIdenticalBytes)
 {
     const CampaignPlan plan = smallPlan(2);
-    const CampaignReport reference =
-        serialReference(plan, "exec_del_ref.jsonl");
+    const RenderedReport reference =
+        serialReference(plan.cells());
 
     const std::string manifest = tmpPath("exec_del.jsonl");
     initManifestWithPlan(manifest, plan);
@@ -576,7 +604,7 @@ TEST(Executor, DeletedResultFileIsRebuiltToIdenticalBytes)
         << "only the deleted cell must rerun";
 
     const RenderedReport merged =
-        mergeResults(manifest, plan.cells());
+        mergeCampaignResults(manifest, plan.cells());
     EXPECT_EQ(merged.reportText, reference.reportText);
     EXPECT_EQ(merged.statsJsonArray, reference.statsJsonArray);
     removeCampaignFiles(manifest, plan.cells().size());
@@ -585,8 +613,8 @@ TEST(Executor, DeletedResultFileIsRebuiltToIdenticalBytes)
 TEST(Executor, FlippedLeaseBitsEndInCleanReclamationNotDivergence)
 {
     const CampaignPlan plan = smallPlan(2);
-    const CampaignReport reference =
-        serialReference(plan, "exec_flip_ref.jsonl");
+    const RenderedReport reference =
+        serialReference(plan.cells());
 
     const std::string manifest = tmpPath("exec_flip.jsonl");
     initManifestWithPlan(manifest, plan);
@@ -610,9 +638,39 @@ TEST(Executor, FlippedLeaseBitsEndInCleanReclamationNotDivergence)
     EXPECT_EQ(report.reclaimed, plan.cells().size());
 
     const RenderedReport merged =
-        mergeResults(manifest, plan.cells());
+        mergeCampaignResults(manifest, plan.cells());
     EXPECT_EQ(merged.reportText, reference.reportText);
     EXPECT_EQ(merged.statsJsonArray, reference.statsJsonArray);
+    removeCampaignFiles(manifest, plan.cells().size());
+}
+
+/**
+ * Claim threads of one worker that reclaim the same stale lease at
+ * once all read back the same (worker, generation). Exactly one of
+ * them may drive the cell; the others must neither rerun it nor get
+ * fenced by the winner's commit.
+ */
+TEST(Executor, SiblingThreadsReclaimAStaleLeaseOnce)
+{
+    const CampaignPlan plan = smallPlan(1);
+    const std::string manifest = tmpPath("exec_sibling.jsonl");
+    initManifestWithPlan(manifest, plan);
+
+    const std::string dir = campaignStateDir(manifest);
+    LeaseInfo dead;
+    ASSERT_EQ(tryClaimCell(dir, 0, "worker-dead", 0.001, dead),
+              LeaseClaim::Claimed);
+    while (leaseNow() <= dead.deadline)
+        ::usleep(1000);
+
+    ExecutorOptions eopts;
+    eopts.manifestPath = manifest;
+    eopts.jobs = 4;
+    const ExecutorReport report = runExecutor(plan.cells(), eopts);
+    EXPECT_TRUE(report.campaignComplete);
+    EXPECT_EQ(report.completed, 1u);
+    EXPECT_EQ(report.reclaimed, 1u);
+    EXPECT_EQ(report.fenced, 0u);
     removeCampaignFiles(manifest, plan.cells().size());
 }
 
@@ -634,13 +692,198 @@ TEST(Executor, InterruptFlagStopsResumably)
     EXPECT_TRUE(stopped.interrupted);
     EXPECT_FALSE(stopped.campaignComplete);
 
-    const CampaignReport reference =
-        serialReference(plan, "exec_int_ref.jsonl");
+    const RenderedReport reference =
+        serialReference(plan.cells());
     const ExecutorReport resumed =
         runExecutor(plan.cells(), eopts);
     EXPECT_TRUE(resumed.campaignComplete);
     const RenderedReport merged =
-        mergeResults(manifest, plan.cells());
+        mergeCampaignResults(manifest, plan.cells());
+    EXPECT_EQ(merged.reportText, reference.reportText);
+    EXPECT_EQ(merged.statsJsonArray, reference.statsJsonArray);
+    removeCampaignFiles(manifest, plan.cells().size());
+}
+
+// ---------------------------------------------------------------
+// Campaigns: one worker process, start to finish
+// ---------------------------------------------------------------
+
+TEST(Campaign, ReportIsIdenticalAcrossJobCounts)
+{
+    const CampaignPlan plan = smallPlan(3);
+    const std::string one = tmpPath("camp_j1.jsonl");
+    const std::string four = tmpPath("camp_j4.jsonl");
+    const RenderedReport serial = drainFresh(plan, one, 1);
+    const RenderedReport parallel = drainFresh(plan, four, 4);
+    removeCampaignFiles(one, plan.cells().size());
+    removeCampaignFiles(four, plan.cells().size());
+
+    EXPECT_EQ(serial.reportText, parallel.reportText);
+    EXPECT_EQ(serial.statsJsonArray, parallel.statsJsonArray);
+    EXPECT_EQ(serial.done, plan.cells().size());
+    EXPECT_EQ(serial.failed, 0u);
+}
+
+TEST(Campaign, ResumeOfFinishedCampaignReplaysResultBytes)
+{
+    const CampaignPlan plan = smallPlan(2);
+    const std::string manifest = tmpPath("camp_done.jsonl");
+    const RenderedReport first = drainFresh(plan, manifest, 2);
+
+    ExecutorOptions eopts;
+    eopts.manifestPath = manifest;
+    eopts.jobs = 2;
+    const ExecutorReport rerun = runExecutor(plan.cells(), eopts);
+    EXPECT_TRUE(rerun.campaignComplete);
+    EXPECT_EQ(rerun.completed, 0u) << "a finished cell never reruns";
+
+    const RenderedReport replay =
+        mergeCampaignResults(manifest, plan.cells());
+    EXPECT_EQ(first.reportText, replay.reportText);
+    EXPECT_EQ(first.statsJsonArray, replay.statsJsonArray);
+    removeCampaignFiles(manifest, plan.cells().size());
+}
+
+TEST(Campaign, FailedCellsAreMarkedAndExcludedNotDropped)
+{
+    std::vector<CampaignCell> cells = smallPlan(2).cells();
+    cells[1].spec.scheme = "bogus"; // buildRun throws ConfigError
+    cells[1].label = "broken cell";
+
+    const std::string manifest = tmpPath("camp_fail.jsonl");
+    writeBareManifest(manifest, cells);
+    ExecutorOptions eopts;
+    eopts.manifestPath = manifest;
+    eopts.jobs = 2;
+    eopts.retryCells = 1;
+    EXPECT_TRUE(runExecutor(cells, eopts).campaignComplete);
+    const RenderedReport report = mergeCampaignResults(manifest, cells);
+
+    EXPECT_EQ(report.done, 1u);
+    EXPECT_EQ(report.failed, 1u);
+    EXPECT_NE(report.reportText.find("FAILED"), std::string::npos);
+    EXPECT_NE(report.reportText.find("after 2 attempts"),
+              std::string::npos)
+        << report.reportText;
+    // The failed cell's stats must not pollute the aggregate.
+    EXPECT_EQ(report.statsJsonArray.find("bogus"),
+              std::string::npos);
+
+    // The manifest says so explicitly.
+    const std::vector<std::uint8_t> bytes = readFileBytes(manifest);
+    const std::string text(bytes.begin(), bytes.end());
+    EXPECT_NE(text.find("\"status\":\"failed\""), std::string::npos);
+    EXPECT_NE(text.find("\"attempts\":2"), std::string::npos);
+    removeCampaignFiles(manifest, cells.size());
+}
+
+TEST(Campaign, WatchdogCancelsOverrunningCells)
+{
+    const CampaignPlan plan = smallPlan(1);
+    const std::string manifest = tmpPath("camp_watchdog.jsonl");
+    initManifestWithPlan(manifest, plan);
+    ExecutorOptions eopts;
+    eopts.manifestPath = manifest;
+    eopts.cellTimeoutSec = 1e-9; // expires before the first epoch
+    EXPECT_EQ(runExecutor(plan.cells(), eopts).failedCells, 1u);
+
+    const RenderedReport report =
+        mergeCampaignResults(manifest, plan.cells());
+    EXPECT_EQ(report.failed, 1u);
+    EXPECT_NE(report.reportText.find("watchdog"), std::string::npos)
+        << report.reportText;
+    removeCampaignFiles(manifest, plan.cells().size());
+}
+
+TEST(Campaign, ResumeAgainstMismatchedManifestIsTyped)
+{
+    const CampaignPlan plan = smallPlan(2);
+    const std::string manifest = tmpPath("camp_mismatch.jsonl");
+    drainFresh(plan, manifest, 1);
+
+    ExecutorOptions eopts;
+    eopts.manifestPath = manifest;
+    EXPECT_THROW(runExecutor(smallPlan(1).cells(), eopts), CkptError);
+    removeCampaignFiles(manifest, plan.cells().size());
+}
+
+TEST(Campaign, InterruptFlagStopsResumablyAndResumeCompletes)
+{
+    const CampaignPlan plan = smallPlan(2);
+    const RenderedReport reference = serialReference(plan.cells());
+
+    const std::string manifest = tmpPath("camp_int.jsonl");
+    initManifestWithPlan(manifest, plan);
+    ExecutorOptions eopts;
+    eopts.manifestPath = manifest;
+    eopts.jobs = 2;
+    requestCkptInterrupt();
+    const ExecutorReport stopped = runExecutor(plan.cells(), eopts);
+    clearCkptInterrupt();
+    EXPECT_TRUE(stopped.interrupted);
+    EXPECT_EQ(mergeCampaignResults(manifest, plan.cells()).missing,
+              plan.cells().size());
+
+    const ExecutorReport resumed = runExecutor(plan.cells(), eopts);
+    EXPECT_FALSE(resumed.interrupted);
+    EXPECT_TRUE(resumed.campaignComplete);
+    const RenderedReport merged =
+        mergeCampaignResults(manifest, plan.cells());
+    EXPECT_EQ(merged.reportText, reference.reportText);
+    EXPECT_EQ(merged.statsJsonArray, reference.statsJsonArray);
+    removeCampaignFiles(manifest, plan.cells().size());
+}
+
+/**
+ * The crash test: fork a child that runs the campaign's only worker,
+ * SIGKILL it mid-flight (no atexit, no flush — the hard way), then
+ * rerun the worker in this process and demand byte-identical output
+ * to the in-memory reference. The rerun first waits out the dead
+ * worker's short lease TTL.
+ */
+TEST(Campaign, SigkilledCampaignResumesToIdenticalBytes)
+{
+    CampaignPlan plan = smallPlan(4);
+    plan.base.refs = 20000; // slow enough to die mid-flight
+    const RenderedReport reference = serialReference(plan.cells());
+
+    const std::string manifest = tmpPath("camp_kill.jsonl");
+    initManifestWithPlan(manifest, plan);
+    ExecutorOptions eopts;
+    eopts.manifestPath = manifest;
+    eopts.jobs = 2;
+    eopts.ckptEvery = 1;
+    eopts.leaseTtlSec = 0.5;
+
+    const pid_t child = fork();
+    ASSERT_GE(child, 0);
+    if (child == 0) {
+        // In the child: run the worker and exit quietly if the
+        // parent never gets around to killing us.
+        runExecutor(plan.cells(), eopts);
+        _exit(0);
+    }
+
+    // Give the child a moment to make durable progress, then kill
+    // it without warning.
+    const std::size_t initSize = readFileBytes(manifest).size();
+    for (int i = 0; i < 200; ++i) {
+        if (readFileBytes(manifest).size() > initSize + 200)
+            break;
+        ::usleep(10000);
+    }
+    ::kill(child, SIGKILL);
+    int status = 0;
+    ::waitpid(child, &status, 0);
+
+    // Rerun: whatever state the kill left behind must finish into
+    // the exact reference bytes.
+    const ExecutorReport resumed = runExecutor(plan.cells(), eopts);
+    EXPECT_FALSE(resumed.interrupted);
+    EXPECT_TRUE(resumed.campaignComplete);
+    const RenderedReport merged =
+        mergeCampaignResults(manifest, plan.cells());
+    EXPECT_EQ(merged.done, plan.cells().size());
     EXPECT_EQ(merged.reportText, reference.reportText);
     EXPECT_EQ(merged.statsJsonArray, reference.statsJsonArray);
     removeCampaignFiles(manifest, plan.cells().size());

@@ -11,8 +11,9 @@
  *    typed IoError, and no injected history leaves a torn artifact;
  *  - the per-site audit regressions: short writes are carried by the
  *    write loops, fsync/close failures are errors (not swallowed), a
- *    manifest append never retries once a byte landed, and the fold
- *    discards torn bytes merged into a later complete line;
+ *    manifest append never retries once a byte landed, the fold
+ *    discards torn bytes merged into a later complete line, and a
+ *    re-init that cannot remove a stale result file fails typed;
  *  - the lease read is errno-precise: ENOENT/ESTALE mean benignly
  *    gone (the readdir/open reap race), everything else means a
  *    lease exists but is unreadable — reclaim, don't fresh-claim;
@@ -480,6 +481,42 @@ TEST(ManifestIo, FoldDiscardsTornBytesMergedIntoALine)
     EXPECT_EQ(progress[0].attempts, 0u);
     EXPECT_EQ(progress[1].status, "done");
     EXPECT_EQ(progress[1].attempts, 1u);
+    vfs().unlinkPath(path);
+}
+
+TEST(ManifestIo, InitFailsWhenAStaleResultCannotBeRemoved)
+{
+    // A re-init must not leave an earlier campaign's result behind:
+    // workers skip any cell whose result file exists, and merge
+    // would render the old campaign's bytes as this one's.
+    CampaignPlan plan;
+    plan.base.seed = 9;
+    plan.mixLo = plan.mixHi = 1;
+    const std::string path = tmpPath("io_m_reinit.jsonl");
+    initManifestWithPlan(path, plan);
+    const std::string result =
+        cellResultPath(campaignStateDir(path), 0);
+    writeText(result, "{\"stale\":true}\n");
+
+    plan.base.seed = 10;
+    FaultPlan fplan;
+    fplan.faultPermille = 0;
+    FaultyVfs faulty(vfs(), fplan);
+    faulty.failNext(VfsOp::Unlink, EIO, "cell0000.result");
+    {
+        ScopedVfs swap(&faulty);
+        try {
+            initManifestWithPlan(path, plan);
+            FAIL() << "expected IoError for the surviving result";
+        } catch (const IoError &err) {
+            EXPECT_EQ(err.errnoCode(), EIO);
+            EXPECT_NE(std::string(err.what()).find("cell0000.result"),
+                      std::string::npos)
+                << err.what();
+        }
+    }
+    EXPECT_EQ(faulty.armedFaults(), 0u);
+    vfs().unlinkPath(result);
     vfs().unlinkPath(path);
 }
 

@@ -4,12 +4,12 @@
 # drain one manifest while a seeded schedule SIGKILLs random
 # workers (relaunching a fresh one in each victim's slot) until the
 # campaign completes; the merged report and stats bytes are then
-# diffed against a serial morphcache_sim run of the same plan.
+# diffed against an uninterrupted single-worker run of the same
+# plan.
 # Run from the repo root: tools/ci_chaos_campaign.sh [build-dir]
 set -eu
 
 builddir="${1:-build}"
-sim="$builddir/tools/morphcache_sim"
 camp="$builddir/tools/mc_campaign"
 work="$(mktemp -d)"
 
@@ -22,8 +22,10 @@ trap cleanup EXIT
 
 plan="--mixes 1-6 --cores 8 --epochs 5 --refs 20000 --seed 9"
 
-# Reference: a serial sweep campaign nobody interrupted.
-$sim --sweep $plan --manifest "$work/ref.jsonl" \
+# Reference: one worker process nobody interrupted.
+$camp init --manifest "$work/ref.jsonl" $plan
+$camp work --manifest "$work/ref.jsonl" -j4 -q
+$camp merge --manifest "$work/ref.jsonl" \
     --stats-out "$work/ref.stats" > "$work/ref.out"
 
 # The campaign under chaos: init embeds the plan in the manifest so
@@ -82,10 +84,10 @@ $camp status --manifest "$work/chaos.jsonl" || {
     exit 1
 }
 
-# The merged bytes must match the uninterrupted serial run exactly,
+# The merged bytes must match the uninterrupted run exactly,
 # whatever the kill schedule did.
 $camp merge --manifest "$work/chaos.jsonl" \
     --stats-out "$work/chaos.stats" > "$work/chaos.out"
 diff "$work/ref.out" "$work/chaos.out"
 diff "$work/ref.stats" "$work/chaos.stats"
-echo "chaos campaign: merged bytes identical to serial run"
+echo "chaos campaign: merged bytes identical to uninterrupted run"

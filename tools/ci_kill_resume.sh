@@ -1,40 +1,52 @@
 #!/bin/sh
 # Kill-and-resume CI leg: prove the checkpoint/restore determinism
-# contract end to end. A parallel campaign is SIGKILLed at a
-# random-but-seeded point mid-flight, resumed with --resume, and
-# its stdout report plus stats-JSON bytes are diffed against a
-# campaign that was never interrupted. A single run gets the same
-# treatment through SIGTERM -> exit 75 -> --restore.
+# contract end to end. A campaign's only mc_campaign worker is
+# SIGKILLed at a random-but-seeded point mid-flight, a fresh worker
+# finishes the campaign, and the merged stdout report plus
+# stats-JSON bytes are diffed against a campaign that was never
+# interrupted. A single run gets the same treatment through
+# SIGTERM -> exit 75 -> --restore.
 # Run from the repo root: tools/ci_kill_resume.sh [build-dir]
 set -eu
 
 builddir="${1:-build}"
 sim="$builddir/tools/morphcache_sim"
+camp="$builddir/tools/mc_campaign"
 work="$(mktemp -d)"
 trap 'rm -rf "$work"' EXIT
 
-campaign_args="--sweep --mixes 1-6 --cores 8 --epochs 5 \
-    --refs 20000 --seed 9 --ckpt-every 1 -j4"
+plan="--mixes 1-6 --cores 8 --epochs 5 --refs 20000 --seed 9"
+# Per-epoch checkpoints so a killed cell resumes mid-flight; a short
+# lease TTL so the rerun need not wait long for the dead worker's
+# leases to expire.
+work_args="--ckpt-every 1 --lease-ttl 2"
 
 # Reference: the campaign nobody interrupted.
-$sim $campaign_args --manifest "$work/ref.jsonl" \
+$camp init --manifest "$work/ref.jsonl" $plan
+$camp work --manifest "$work/ref.jsonl" -j4 $work_args
+$camp merge --manifest "$work/ref.jsonl" \
     --stats-out "$work/ref.stats" > "$work/ref.out"
 
 # Seeded kill point: derive the delay (0.30s..1.29s) from the seed
 # so reruns of the same commit kill at the same wall-clock offset.
 frac=$(awk 'BEGIN { srand(9); printf "%.2f", 0.30 + rand() }')
-echo "killing campaign after ${frac}s"
+echo "killing campaign worker after ${frac}s"
 
-$sim $campaign_args --manifest "$work/kill.jsonl" \
-    --stats-out "$work/kill.stats" > "$work/kill.out" 2>&1 &
+# One claim thread, so the campaign outlasts the kill point even on
+# a fast host (-j4 can finish the plan in under 0.4 s).
+$camp init --manifest "$work/kill.jsonl" $plan
+$camp work --manifest "$work/kill.jsonl" -j1 $work_args \
+    > "$work/kill.log" 2>&1 &
 pid=$!
 sleep "$frac"
 kill -KILL "$pid" 2>/dev/null || true
 wait "$pid" 2>/dev/null || true
 
-# Resume: done cells replay from result files, in-progress cells
-# restore from their checkpoints, the rest run fresh.
-$sim $campaign_args --resume "$work/kill.jsonl" \
+# Rerun: once the dead worker's leases expire, its in-progress cells
+# restore from their checkpoints and the rest run fresh; finished
+# cells keep their result files.
+$camp work --manifest "$work/kill.jsonl" -j4 $work_args
+$camp merge --manifest "$work/kill.jsonl" \
     --stats-out "$work/kill.stats" > "$work/kill.out"
 
 diff "$work/ref.out" "$work/kill.out"

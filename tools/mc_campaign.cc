@@ -7,7 +7,9 @@
  * be launched by `work --workers M`, by hand in separate shells, or
  * on separate hosts over a shared filesystem; any of them can die
  * (SIGKILL included) at any point and the fleet still finishes with
- * merged output byte-identical to a serial run.
+ * merged output byte-identical to an uninterrupted run. This is the
+ * repo's one durable campaign engine: a single `work -jN` process is
+ * the crash-resumable form of `morphcache_sim --sweep -jN`.
  *
  * Usage:
  *   mc_campaign init --manifest FILE [spec options]
@@ -27,9 +29,10 @@
  *       --workers M forks M worker processes. Cells are claimed
  *       through heartbeat leases (TTL --lease-ttl, default 30 s);
  *       a worker silent past its deadline is presumed dead and its
- *       cells are stolen, resuming from their newest checkpoint.
- *       Exits 0 when the campaign is complete, 75 (resumable) on
- *       SIGINT/SIGTERM.
+ *       cells are stolen, resuming from their newest checkpoint — so
+ *       rerunning `work` after the only worker died waits out that
+ *       worker's TTL first. Exits 0 when the campaign is complete,
+ *       75 (resumable) on SIGINT/SIGTERM.
  *
  *   mc_campaign status --manifest FILE
  *       live progress aggregate: per-cell status from the manifest,
@@ -38,9 +41,10 @@
  *
  *   mc_campaign merge --manifest FILE [--stats-out FILE]
  *       render the final report from the per-cell result files —
- *       byte-identical to an uninterrupted `morphcache_sim --sweep
- *       --manifest` run of the same plan. Exits 1 if any cell
- *       terminally failed, 9 if results are still missing.
+ *       the same bytes for any worker count, kill schedule, or
+ *       number of reruns. Exits 1 if any cell terminally failed, 9
+ *       if results are still missing; a corrupt result file is an
+ *       error naming it (delete it and rerun `work`).
  *
  *   mc_campaign reap --manifest FILE
  *       delete expired leases and leases of finished cells, making
@@ -61,7 +65,6 @@
 #include "ckpt/ckpt.hh"
 #include "common/error.hh"
 #include "common/logging.hh"
-#include "common/serial.hh"
 #include "runner/executor.hh"
 #include "runner/lease.hh"
 
@@ -277,7 +280,6 @@ runOneWorker(const Options &opts)
     eopts.retryCells = opts.retryCells;
     eopts.cellTimeoutSec = opts.cellTimeoutSec;
     eopts.leaseTtlSec = opts.leaseTtlSec;
-    eopts.wantStatsJson = true;
     eopts.workerId = opts.workerId.empty() ? defaultWorkerId()
                                            : opts.workerId;
 
@@ -476,34 +478,19 @@ runMerge(const Options &opts)
 {
     const CampaignPlan plan = planFromManifest(opts.manifestPath);
     const std::vector<CampaignCell> cells = plan.cells();
-    const std::string dir = campaignStateDir(opts.manifestPath);
-
-    std::vector<CellOutcome> outcomes(cells.size());
-    std::size_t missing = 0;
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-        const std::string path = cellResultPath(dir, i);
-        if (!fileExists(path)) {
-            ++missing;
-            continue;
-        }
-        const std::vector<std::uint8_t> bytes = readFileBytes(path);
-        outcomes[i] = parseOutcome(
-            path, std::string(bytes.begin(), bytes.end()));
-    }
-    if (missing != 0) {
+    const RenderedReport report =
+        mergeCampaignResults(opts.manifestPath, cells);
+    if (report.missing != 0) {
         std::fprintf(stderr,
                      "campaign incomplete: %zu of %zu cells have "
                      "no result yet; run `mc_campaign work` (or "
                      "`status` for live progress)\n",
-                     missing, cells.size());
+                     report.missing, cells.size());
         return campaignInProgressExit;
     }
 
-    const bool wantStats = !opts.statsOutPath.empty();
-    const RenderedReport report =
-        renderCampaignReport(cells, outcomes, wantStats);
     std::printf("%s", report.reportText.c_str());
-    if (wantStats) {
+    if (!opts.statsOutPath.empty()) {
         FILE *out = std::fopen(opts.statsOutPath.c_str(), "w");
         if (!out)
             fatal("cannot write '%s'", opts.statsOutPath.c_str());

@@ -23,8 +23,11 @@
  *   sink      JsonlTraceSink: bytes on disk are always a prefix of
  *             the uninterrupted reference stream, and the tracked
  *             byteOffset equals the file size exactly.
- *   campaign  runCampaign under faults, then resumed clean: the
- *             final report bytes equal an uninterrupted run's.
+ *   campaign  initManifestWithPlan and one runExecutor worker
+ *             under faults (a crash point stops the worker the way
+ *             a dying process would), then a clean worker and a
+ *             merge: the report and stats bytes equal an
+ *             uninterrupted run's.
  *
  * Every failure prints the exact replay command. Seeds are plain
  * indices: `mc_iofuzz --scenario ckpt --seed 173` reruns schedule
@@ -34,21 +37,25 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cerrno>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "ckpt/ckpt.hh"
 #include "common/error.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
 #include "common/serial.hh"
 #include "io/faulty_vfs.hh"
 #include "io/vfs.hh"
-#include "runner/campaign.hh"
+#include "runner/executor.hh"
 #include "runner/lease.hh"
 #include "runner/manifest.hh"
 #include "stats/tracing.hh"
@@ -462,7 +469,7 @@ runSinkSchedule(const Options &opts, std::uint64_t idx)
 }
 
 // ---------------------------------------------------------------
-// campaign: fault run + clean resume == uninterrupted reference
+// campaign: faulty worker + clean worker == uninterrupted reference
 // ---------------------------------------------------------------
 
 CampaignPlan
@@ -494,60 +501,91 @@ removeCampaignState(const std::string &manifest, std::size_t cells)
     }
 }
 
+/** Worker knobs shared by every campaign phase. */
+ExecutorOptions
+fuzzWorkerOptions(const std::string &manifest)
+{
+    ExecutorOptions eopts;
+    eopts.manifestPath = manifest;
+    eopts.jobs = 1;
+    eopts.ckptEvery = 2;
+    // A budget injected faults cannot exhaust: the random schedule
+    // is capped below, so no cell ever commits a terminal FAILED
+    // result for reasons the clean rerun can't undo.
+    eopts.retryCells = 8;
+    // Short, so the clean worker soon reclaims a lease the faulty
+    // one could not release.
+    eopts.leaseTtlSec = 0.2;
+    return eopts;
+}
+
 bool
-runCampaignSchedule(const Options &opts, std::uint64_t idx,
-                    const std::string &reference)
+runExecutorSchedule(const Options &opts, std::uint64_t idx,
+                    const RenderedReport &reference)
 {
     const CampaignPlan plan = fuzzCampaignPlan();
     const std::vector<CampaignCell> cells = plan.cells();
-    CampaignOptions copts;
-    copts.manifestPath = opts.dir + "/campaign.jsonl";
-    copts.jobs = 1;
-    copts.ckptEvery = 2;
-    // A budget injected faults cannot exhaust: the random schedule
-    // is capped below, so no cell ever commits a terminal FAILED
-    // result for reasons the clean resume can't undo.
-    copts.retryCells = 8;
-    copts.wantStatsJson = true;
-    removeCampaignState(copts.manifestPath, cells.size());
+    const std::string manifest = opts.dir + "/campaign.jsonl";
+    const ExecutorOptions eopts = fuzzWorkerOptions(manifest);
+    removeCampaignState(manifest, cells.size());
 
     FaultPlan fplan = planFor(5, idx);
     fplan.maxFaults = 3;
     FaultyVfs faulty(vfs(), fplan);
     {
         ScopedVfs swap(&faulty);
+        // The executor never gives up on a filesystem that keeps
+        // failing (its claim loop polls), so a pulled plug is
+        // modelled as what it means for a real worker: the process
+        // dies. Once the crash point trips, the watcher raises the
+        // interrupt flag and the worker stops at its next check.
+        std::atomic<bool> phase_done{false};
+        std::thread watcher([&faulty, &phase_done] {
+            while (!phase_done && !faulty.crashed())
+                std::this_thread::sleep_for(
+                    std::chrono::milliseconds(1));
+            if (faulty.crashed())
+                requestCkptInterrupt();
+        });
         try {
-            runCampaign(cells, copts);
+            initManifestWithPlan(manifest, plan);
+            runExecutor(cells, eopts);
         } catch (const SimError &) {
-            // Typed infrastructure failure: the campaign is
-            // quarantined, state on disk must still resume.
+            // Typed infrastructure failure (init, or the header
+            // fold): state on disk must still resume.
         }
+        phase_done = true;
+        watcher.join();
+        clearCkptInterrupt();
     }
 
-    // Clean resume (or fresh start if the faults struck before the
-    // manifest could be initialized).
-    copts.resume = vfs().existsPath(copts.manifestPath);
-    CampaignReport report;
+    // Clean worker (after a fresh init if the faults struck before
+    // the manifest was written), then the merge.
+    RenderedReport merged;
     try {
-        report = runCampaign(cells, copts);
+        if (!vfs().existsPath(manifest))
+            initManifestWithPlan(manifest, plan);
+        runExecutor(cells, eopts);
+        merged = mergeCampaignResults(manifest, cells);
     } catch (const SimError &err) {
         reportFailure("campaign", idx,
-                      std::string("clean resume threw: ") +
-                          err.what());
+                      std::string("clean rerun threw: ") + err.what());
         return false;
     }
-    if (report.reportText != reference) {
+    if (merged.missing != 0 ||
+        merged.reportText != reference.reportText ||
+        merged.statsJsonArray != reference.statsJsonArray) {
         reportFailure("campaign", idx,
-                      "resumed report diverges from the "
-                      "uninterrupted reference");
+                      "merged bytes diverge from the uninterrupted "
+                      "reference");
         if (opts.verbose) {
-            std::fprintf(stderr, "--- reference\n%s--- resumed\n%s",
-                         reference.c_str(),
-                         report.reportText.c_str());
+            std::fprintf(stderr, "--- reference\n%s--- merged\n%s",
+                         reference.reportText.c_str(),
+                         merged.reportText.c_str());
         }
         return false;
     }
-    removeCampaignState(copts.manifestPath, cells.size());
+    removeCampaignState(manifest, cells.size());
     return true;
 }
 
@@ -687,19 +725,18 @@ main(int argc, char **argv)
     if (wantScenario(opts, "campaign")) {
         // One uninterrupted reference run, reused by every
         // schedule's diff.
-        const CampaignPlan plan = fuzzCampaignPlan();
-        CampaignOptions ref;
-        ref.manifestPath = opts.dir + "/campaign_ref.jsonl";
-        ref.jobs = 1;
-        ref.ckptEvery = 2;
-        ref.wantStatsJson = true;
-        removeCampaignState(ref.manifestPath, plan.cells().size());
-        const std::string reference =
-            runCampaign(plan.cells(), ref).reportText;
-        removeCampaignState(ref.manifestPath, plan.cells().size());
+        const std::vector<CampaignCell> cells =
+            fuzzCampaignPlan().cells();
+        const std::string ref = opts.dir + "/campaign_ref.jsonl";
+        removeCampaignState(ref, cells.size());
+        initManifestWithPlan(ref, fuzzCampaignPlan());
+        runExecutor(cells, fuzzWorkerOptions(ref));
+        const RenderedReport reference =
+            mergeCampaignResults(ref, cells);
+        removeCampaignState(ref, cells.size());
         ok &= sweep(opts, "campaign", opts.campaignSeeds,
                     [&](std::uint64_t idx) {
-                        return runCampaignSchedule(opts, idx,
+                        return runExecutorSchedule(opts, idx,
                                                    reference);
                     });
     }

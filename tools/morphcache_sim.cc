@@ -33,7 +33,7 @@
  *     with --stats-out FILE, writes a JSON array holding every
  *     cell's stats registry, in cell order
  *
- * Checkpoint/restore and resumable campaigns:
+ * Checkpoint/restore (single runs; durable sweeps are mc_campaign):
  *     --checkpoint FILE  write checkpoints to FILE (atomic
  *                        write-then-rename; previous kept as .prev)
  *     --restore FILE     restore from FILE (falls back to .prev)
@@ -41,17 +41,8 @@
  *                        byte-identical to an uninterrupted run
  *     --ckpt-every N     checkpoint every N recorded epochs
  *                        (default: only at interrupt/completion)
- *     --manifest FILE    with --sweep: run as a resumable campaign
- *                        recording progress in a JSONL manifest
- *                        (state dir FILE.d/)
- *     --resume FILE      resume a campaign manifest: done cells are
- *                        replayed from result files, in-progress
- *                        cells restore from their checkpoints
- *     --retry-cells K    extra tries for failed cells (exponential
- *                        backoff)
- *     --cell-timeout SEC wall-clock watchdog per cell try
  *     SIGINT/SIGTERM checkpoint in-flight state and exit 75
- *     (resumable); rerun with --restore / --resume to finish.
+ *     (resumable); rerun with --restore to finish.
  *
  * Observability options:
  *     --trace FILE       decision-provenance event trace
@@ -100,7 +91,6 @@
 #include "common/error.hh"
 #include "common/logging.hh"
 #include "perf/clock.hh"
-#include "runner/campaign.hh"
 #include "runner/run_factory.hh"
 #include "runner/sim_sweep.hh"
 #include "sim/config.hh"
@@ -139,14 +129,6 @@ struct Options
     std::string restorePath;
     /** Checkpoint every N recorded epochs (0 = end/interrupt only). */
     std::uint32_t ckptEvery = 0;
-    /** Campaign mode: fresh manifest path. */
-    std::string manifestPath;
-    /** Campaign mode: resume an existing manifest. */
-    std::string resumePath;
-    /** Campaign: extra tries per failed cell. */
-    std::uint32_t retryCells = 0;
-    /** Campaign: per-cell wall-clock watchdog, seconds. */
-    double cellTimeoutSec = 0.0;
 };
 
 /**
@@ -195,9 +177,7 @@ usage(const char *argv0)
                  "          [--sweep] [--mixes A-B] [--sweep-seeds "
                  "K] [--jobs N]\n"
                  "          [--checkpoint FILE] [--restore FILE] "
-                 "[--ckpt-every N]\n"
-                 "          [--manifest FILE] [--resume FILE] "
-                 "[--retry-cells K] [--cell-timeout SEC]\n",
+                 "[--ckpt-every N]\n",
                  argv0);
     std::exit(2);
 }
@@ -279,17 +259,6 @@ parseArgs(int argc, char **argv)
         } else if (arg == "--ckpt-every") {
             opts.ckptEvery = static_cast<std::uint32_t>(
                 std::strtoul(value().c_str(), nullptr, 10));
-        } else if (arg == "--manifest") {
-            opts.manifestPath = value();
-        } else if (arg == "--resume") {
-            opts.resumePath = value();
-            opts.sweep = true;
-        } else if (arg == "--retry-cells") {
-            opts.retryCells = static_cast<std::uint32_t>(
-                std::strtoul(value().c_str(), nullptr, 10));
-        } else if (arg == "--cell-timeout") {
-            opts.cellTimeoutSec =
-                std::strtod(value().c_str(), nullptr);
         } else if (arg == "--trace") {
             opts.tracePath = value();
         } else if (arg == "--trace-format") {
@@ -373,68 +342,14 @@ morphConfigFromSpec(const RunSpec &spec, bool shared_space)
 }
 
 /**
- * SIGINT/SIGTERM raise the ckpt interrupt flag; run loops notice it
- * at the next epoch boundary, flush manifest/checkpoint state, and
- * exit with ckptResumableExit.
+ * SIGINT/SIGTERM raise the ckpt interrupt flag; the run loop notices
+ * it at the next epoch boundary, flushes its checkpoint, and exits
+ * with ckptResumableExit.
  */
 extern "C" void
 handleInterruptSignal(int)
 {
     requestCkptInterrupt();
-}
-
-/**
- * Campaign mode: the crash-resilient cousin of --sweep. Cells,
- * labels, and seeds mirror runSweep exactly, but progress is
- * durable in the manifest and per-cell checkpoints, so a killed
- * campaign resumed with --resume finishes with identical bytes.
- */
-int
-runCampaignMode(const Options &opts)
-{
-    CampaignOptions copts;
-    copts.resume = !opts.resumePath.empty();
-    copts.manifestPath =
-        copts.resume ? opts.resumePath : opts.manifestPath;
-    copts.jobs = opts.jobs;
-    copts.ckptEvery = opts.ckptEvery;
-    copts.retryCells = opts.retryCells;
-    copts.cellTimeoutSec = opts.cellTimeoutSec;
-    copts.wantStatsJson = !opts.statsOutPath.empty();
-
-    // One cell-list generator for every campaign front end: the
-    // same CampaignPlan that mc_campaign embeds in its manifests,
-    // so the CLI and the distributed executor can never drift.
-    CampaignPlan plan;
-    plan.base = opts.spec;
-    plan.mixLo = opts.mixLo;
-    plan.mixHi = opts.mixHi;
-    plan.sweepSeeds = opts.sweepSeeds;
-    const std::vector<CampaignCell> cells = plan.cells();
-
-    const CampaignReport report = runCampaign(cells, copts);
-    if (report.interrupted) {
-        std::fprintf(stderr,
-                     "campaign interrupted; resume with --resume "
-                     "%s\n",
-                     copts.manifestPath.c_str());
-        return ckptResumableExit;
-    }
-
-    std::printf("%s", report.reportText.c_str());
-    if (!opts.statsOutPath.empty()) {
-        FILE *out = std::fopen(opts.statsOutPath.c_str(), "w");
-        if (!out)
-            fatal("cannot write '%s'", opts.statsOutPath.c_str());
-        std::fwrite(report.statsJsonArray.data(), 1,
-                    report.statsJsonArray.size(), out);
-        std::fclose(out);
-        // The path differs between runs being diffed, so this
-        // confirmation stays out of the deterministic stdout stream.
-        std::fprintf(stderr, "stats registries written to %s\n",
-                     opts.statsOutPath.c_str());
-    }
-    return report.failed == 0 ? 0 : 1;
 }
 
 /**
@@ -446,9 +361,6 @@ runCampaignMode(const Options &opts)
 int
 runSweep(const Options &opts)
 {
-    if (!opts.manifestPath.empty() || !opts.resumePath.empty())
-        return runCampaignMode(opts);
-
     const HierarchyParams hier =
         opts.spec.paperScale
             ? paperScaleHierarchy(opts.spec.cores)
@@ -816,8 +728,7 @@ main(int argc, char **argv)
         std::fprintf(stderr,
                      "i/o error: %s\n"
                      "state on disk is consistent; rerun with "
-                     "--resume/--restore once the filesystem "
-                     "recovers\n",
+                     "--restore once the filesystem recovers\n",
                      err.what());
         return ckptResumableExit;
     } catch (const SimError &err) {
