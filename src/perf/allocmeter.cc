@@ -48,8 +48,8 @@ setEnabled(bool on)
     // turns on (idempotent; avoids static-initialization ordering).
     // From then on every ScopedPhaseTimer interval attributes the
     // heap traffic it observed to its phase, which is what lets the
-    // bench assert "the reference-processing loop allocated nothing"
-    // rather than inferring it from whole-trial totals.
+    // allocation gate assert "the reference-processing loop allocated
+    // nothing" rather than inferring it from whole-run totals.
     if (on) {
         Profiler::global().setAllocProbe(+[]() {
             const AllocSnapshot s = snapshot();

@@ -4,10 +4,12 @@
  * simulator hot path.
  *
  * When metering is enabled, every global `operator new`/`delete`
- * tallies bytes and call counts into relaxed atomics; mc_bench
- * wraps each trial in begin/snapshot pairs to report allocation
- * traffic per benchmark cell, making "allocation-free inner loop"
- * (ROADMAP item 1) a measurable claim instead of a hope.
+ * tallies bytes and call counts into relaxed atomics; simbench
+ * snapshots them around each cell's epoch loop, and the phase
+ * profiler charges them to the phase that was open, making
+ * "allocation-free inner loop" a measurable claim instead of a
+ * hope (AllocMeter.RefProcessingIsAllocationFreeForAllSchemes in
+ * tests/perf_test.cc).
  *
  * Cost model:
  *  - Not linked: binaries that never reference AllocMeter keep the
@@ -21,7 +23,8 @@
  *
  * Metering is observational only: it never changes what is
  * allocated, so simulated stats are byte-identical with it on or
- * off (enforced by AllocMeterParity in tests/perf_test.cc).
+ * off (enforced by AllocMeter.MeteringChangesNoSimulatedByte in
+ * tests/perf_test.cc).
  */
 
 #ifndef MORPHCACHE_PERF_ALLOCMETER_HH

@@ -4,10 +4,10 @@
  *
  * Simulated behaviour never reads real time (DESIGN.md section 9),
  * but telemetry legitimately does: the phase profiler, lease
- * deadlines, manifest event timestamps, and the mc_bench harness
- * all measure or stamp wall-clock time. Those reads are funnelled
- * through this one translation unit so mc_lint's `wall-clock` rule
- * can forbid raw clock primitives everywhere else in src/, tools/,
+ * deadlines and manifest event timestamps all measure or stamp
+ * wall-clock time. Those reads are funnelled through this one
+ * translation unit so mc_lint's `wall-clock` rule can forbid raw
+ * clock primitives everywhere else in src/, tools/,
  * and bench/ — a new clock read is a deliberate, reviewed addition
  * to the allowlist, not an accident that quietly couples output
  * bytes to the scheduler.
@@ -22,7 +22,7 @@ namespace morphcache {
 
 /**
  * Monotonic nanoseconds since an arbitrary epoch (interval
- * measurement: benchmark trials, phase timing, progress rates).
+ * measurement: phase timing, progress rates).
  * Never jumps backwards; unaffected by NTP slew of the civil clock.
  */
 std::uint64_t perfNowNs();
@@ -32,7 +32,7 @@ double perfNowSec();
 
 /**
  * Civil time as seconds since the Unix epoch (provenance stamps:
- * manifest event timestamps, BENCH_*.json env blocks). Comparable
+ * manifest event timestamps). Comparable
  * across processes and hosts; may step under clock adjustment, so
  * use perfNowNs() for measuring intervals within one process.
  */

@@ -1,6 +1,7 @@
 /**
  * @file
- * Unit tests for the common utilities (rng, bitops, durability).
+ * Unit tests for the common utilities (rng, bitops, durability,
+ * numeric flag parsing).
  */
 
 #include <gtest/gtest.h>
@@ -12,6 +13,7 @@
 #include <string>
 
 #include "common/bitops.hh"
+#include "common/numparse.hh"
 #include "common/rng.hh"
 #include "common/serial.hh"
 
@@ -175,6 +177,36 @@ TEST(Serial, AtomicWriteFsyncsFileAndDirectoryUnlessDisabled)
     const std::vector<std::uint8_t> bytes = readFileBytes(path);
     EXPECT_EQ(bytes.size(), sizeof(payload));
     std::remove(path.c_str());
+}
+
+TEST(NumParse, AcceptedAndRejectedStrings)
+{
+    EXPECT_EQ(parseNumber<std::uint32_t>("0"), 0u);
+    EXPECT_EQ(parseNumber<std::uint32_t>("42"), 42u);
+    EXPECT_EQ(parseNumber<std::uint32_t>("007"), 7u);
+    EXPECT_EQ(parseNumber<std::uint32_t>("4294967295"), 4294967295u);
+    EXPECT_EQ(parseNumber<std::uint64_t>("18446744073709551615"),
+              ~std::uint64_t{0});
+    EXPECT_EQ(parseNumber<long long>("9223372036854775807"),
+              9223372036854775807LL);
+    EXPECT_EQ(parseNumber<double>("0.5"), 0.5);
+    EXPECT_EQ(parseNumber<double>("30"), 30.0);
+    EXPECT_EQ(parseNumber<double>("2e5"), 2e5);
+    EXPECT_EQ(parseNumber<double>(".25"), 0.25);
+
+    // Empty, signed, padded, trailing characters, other bases, and
+    // values too wide for the field.
+    for (const char *bad :
+         {"", "-1", "+1", " 1", "1 ", "3x", "2e5", "1.5", "0x10", "abc",
+          "4294967296"})
+        EXPECT_FALSE(parseNumber<std::uint32_t>(bad)) << bad;
+    EXPECT_FALSE(parseNumber<std::uint64_t>("18446744073709551616"));
+    EXPECT_FALSE(parseNumber<long long>("-1"));
+    EXPECT_FALSE(parseNumber<long long>("9223372036854775808"));
+    for (const char *bad :
+         {"", "-0.5", "+0.5", " 1", "0.5s", "0.5,0.2", "nan", "inf",
+          "infinity", "1e999"})
+        EXPECT_FALSE(parseNumber<double>(bad)) << bad;
 }
 
 } // namespace

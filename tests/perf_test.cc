@@ -1,23 +1,23 @@
 /**
  * @file
- * Perf-observability subsystem tests: trial statistics (median/MAD,
- * warmup discard), the allocation meter (tally math + the metering-
- * changes-nothing parity contract), Profiler snapshots, BENCH JSON
- * schema round-trip, manifest timing folds, and the mc_benchdiff
- * regression gate invoked end-to-end.
+ * Perf-observability subsystem tests: the allocation meter (tally
+ * math, the metering-changes-nothing parity contract and the
+ * allocation-free reference loop), Profiler snapshots, manifest
+ * timing folds, and the BENCH record writer (mc_benchrec) and gate
+ * (mc_benchdiff) invoked end-to-end through python3.
  */
 
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <sys/wait.h>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "common/error.hh"
-#include "perf/bench.hh"
-#include "perf/benchstat.hh"
+#include "perf/allocmeter.hh"
 #include "perf/clock.hh"
 #include "runner/manifest.hh"
 #include "runner/run_factory.hh"
@@ -28,63 +28,6 @@
 #include "workload/profiles.hh"
 
 using namespace morphcache;
-
-// ---------------------------------------------------------------
-// benchstat: median / MAD / warmup discard
-// ---------------------------------------------------------------
-
-TEST(BenchStat, MedianOddEvenEmpty)
-{
-    EXPECT_EQ(median({}), 0.0);
-    EXPECT_EQ(median({7.0}), 7.0);
-    EXPECT_EQ(median({3.0, 1.0, 2.0}), 2.0);
-    // Even count: mean of the two middle elements.
-    EXPECT_EQ(median({4.0, 1.0, 3.0, 2.0}), 2.5);
-}
-
-TEST(BenchStat, MedianAbsDeviation)
-{
-    // median = 3, |x - 3| = {2,1,0,1,2} -> MAD = 1.
-    EXPECT_EQ(medianAbsDeviation({1.0, 2.0, 3.0, 4.0, 5.0}), 1.0);
-    // A wild outlier moves the mean but barely the MAD.
-    EXPECT_EQ(medianAbsDeviation({1.0, 2.0, 3.0, 4.0, 1000.0}),
-              1.0);
-    EXPECT_EQ(medianAbsDeviation({}), 0.0);
-}
-
-TEST(BenchStat, SummarizeTrials)
-{
-    const TrialSummary s = summarizeTrials({10.0, 30.0, 20.0});
-    EXPECT_EQ(s.median, 20.0);
-    EXPECT_EQ(s.mad, 10.0);
-    EXPECT_EQ(s.samples, 3u);
-}
-
-TEST(BenchStat, RunTrialsDiscardsExactlyWarmup)
-{
-    // The invocation counter proves warmup samples are *run* (the
-    // whole point: warming caches) yet never reported.
-    int invocation = 0;
-    const auto samples = runTrials(2, 3, [&]() -> double {
-        return static_cast<double>(++invocation);
-    });
-    EXPECT_EQ(invocation, 5);
-    ASSERT_EQ(samples.size(), 3u);
-    EXPECT_EQ(samples[0], 3.0); // first recorded = third invocation
-    EXPECT_EQ(samples[1], 4.0);
-    EXPECT_EQ(samples[2], 5.0);
-}
-
-TEST(BenchStat, RunTrialsZeroWarmup)
-{
-    int invocation = 0;
-    const auto samples = runTrials(0, 2, [&]() -> double {
-        return static_cast<double>(++invocation);
-    });
-    EXPECT_EQ(invocation, 2);
-    ASSERT_EQ(samples.size(), 2u);
-    EXPECT_EQ(samples[0], 1.0);
-}
 
 // ---------------------------------------------------------------
 // Allocation meter
@@ -190,20 +133,42 @@ TEST(AllocMeter, MeteringChangesNoSimulatedByte)
 
 TEST(AllocMeter, RefProcessingIsAllocationFreeForAllSchemes)
 {
-    // The steady-state gate behind BENCH schema 2: the per-access
-    // inner loop is contractually allocation-free for every scheme
-    // — all per-epoch storage is pre-sized at construction. Any
-    // alloc (or free) attributed to the RefProcessing phase is a
-    // regression, from the very first epoch onward.
+    // The steady-state gate: the per-access inner loop is
+    // contractually allocation-free for every scheme — all per-epoch
+    // storage is pre-sized at construction. Any alloc (or free)
+    // attributed to the RefProcessing phase is a regression, from
+    // the very first epoch onward. Besides small 4-core cells, it
+    // runs the shapes of simbench's workloads at 16 cores: the
+    // write-invalidate and cache-to-cache paths (parsec:canneal),
+    // 16-slice groups at paper scale, and the baselines on mix:11.
+    struct Cell
+    {
+        const char *scheme;
+        const char *workload;
+        std::uint32_t cores;
+        bool paperScale;
+    };
+    const Cell cells[] = {
+        {"morph", "mix:3", 4, false},
+        {"static:2:2:1", "mix:3", 4, false},
+        {"ucp", "mix:3", 4, false},
+        {"pipp", "mix:3", 4, false},
+        {"dsr", "mix:3", 4, false},
+        {"morph", "parsec:canneal", 16, false},
+        {"static:16:1:1", "mix:11", 16, true},
+        {"ucp", "mix:11", 16, false},
+        {"pipp", "mix:11", 16, false},
+        {"dsr", "mix:11", 16, false},
+    };
     const bool meter_was = AllocMeter::enabled();
     const bool prof_was = Profiler::global().enabled();
 
-    for (const char *scheme :
-         {"morph", "static:2:2:1", "ucp", "pipp", "dsr"}) {
+    for (const Cell &cell : cells) {
         RunSpec spec;
-        spec.scheme = scheme;
-        spec.workload = "mix:3";
-        spec.cores = 4;
+        spec.scheme = cell.scheme;
+        spec.workload = cell.workload;
+        spec.cores = cell.cores;
+        spec.paperScale = cell.paperScale;
         spec.epochs = 3;
         spec.refs = 1500;
         spec.seed = 42;
@@ -219,12 +184,11 @@ TEST(AllocMeter, RefProcessingIsAllocationFreeForAllSchemes)
         AllocMeter::setEnabled(meter_was);
         Profiler::global().setEnabled(prof_was);
 
+        const std::string what = describe(spec);
         const ProfSnapshot d = profDelta(p0, p1);
-        EXPECT_GT(d[ProfPhase::RefProcessing].calls, 0u) << scheme;
-        EXPECT_EQ(d[ProfPhase::RefProcessing].allocCalls, 0u)
-            << scheme;
-        EXPECT_EQ(d[ProfPhase::RefProcessing].allocFrees, 0u)
-            << scheme;
+        EXPECT_GT(d[ProfPhase::RefProcessing].calls, 0u) << what;
+        EXPECT_EQ(d[ProfPhase::RefProcessing].allocCalls, 0u) << what;
+        EXPECT_EQ(d[ProfPhase::RefProcessing].allocFrees, 0u) << what;
     }
 }
 
@@ -260,116 +224,13 @@ TEST(ProfilerSnapshot, ReportRendersFromSnapshotValues)
 }
 
 // ---------------------------------------------------------------
-// Bench suites and the BENCH JSON document
-// ---------------------------------------------------------------
-
-TEST(BenchSuite, SmokeIsSubsetOfDefault)
-{
-    const auto smoke = benchSuite("smoke");
-    const auto full = benchSuite("default");
-    ASSERT_FALSE(smoke.empty());
-    ASSERT_GT(full.size(), smoke.size());
-    for (const BenchCell &cell : smoke) {
-        bool found = false;
-        for (const BenchCell &other : full)
-            found = found || other.id() == cell.id();
-        EXPECT_TRUE(found) << cell.id();
-    }
-    EXPECT_THROW(benchSuite("nope"), ConfigError);
-}
-
-TEST(BenchSuite, CellIdEncodesTheWork)
-{
-    const auto cells = benchSuite("smoke");
-    for (const BenchCell &cell : cells) {
-        EXPECT_NE(cell.id().find(cell.spec.scheme), std::string::npos);
-        EXPECT_NE(cell.id().find(cell.spec.workload),
-                  std::string::npos);
-    }
-}
-
-TEST(BenchJson, RoundTripsThroughJsonFieldHelpers)
-{
-    BenchCell cell;
-    cell.spec.scheme = "morph";
-    cell.spec.workload = "mix:8";
-    cell.spec.cores = 8;
-    cell.spec.epochs = 6;
-    cell.spec.refs = 6000;
-    cell.spec.seed = 42;
-
-    BenchCellResult r;
-    r.cell = cell;
-    r.configHash = "deadbeef";
-    r.refsPerTrial = 384000;
-    r.samples = {1.5e6, 2.5e6, 2.0e6};
-    r.refsPerSec = summarizeTrials(r.samples);
-    r.prof[ProfPhase::RefProcessing].ns = 777;
-    r.prof[ProfPhase::RefProcessing].calls = 3;
-    r.prof[ProfPhase::EpochDecision].allocBytes = 512;
-    r.prof[ProfPhase::EpochDecision].allocCalls = 2;
-    r.prof[ProfPhase::EpochDecision].allocFrees = 2;
-    r.alloc.bytes = 4096;
-    r.alloc.calls = 17;
-    r.alloc.frees = 16;
-
-    BenchOptions opts;
-    opts.warmup = 1;
-    opts.trials = 3;
-    BenchEnv env;
-    env.gitSha = "cafe0123";
-    env.compiler = "test-cc";
-    env.buildType = "release";
-    env.unixTime = 1754700000.25;
-
-    const std::string doc = renderBenchJson("smoke", opts, env, {r});
-
-    std::uint64_t schema = 0;
-    ASSERT_TRUE(jsonFieldU64(doc, "schema", schema));
-    EXPECT_EQ(schema, static_cast<std::uint64_t>(benchSchemaVersion));
-    std::string s;
-    ASSERT_TRUE(jsonFieldStr(doc, "tool", s));
-    EXPECT_EQ(s, "mc_bench");
-    ASSERT_TRUE(jsonFieldStr(doc, "gitSha", s));
-    EXPECT_EQ(s, "cafe0123");
-    ASSERT_TRUE(jsonFieldStr(doc, "id", s));
-    EXPECT_EQ(s, cell.id());
-    std::uint64_t u = 0;
-    ASSERT_TRUE(jsonFieldU64(doc, "refsPerTrial", u));
-    EXPECT_EQ(u, 384000u);
-    // Schema 2: every phase entry carries its own alloc fields, so
-    // the first "allocBytes" in the document belongs to the first
-    // phase (refProcessing — contractually allocation-free here).
-    ASSERT_TRUE(jsonFieldU64(doc, "allocBytes", u));
-    EXPECT_EQ(u, 0u);
-    // The phase attribution and the cell-level loop totals are both
-    // present verbatim.
-    EXPECT_NE(doc.find("\"allocBytes\":512,\"allocCalls\":2,"
-                       "\"allocFrees\":2"),
-              std::string::npos);
-    EXPECT_NE(doc.find("\"allocBytes\":4096,\"allocCalls\":17,"
-                       "\"allocFrees\":16"),
-              std::string::npos);
-    double f = 0.0;
-    // %.17g doubles re-parse bit-exactly.
-    ASSERT_TRUE(jsonFieldF64(doc, "medianRefsPerSec", f));
-    EXPECT_EQ(f, 2.0e6);
-    ASSERT_TRUE(jsonFieldF64(doc, "madRefsPerSec", f));
-    EXPECT_EQ(f, 0.5e6);
-    ASSERT_TRUE(jsonFieldF64(doc, "unixTime", f));
-    EXPECT_EQ(f, 1754700000.25);
-    // Phase attribution rides under the phase's registry name.
-    EXPECT_NE(doc.find("\"refProcessing\""), std::string::npos);
-}
-
-// ---------------------------------------------------------------
 // Manifest timing fold (mc_campaign status telemetry)
 // ---------------------------------------------------------------
 
 namespace {
 
 std::string
-writeTempManifest(const std::string &name, const std::string &text)
+writeTempFile(const std::string &name, const std::string &text)
 {
     std::string path = ::testing::TempDir() + name;
     std::FILE *f = std::fopen(path.c_str(), "w");
@@ -383,7 +244,7 @@ writeTempManifest(const std::string &name, const std::string &text)
 
 TEST(ManifestTimingFold, RatesAndWorkerAttribution)
 {
-    const std::string path = writeTempManifest(
+    const std::string path = writeTempFile(
         "timing.jsonl",
         "{\"type\":\"header\",\"cells\":3,\"hash\":\"0\","
         "\"t\":1000.0}\n"
@@ -415,7 +276,7 @@ TEST(ManifestTimingFold, RatesAndWorkerAttribution)
 TEST(ManifestTimingFold, ToleratesUnstampedAndMissing)
 {
     // Manifests predating timestamps: no "t" fields anywhere.
-    const std::string path = writeTempManifest(
+    const std::string path = writeTempFile(
         "timing-old.jsonl",
         "{\"type\":\"header\",\"cells\":1,\"hash\":\"0\"}\n"
         "{\"type\":\"cell\",\"cell\":0,\"status\":\"done\","
@@ -433,7 +294,7 @@ TEST(ManifestTimingFold, ToleratesUnstampedAndMissing)
 
 TEST(ManifestTimingFold, FallsBackToDoneWindowWithoutHeaderStamp)
 {
-    const std::string path = writeTempManifest(
+    const std::string path = writeTempFile(
         "timing-nohdr.jsonl",
         "{\"type\":\"header\",\"cells\":2,\"hash\":\"0\"}\n"
         "{\"type\":\"cell\",\"cell\":0,\"status\":\"done\","
@@ -461,66 +322,250 @@ TEST(PerfClock, MonotonicAndPlausible)
 }
 
 // ---------------------------------------------------------------
-// mc_benchdiff regression gate (end-to-end through python3)
+// BENCH records: the writer and the gate (end-to-end through python3)
 // ---------------------------------------------------------------
 
 namespace {
 
-/** Render a minimal one-cell BENCH doc with the given median. */
-std::string
-benchDocWithMedian(double median_refs_per_sec)
+bool
+havePython()
 {
-    BenchCell cell;
-    cell.spec.scheme = "morph";
-    cell.spec.workload = "mix:8";
-    cell.spec.cores = 8;
-    cell.spec.epochs = 6;
-    cell.spec.refs = 6000;
-    cell.spec.seed = 42;
-    BenchCellResult r;
-    r.cell = cell;
-    r.configHash = "0";
-    r.refsPerTrial = 1;
-    r.samples = {median_refs_per_sec};
-    r.refsPerSec = summarizeTrials(r.samples);
-    return renderBenchJson("smoke", BenchOptions{}, BenchEnv{}, {r});
+    return std::system("python3 -c 'pass' > /dev/null 2>&1") == 0;
 }
 
+/** Exit status of python3 running tools/`tool` with `args`. */
 int
-runBenchDiff(const std::string &base, const std::string &cur)
+runTool(const char *tool, const std::string &args)
 {
-    const std::string cmd = "python3 " MC_SOURCE_DIR
-                            "/tools/mc_benchdiff.py '" +
-                            base + "' '" + cur +
-                            "' > /dev/null 2>&1";
+    const std::string cmd = std::string("python3 " MC_SOURCE_DIR
+                                        "/tools/") +
+                            tool + " " + args + " > /dev/null 2>&1";
     const int status = std::system(cmd.c_str());
     return status < 0 ? status : WEXITSTATUS(status);
 }
 
+/**
+ * Canned stdout of one untraced simbench run of one cell: the header,
+ * the cell's digest and counters lines, and the result line.
+ */
+std::string
+simbenchRun(const char *workload, int seed, double refs_per_s,
+            const char *seconds = "20", int failed = 0,
+            const char *accesses = "960000")
+{
+    const std::string cell = "mix:11/morph/s" + std::to_string(seed);
+    char result[512];
+    std::snprintf(result, sizeof(result),
+                  "{\"correct\": %s, \"attempted\": 13, \"failed\": %d, "
+                  "\"metrics\": {"
+                  "\"refs_per_s\": {\"value\": %.17g, \"unit\": \"refs/s\"}, "
+                  "\"run_s\": {\"value\": 0.75, \"unit\": \"s\"}, "
+                  "\"setup_s\": {\"value\": 0.0004, \"unit\": \"s\"}, "
+                  "\"peak_rss_mb\": {\"value\": 5, \"unit\": \"MB\"}, "
+                  "\"sim_ipc\": {\"value\": 3.9, \"unit\": \"IPC\"}}}\n",
+                  failed ? "false" : "true", failed, refs_per_s);
+    return std::string("simbench workload=") + workload +
+           " seed=" + std::to_string(seed) + " seconds=" + seconds +
+           " trace=0 passes=12 traced_passes=1 timer_ns=34.0+34.8\n" +
+           "cell " + cell + " digest=4a46896389c27ffe refs=960000 " +
+           "sim_ipc=3.9\n" + "counters " + cell + " accesses=" +
+           accesses + " served.l1=900000\n" + result;
+}
+
+/**
+ * A complete set of runs, five per workload and seed, in files named
+ * after `prefix`. mix-morph seed 42's refs_per_s reads 5, 1, 4, 2
+ * and 3 M; every other run's reads 1 M.
+ */
+std::vector<std::string>
+writeCompleteRuns(const std::string &prefix)
+{
+    const double spread[] = {5e6, 1e6, 4e6, 2e6, 3e6};
+    std::vector<std::string> paths;
+    for (const char *workload : {"mix-morph", "mix-baselines",
+                                 "paper-shared", "parsec-coherence"}) {
+        for (int seed : {42, 7}) {
+            const bool first =
+                std::string(workload) == "mix-morph" && seed == 42;
+            for (int r = 0; r < 5; ++r) {
+                paths.push_back(writeTempFile(
+                    prefix + "-" + workload + "-" +
+                        std::to_string(seed) + "-" +
+                        std::to_string(r) + ".txt",
+                    simbenchRun(workload, seed,
+                                first ? spread[r] : 1e6)));
+            }
+        }
+    }
+    return paths;
+}
+
+/** Exit status of mc_benchrec.py writing `out` from `runs`. */
+int
+runBenchRec(const std::string &out, const std::vector<std::string> &runs)
+{
+    std::remove(out.c_str());
+    std::string args = "'" + out + "'";
+    for (const std::string &run : runs)
+        args += " '" + run + "'";
+    return runTool("mc_benchrec.py", args);
+}
+
+/** mc_benchrec.py refuses `runs` and writes no record. */
+void
+expectRefused(const std::string &name,
+              const std::vector<std::string> &runs)
+{
+    const std::string out = ::testing::TempDir() + name + ".json";
+    EXPECT_EQ(runBenchRec(out, runs), 1);
+    EXPECT_FALSE(std::ifstream(out).good()) << out;
+}
+
+/**
+ * A one-entry record for mix-morph seed 42 with every quartile at
+ * its median; `extra` is spliced in at the top level.
+ */
+std::string
+benchRecord(double refs_per_s, double peak_rss_mb = 5.0,
+            const char *digest = "4a46896389c27ffe",
+            const char *workload = "mix-morph", const char *extra = "")
+{
+    const auto metric = [](const char *name, double v) {
+        char buf[160];
+        std::snprintf(buf, sizeof(buf),
+                      "\"%s\": {\"median\": %.17g, \"q1\": %.17g, "
+                      "\"q3\": %.17g}",
+                      name, v, v, v);
+        return std::string(buf);
+    };
+    return std::string("{\"schema\": 3, \"run_seconds\": 20, ") + extra +
+           "\"workloads\": [{\"workload\": \"" + workload +
+           "\", \"seed\": 42, \"runs\": 5, \"metrics\": {" +
+           metric("refs_per_s", refs_per_s) + ", " +
+           metric("run_s", 0.75) + ", " + metric("setup_s", 0.0004) +
+           ", " + metric("peak_rss_mb", peak_rss_mb) + ", " +
+           metric("sim_ipc", 3.9) +
+           "}, \"lines\": [\"cell mix:11/morph/s42 digest=" + digest +
+           " refs=960000 sim_ipc=3.9\", "
+           "\"counters mix:11/morph/s42 accesses=960000\"]}]}\n";
+}
+
 } // namespace
+
+TEST(BenchRec, WritesMediansAndQuartiles)
+{
+    if (!havePython())
+        GTEST_SKIP() << "python3 not available";
+
+    const std::string out = ::testing::TempDir() + "benchrec-valid.json";
+    ASSERT_EQ(runBenchRec(out, writeCompleteRuns("benchrec-valid")), 0);
+    std::ifstream in(out);
+    const std::string doc((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+
+    // mix-morph seed 42 is the first entry, refs_per_s its first
+    // metric: 1..5 M has quartiles 2 and 4 M.
+    std::uint64_t u = 0;
+    ASSERT_TRUE(jsonFieldU64(doc, "schema", u));
+    EXPECT_EQ(u, 3u);
+    ASSERT_TRUE(jsonFieldU64(doc, "runs", u));
+    EXPECT_EQ(u, 5u);
+    double f = 0.0;
+    ASSERT_TRUE(jsonFieldF64(doc, "median", f));
+    EXPECT_EQ(f, 3e6);
+    ASSERT_TRUE(jsonFieldF64(doc, "q1", f));
+    EXPECT_EQ(f, 2e6);
+    ASSERT_TRUE(jsonFieldF64(doc, "q3", f));
+    EXPECT_EQ(f, 4e6);
+    EXPECT_NE(doc.find("\"counters mix:11/morph/s42 accesses=960000 "
+                       "served.l1=900000\""),
+              std::string::npos);
+    // One entry per workload and seed.
+    std::size_t entries = 0;
+    for (std::size_t at = doc.find("\"workload\":");
+         at != std::string::npos; at = doc.find("\"workload\":", at + 1))
+        ++entries;
+    EXPECT_EQ(entries, 8u);
+}
+
+TEST(BenchRec, RefusesAFailedRun)
+{
+    if (!havePython())
+        GTEST_SKIP() << "python3 not available";
+    std::vector<std::string> runs = writeCompleteRuns("benchrec-failed");
+    runs.push_back(writeTempFile("benchrec-failed-extra.txt",
+                                 simbenchRun("mix-morph", 42, 1e6, "20",
+                                             1)));
+    expectRefused("benchrec-failed", runs);
+}
+
+TEST(BenchRec, RefusesARunOfAnotherLength)
+{
+    if (!havePython())
+        GTEST_SKIP() << "python3 not available";
+    std::vector<std::string> runs = writeCompleteRuns("benchrec-short");
+    runs.push_back(writeTempFile("benchrec-short-extra.txt",
+                                 simbenchRun("mix-morph", 42, 1e6, "2")));
+    expectRefused("benchrec-short", runs);
+}
+
+TEST(BenchRec, RefusesAMissingSeed)
+{
+    if (!havePython())
+        GTEST_SKIP() << "python3 not available";
+    std::vector<std::string> runs = writeCompleteRuns("benchrec-seed");
+    std::erase_if(runs, [](const std::string &path) {
+        return path.find("-paper-shared-7-") != std::string::npos;
+    });
+    expectRefused("benchrec-seed", runs);
+}
+
+TEST(BenchRec, RefusesRunsThatDisagreeOnCounters)
+{
+    if (!havePython())
+        GTEST_SKIP() << "python3 not available";
+    std::vector<std::string> runs = writeCompleteRuns("benchrec-nondet");
+    runs.push_back(writeTempFile("benchrec-nondet-extra.txt",
+                                 simbenchRun("mix-morph", 42, 1e6, "20",
+                                             0, "960001")));
+    expectRefused("benchrec-nondet", runs);
+}
 
 TEST(BenchDiff, GatesOnMedianRegression)
 {
-    if (std::system("python3 -c 'pass' > /dev/null 2>&1") != 0)
+    if (!havePython())
         GTEST_SKIP() << "python3 not available";
 
-    const std::string base = writeTempManifest(
-        "bench-base.json", benchDocWithMedian(4.0e6));
-    const std::string same = writeTempManifest(
-        "bench-same.json", benchDocWithMedian(3.9e6));
-    const std::string slow = writeTempManifest(
-        "bench-slow.json", benchDocWithMedian(2.0e6));
+    const std::string base =
+        writeTempFile("benchdiff-base.json", benchRecord(4.0e6));
+    const auto gate = [&](const char *name, const std::string &record) {
+        return runTool("mc_benchdiff.py",
+                       "'" + base + "' '" + writeTempFile(name, record) +
+                           "'");
+    };
 
-    // -2.5% sits inside the default 10% threshold; -50% does not.
-    EXPECT_EQ(runBenchDiff(base, same), 0);
-    EXPECT_EQ(runBenchDiff(base, slow), 1);
+    EXPECT_EQ(runTool("mc_benchdiff.py", "'" + base + "' '" + base + "'"),
+              0);
+    // refs_per_s 30% lower is past its 0.25 bound; peak_rss_mb 5%
+    // higher sits inside its 0.10 bound, 15% higher does not.
+    EXPECT_EQ(gate("benchdiff-slow.json", benchRecord(2.8e6)), 1);
+    EXPECT_EQ(gate("benchdiff-rss.json", benchRecord(4.0e6, 5.25)), 0);
+    EXPECT_EQ(gate("benchdiff-rss-over.json", benchRecord(4.0e6, 5.75)),
+              1);
 
-    // Disjoint cell ids must be an error, not a vacuous pass.
-    std::string other = benchDocWithMedian(4.0e6);
-    const std::string::size_type at = other.find("morph/mix:8");
-    ASSERT_NE(at, std::string::npos);
-    other.replace(at, 11, "ucp/mix:12t");
-    const std::string disjoint =
-        writeTempManifest("bench-disjoint.json", other);
-    EXPECT_EQ(runBenchDiff(base, disjoint), 2);
+    // A changed digest passes only as a declared model change.
+    EXPECT_EQ(gate("benchdiff-digest.json",
+                   benchRecord(4.0e6, 5.0, "4a46896389c27fff")),
+              1);
+    EXPECT_EQ(gate("benchdiff-declared.json",
+                   benchRecord(4.0e6, 5.0, "4a46896389c27fff",
+                               "mix-morph",
+                               "\"model_change\": \"new stats\", ")),
+              0);
+
+    // No shared workload and seed is an error, not a vacuous pass.
+    EXPECT_EQ(gate("benchdiff-disjoint.json",
+                   benchRecord(4.0e6, 5.0, "4a46896389c27ffe",
+                               "paper-shared")),
+              2);
 }

@@ -1,165 +1,115 @@
 #!/usr/bin/env python3
-"""Compare two mc_bench BENCH JSON files cell-by-cell.
+"""Gate a newer BENCH record against an older one.
 
 Usage:
-    tools/mc_benchdiff.py BASELINE.json CURRENT.json [--threshold PCT]
-    tools/mc_benchdiff.py BASELINE.json CURRENT.json --min-speedup R
+    tools/mc_benchdiff.py OLDER.json NEWER.json
 
-Matches cells of the two files by their stable id
-("morph/mix:8/c8/e6/r6000/s42") and prints a per-cell delta table.
-Two gate modes:
-
-  --threshold PCT (default mode): exit nonzero when any matched
-      cell's median refs/sec dropped by more than PCT percent
-      (default 10) — the "did this PR regress the bench" gate.
-
-  --min-speedup RATIO: exit nonzero when any matched cell's
-      current/baseline median ratio is below RATIO — the
-      "did this PR actually get faster" trajectory gate
-      (e.g. --min-speedup 1.2 demands every cell improved >= 1.2x
-      over the committed previous-PR baseline).
+Both files are records written by tools/mc_benchrec.py. For each
+workload and seed in both, each end-to-end metric of BENCHMARK.json
+is compared median to median: the newer median may be worse than the
+older one by at most the metric's `bound`, as a share of the older
+median. The `cell ... digest=` and `counters ...` lines must be equal
+too, unless NEWER declares a deliberate model change with a
+non-empty top-level "model_change" string.
 
 Exit codes:
-    0  gate passed
-    1  at least one cell regressed / fell short of the speedup
-    2  usage / schema / input error (including zero overlapping cells,
-       which would otherwise vacuously "pass")
+    0  the gate holds
+    1  a metric is worse than its bound, or an undeclared digest or
+       counters change
+    2  an unreadable record, a wrong schema, a different run_seconds,
+       or no shared workload and seed
 
-Wall-clock throughput is machine-dependent: compare files from the
-same host (CI smoke leg compares a run against itself and against a
-synthetically slowed copy; cross-machine diffs against the committed
-BENCH_<PR>.json trajectory need a generous threshold).
+Host times are only comparable between records measured on the same
+host.
 """
 
 import argparse
 import json
+import os
 import sys
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SCHEMA = 3
 
-def load_bench(path):
+
+class BadRecord(Exception):
+    pass
+
+
+def load_record(path, metrics):
+    """The record and {(workload, seed): (medians, pinned lines)}."""
     try:
-        with open(path, "r", encoding="utf-8") as f:
+        with open(path, encoding="utf-8") as f:
             doc = json.load(f)
-    except (OSError, ValueError) as e:
-        raise SystemExit(f"mc_benchdiff: cannot read {path}: {e}")
-    if not isinstance(doc, dict) or doc.get("tool") != "mc_bench":
-        raise SystemExit(
-            f"mc_benchdiff: {path}: not an mc_bench BENCH file")
-    schema = doc.get("schema")
-    if schema not in (1, 2):
-        raise SystemExit(
-            f"mc_benchdiff: {path}: unsupported schema {schema!r} "
-            "(this tool understands schemas 1 and 2)")
-    cells = doc.get("cells")
-    if not isinstance(cells, list):
-        raise SystemExit(f"mc_benchdiff: {path}: missing cells[]")
-    by_id = {}
-    for cell in cells:
-        cid = cell.get("id")
-        median = cell.get("medianRefsPerSec")
-        if not isinstance(cid, str) or not isinstance(
-                median, (int, float)):
-            raise SystemExit(
-                f"mc_benchdiff: {path}: malformed cell {cell!r}")
-        by_id[cid] = cell
-    return doc, by_id
+        if doc["schema"] != SCHEMA:
+            raise BadRecord(f"{path}: schema {doc['schema']!r}, "
+                            f"expected {SCHEMA}")
+        entries = {}
+        for entry in doc["workloads"]:
+            medians = {name: float(entry["metrics"][name]["median"])
+                       for name in metrics}
+            entries[(entry["workload"], entry["seed"])] = (
+                medians, list(entry["lines"]))
+        return doc, entries
+    except (OSError, ValueError, KeyError, TypeError) as e:
+        raise BadRecord(f"{path}: unreadable record ({e!r})")
 
 
 def main(argv):
     ap = argparse.ArgumentParser(
         prog="mc_benchdiff.py",
-        description="Gate on median refs/sec regression between two "
-        "BENCH files.")
-    ap.add_argument("baseline", help="older BENCH json")
-    ap.add_argument("current", help="newer BENCH json")
-    ap.add_argument(
-        "--threshold",
-        type=float,
-        default=10.0,
-        metavar="PCT",
-        help="fail when a cell's median drops more than PCT%% "
-        "(default: %(default)s)")
-    ap.add_argument(
-        "--min-speedup",
-        type=float,
-        default=None,
-        metavar="RATIO",
-        help="instead of the regression threshold, fail when any "
-        "cell's current/baseline median ratio is below RATIO")
+        description="Gate a newer BENCH record against an older one.")
+    ap.add_argument("older", help="older BENCH record")
+    ap.add_argument("newer", help="newer BENCH record")
     args = ap.parse_args(argv)
-    if args.threshold < 0:
-        ap.error("--threshold must be >= 0")
-    if args.min_speedup is not None and args.min_speedup <= 0:
-        ap.error("--min-speedup must be > 0")
-
-    base_doc, base = load_bench(args.baseline)
-    cur_doc, cur = load_bench(args.current)
-
-    shared = [cid for cid in base if cid in cur]
-    if not shared:
-        print(
-            "mc_benchdiff: no overlapping cell ids between "
-            f"{args.baseline} and {args.current}",
-            file=sys.stderr)
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as f:
+        metrics = {m["name"]: m for m in json.load(f)["end_to_end"]}
+    try:
+        old_doc, old = load_record(args.older, metrics)
+        new_doc, new = load_record(args.newer, metrics)
+    except BadRecord as e:
+        print(f"mc_benchdiff: {e}", file=sys.stderr)
         return 2
-
-    base_sha = base_doc.get("env", {}).get("gitSha", "?")
-    cur_sha = cur_doc.get("env", {}).get("gitSha", "?")
-    print(f"baseline : {args.baseline} (git {base_sha})")
-    print(f"current  : {args.current} (git {cur_sha})")
-    if args.min_speedup is not None:
-        print(f"gate     : >= {args.min_speedup:g}x median refs/sec")
-    else:
-        print(f"threshold: -{args.threshold:g}% median refs/sec")
-    print()
-    width = max(len(cid) for cid in shared)
-    print(f"{'cell':<{width}}  {'base Mr/s':>10}  {'cur Mr/s':>10}"
-          f"  {'delta':>8}")
+    if old_doc.get("run_seconds") != new_doc.get("run_seconds"):
+        print(f"mc_benchdiff: run_seconds {old_doc.get('run_seconds')} "
+              f"vs {new_doc.get('run_seconds')}", file=sys.stderr)
+        return 2
+    shared = [key for key in old if key in new]
+    if not shared:
+        print("mc_benchdiff: no shared workload and seed",
+              file=sys.stderr)
+        return 2
+    model_change = new_doc.get("model_change")
+    declared = isinstance(model_change, str) and model_change != ""
 
     failures = []
-    for cid in shared:
-        b = base[cid]["medianRefsPerSec"]
-        c = cur[cid]["medianRefsPerSec"]
-        if b <= 0:
-            delta_pct = 0.0
-            ratio = float("inf")
-        else:
-            delta_pct = 100.0 * (c - b) / b
-            ratio = c / b
-        flag = ""
-        if args.min_speedup is not None:
-            if ratio < args.min_speedup:
-                failures.append((cid, delta_pct))
-                flag = "  TOO SLOW"
-        elif delta_pct < -args.threshold:
-            failures.append((cid, delta_pct))
-            flag = "  REGRESSED"
-        print(f"{cid:<{width}}  {b / 1e6:>10.3f}  {c / 1e6:>10.3f}"
-              f"  {delta_pct:>+7.1f}%{flag}")
-
-    skipped = (len(base) - len(shared), len(cur) - len(shared))
-    if any(skipped):
-        print(f"\n(unmatched cells ignored: {skipped[0]} "
-              f"baseline-only, {skipped[1]} current-only)")
+    print(f"{'workload':<17} {'seed':>4} {'metric':<12} {'older':>12} "
+          f"{'newer':>12} {'change':>8} {'bound':>6}")
+    for key in shared:
+        (old_medians, old_lines), (new_medians, new_lines) = old[key], new[key]
+        for name, m in metrics.items():
+            o, n = old_medians[name], new_medians[name]
+            worse = o - n if m["better"] == "higher" else n - o
+            change = f"{100.0 * (n - o) / o:+.1f}%" if o else "-"
+            flag = ""
+            if worse > m["bound"] * abs(o):
+                failures.append(f"{key[0]} seed {key[1]}: {name}")
+                flag = "  WORSE"
+            print(f"{key[0]:<17} {key[1]:>4} {name:<12} {o:>12.6g} "
+                  f"{n:>12.6g} {change:>8} {m['bound']:>6g}{flag}")
+        if old_lines != new_lines:
+            if declared:
+                print(f"{key[0]} seed {key[1]}: digest or counters "
+                      f"lines changed (model change: {model_change})")
+            else:
+                failures.append(f"{key[0]} seed {key[1]}: digest or "
+                                "counters lines changed")
 
     if failures:
-        if args.min_speedup is not None:
-            print(
-                f"\nmc_benchdiff: {len(failures)} cell(s) below the "
-                f"{args.min_speedup:g}x speedup floor",
-                file=sys.stderr)
-        else:
-            print(
-                f"\nmc_benchdiff: {len(failures)} cell(s) regressed "
-                f"beyond {args.threshold:g}%",
-                file=sys.stderr)
+        for failure in failures:
+            print(f"mc_benchdiff: {failure}", file=sys.stderr)
         return 1
-    if args.min_speedup is not None:
-        print(f"\nmc_benchdiff: OK ({len(shared)} cells at "
-              f">= {args.min_speedup:g}x)")
-    else:
-        print(f"\nmc_benchdiff: OK ({len(shared)} cells within "
-              f"{args.threshold:g}%)")
+    print(f"mc_benchdiff: OK ({len(shared)} workload-seed pairs)")
     return 0
 
 

@@ -60,11 +60,13 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "ckpt/ckpt.hh"
 #include "common/error.hh"
 #include "common/logging.hh"
+#include "common/numparse.hh"
 #include "runner/executor.hh"
 #include "runner/lease.hh"
 
@@ -149,37 +151,34 @@ parseArgs(int argc, char **argv)
         } else if (arg == "--scheme") {
             opts.plan.base.scheme = value();
         } else if (arg == "--cores") {
-            opts.plan.base.cores = static_cast<std::uint32_t>(
-                std::strtoul(value().c_str(), nullptr, 10));
+            opts.plan.base.cores =
+                flagNumber<std::uint32_t>("--cores", value());
         } else if (arg == "--epochs") {
-            opts.plan.base.epochs = static_cast<std::uint32_t>(
-                std::strtoul(value().c_str(), nullptr, 10));
+            opts.plan.base.epochs =
+                flagNumber<std::uint32_t>("--epochs", value());
         } else if (arg == "--refs") {
             opts.plan.base.refs =
-                std::strtoull(value().c_str(), nullptr, 10);
+                flagNumber<std::uint64_t>("--refs", value());
         } else if (arg == "--seed") {
             opts.plan.base.seed =
-                std::strtoull(value().c_str(), nullptr, 10);
+                flagNumber<std::uint64_t>("--seed", value());
         } else if (arg == "--paper-scale") {
             opts.plan.base.paperScale = true;
         } else if (arg == "--check") {
             opts.plan.base.checkPolicy = value();
         } else if (arg == "--quarantine") {
-            opts.plan.base.quarantine = static_cast<std::uint32_t>(
-                std::strtoul(value().c_str(), nullptr, 10));
+            opts.plan.base.quarantine =
+                flagNumber<std::uint32_t>("--quarantine", value());
         } else if (arg == "--mixes") {
             const std::string spec = value();
-            unsigned lo = 0, hi = 0;
-            if (std::sscanf(spec.c_str(), "%u-%u", &lo, &hi) == 2) {
-                opts.plan.mixLo = lo;
-                opts.plan.mixHi = hi;
-            } else if (std::sscanf(spec.c_str(), "%u", &lo) == 1) {
-                opts.plan.mixLo = opts.plan.mixHi = lo;
-            } else {
-                std::fprintf(stderr, "bad --mixes '%s'\n",
-                             spec.c_str());
-                usage(argv[0]);
-            }
+            const std::string_view range = spec;
+            const std::size_t dash = range.find('-');
+            opts.plan.mixLo =
+                flagNumber<std::uint32_t>("--mixes", range.substr(0, dash));
+            opts.plan.mixHi = dash == std::string_view::npos
+                                  ? opts.plan.mixLo
+                                  : flagNumber<std::uint32_t>(
+                                        "--mixes", range.substr(dash + 1));
             if (opts.plan.mixLo < 1 || opts.plan.mixHi > 12 ||
                 opts.plan.mixLo > opts.plan.mixHi) {
                 std::fprintf(stderr,
@@ -187,44 +186,40 @@ parseArgs(int argc, char **argv)
                 usage(argv[0]);
             }
         } else if (arg == "--sweep-seeds") {
-            opts.plan.sweepSeeds = static_cast<std::uint32_t>(
-                std::strtoul(value().c_str(), nullptr, 10));
+            opts.plan.sweepSeeds =
+                flagNumber<std::uint32_t>("--sweep-seeds", value());
             if (opts.plan.sweepSeeds == 0) {
                 std::fprintf(stderr,
                              "--sweep-seeds must be nonzero\n");
                 usage(argv[0]);
             }
         } else if (arg == "--jobs" || arg == "-j") {
-            opts.jobs = static_cast<unsigned>(
-                std::strtoul(value().c_str(), nullptr, 10));
-        } else if (arg.rfind("-j", 0) == 0 && arg.size() > 2 &&
-                   arg.find_first_not_of("0123456789", 2) ==
-                       std::string::npos) {
-            opts.jobs = static_cast<unsigned>(
-                std::strtoul(arg.c_str() + 2, nullptr, 10));
+            opts.jobs = flagNumber<unsigned>(arg.c_str(), value());
+        } else if (arg.rfind("-j", 0) == 0 && arg.size() > 2) {
+            opts.jobs = flagNumber<unsigned>(
+                "-j", std::string_view(arg).substr(2));
         } else if (arg == "--workers") {
-            opts.workers = static_cast<unsigned>(
-                std::strtoul(value().c_str(), nullptr, 10));
+            opts.workers = flagNumber<unsigned>("--workers", value());
             if (opts.workers == 0) {
                 std::fprintf(stderr, "--workers must be nonzero\n");
                 usage(argv[0]);
             }
         } else if (arg == "--lease-ttl") {
-            opts.leaseTtlSec = std::strtod(value().c_str(), nullptr);
+            opts.leaseTtlSec = flagNumber<double>("--lease-ttl", value());
             if (opts.leaseTtlSec <= 0.0) {
                 std::fprintf(stderr,
                              "--lease-ttl must be positive\n");
                 usage(argv[0]);
             }
         } else if (arg == "--ckpt-every") {
-            opts.ckptEvery = static_cast<std::uint32_t>(
-                std::strtoul(value().c_str(), nullptr, 10));
+            opts.ckptEvery =
+                flagNumber<std::uint32_t>("--ckpt-every", value());
         } else if (arg == "--retry-cells") {
-            opts.retryCells = static_cast<std::uint32_t>(
-                std::strtoul(value().c_str(), nullptr, 10));
+            opts.retryCells =
+                flagNumber<std::uint32_t>("--retry-cells", value());
         } else if (arg == "--cell-timeout") {
             opts.cellTimeoutSec =
-                std::strtod(value().c_str(), nullptr);
+                flagNumber<double>("--cell-timeout", value());
         } else if (arg == "--stats-out") {
             opts.statsOutPath = value();
         } else if (arg == "--worker-id") {

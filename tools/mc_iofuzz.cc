@@ -51,6 +51,7 @@
 #include "ckpt/ckpt.hh"
 #include "common/error.hh"
 #include "common/logging.hh"
+#include "common/numparse.hh"
 #include "common/rng.hh"
 #include "common/serial.hh"
 #include "io/faulty_vfs.hh"
@@ -662,14 +663,18 @@ main(int argc, char **argv)
         if (arg == "--scenario") {
             opts.scenario = value();
         } else if (arg == "--seeds") {
-            const std::uint64_t n = std::strtoull(value(), nullptr, 10);
+            const auto n = flagNumber<std::uint64_t>("--seeds", value());
+            if (n == 0) {
+                std::fprintf(stderr, "--seeds must be nonzero\n");
+                return usage(argv[0]);
+            }
             opts.ckptSeeds = n;
             opts.manifestSeeds = n;
             opts.leaseSeeds = n;
             opts.sinkSeeds = n;
             opts.campaignSeeds = n;
         } else if (arg == "--seed") {
-            opts.replaySeed = std::strtoll(value(), nullptr, 10);
+            opts.replaySeed = flagNumber<long long>("--seed", value());
         } else if (arg == "--dir") {
             opts.dir = value();
         } else if (arg == "--verbose") {

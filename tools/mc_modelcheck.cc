@@ -11,16 +11,19 @@
  * DESIGN.md section 10 for how to read a counterexample.
  *
  * Exit status: 0 when the space verifies clean, 2 when a
- * counterexample was found (printed to stdout), 1 on usage errors.
+ * counterexample was found (printed to stdout) or a numeric option
+ * is malformed, 1 on other usage errors.
  */
 
 #include <cstdint>
 #include <cstdio>
 #include <iostream>
 #include <string>
+#include <string_view>
 
 #include "check/model_checker.hh"
 #include "common/error.hh"
+#include "common/numparse.hh"
 #include "perf/clock.hh"
 
 namespace {
@@ -62,17 +65,14 @@ usage(const char *argv0)
 }
 
 bool
-parseMsat(const std::string &value, morphcache::MsatConfig &msat)
+parseMsat(const char *flag, std::string_view value,
+          morphcache::MsatConfig &msat)
 {
     const std::size_t comma = value.find(',');
-    if (comma == std::string::npos)
+    if (comma == std::string_view::npos)
         return false;
-    try {
-        msat.high = std::stod(value.substr(0, comma));
-        msat.low = std::stod(value.substr(comma + 1));
-    } catch (const std::exception &) {
-        return false;
-    }
+    msat.high = morphcache::flagNumber<double>(flag, value.substr(0, comma));
+    msat.low = morphcache::flagNumber<double>(flag, value.substr(comma + 1));
     return msat.high > msat.low;
 }
 
@@ -98,17 +98,16 @@ main(int argc, char **argv)
             return argv[++i];
         };
         if (arg == "--cores") {
-            config.numCores =
-                static_cast<std::uint32_t>(std::stoul(next()));
+            config.numCores = flagNumber<std::uint32_t>("--cores", next());
         } else if (arg == "--msat") {
-            if (!parseMsat(next(), config.msat)) {
+            if (!parseMsat("--msat", next(), config.msat)) {
                 std::fprintf(stderr,
                              "--msat expects HIGH,LOW with "
                              "HIGH > LOW\n");
                 return 1;
             }
         } else if (arg == "--msat-l3") {
-            if (!parseMsat(next(), config.msatL3)) {
+            if (!parseMsat("--msat-l3", next(), config.msatL3)) {
                 std::fprintf(stderr,
                              "--msat-l3 expects HIGH,LOW with "
                              "HIGH > LOW\n");
@@ -123,9 +122,11 @@ main(int argc, char **argv)
                 return 1;
             }
         } else if (arg == "--max-states") {
-            config.maxStates = std::stoull(next());
+            config.maxStates =
+                flagNumber<std::uint64_t>("--max-states", next());
         } else if (arg == "--line-checks") {
-            config.lineChecks = std::stoull(next());
+            config.lineChecks =
+                flagNumber<std::uint64_t>("--line-checks", next());
         } else if (arg == "--inject-rule-bug") {
             // Optional value; default to the inclusion-breaking bug.
             if (i + 1 < argc && argv[i + 1][0] != '-') {

@@ -83,6 +83,7 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "check/fault.hh"
@@ -90,6 +91,7 @@
 #include "ckpt/ckpt.hh"
 #include "common/error.hh"
 #include "common/logging.hh"
+#include "common/numparse.hh"
 #include "perf/clock.hh"
 #include "runner/run_factory.hh"
 #include "runner/sim_sweep.hh"
@@ -211,17 +213,15 @@ parseArgs(int argc, char **argv)
         } else if (arg == "--scheme") {
             opts.spec.scheme = value();
         } else if (arg == "--cores") {
-            opts.spec.cores = static_cast<std::uint32_t>(
-                std::strtoul(value().c_str(), nullptr, 10));
+            opts.spec.cores = flagNumber<std::uint32_t>("--cores", value());
         } else if (arg == "--epochs") {
-            opts.spec.epochs = static_cast<std::uint32_t>(
-                std::strtoul(value().c_str(), nullptr, 10));
+            opts.spec.epochs = flagNumber<std::uint32_t>("--epochs", value());
         } else if (arg == "--refs") {
             opts.spec.refs =
-                std::strtoull(value().c_str(), nullptr, 10);
+                flagNumber<std::uint64_t>("--refs", value());
         } else if (arg == "--seed") {
             opts.spec.seed =
-                std::strtoull(value().c_str(), nullptr, 10);
+                flagNumber<std::uint64_t>("--seed", value());
         } else if (arg == "--paper-scale") {
             opts.spec.paperScale = true;
         } else if (arg == "--csv") {
@@ -231,34 +231,33 @@ parseArgs(int argc, char **argv)
         } else if (arg == "--check") {
             opts.spec.checkPolicy = value();
         } else if (arg == "--quarantine") {
-            opts.spec.quarantine = static_cast<std::uint32_t>(
-                std::strtoul(value().c_str(), nullptr, 10));
+            opts.spec.quarantine =
+                flagNumber<std::uint32_t>("--quarantine", value());
         } else if (arg == "--inject-seed") {
             opts.spec.faults.seed =
-                std::strtoull(value().c_str(), nullptr, 10);
+                flagNumber<std::uint64_t>("--inject-seed", value());
         } else if (arg == "--inject-acfv") {
             opts.spec.faults.acfvFlipsPerEpoch =
-                static_cast<std::uint32_t>(
-                    std::strtoul(value().c_str(), nullptr, 10));
+                flagNumber<std::uint32_t>("--inject-acfv", value());
         } else if (arg == "--inject-class") {
             opts.spec.faults.classificationFlipChance =
-                std::strtod(value().c_str(), nullptr);
+                flagNumber<double>("--inject-class", value());
         } else if (arg == "--inject-illegal") {
             opts.spec.faults.illegalTopologyChance =
-                std::strtod(value().c_str(), nullptr);
+                flagNumber<double>("--inject-illegal", value());
         } else if (arg == "--inject-bus-drop") {
             opts.spec.faults.busDropChance =
-                std::strtod(value().c_str(), nullptr);
+                flagNumber<double>("--inject-bus-drop", value());
         } else if (arg == "--inject-bus-delay") {
             opts.spec.faults.busDelayChance =
-                std::strtod(value().c_str(), nullptr);
+                flagNumber<double>("--inject-bus-delay", value());
         } else if (arg == "--checkpoint") {
             opts.checkpointPath = value();
         } else if (arg == "--restore") {
             opts.restorePath = value();
         } else if (arg == "--ckpt-every") {
-            opts.ckptEvery = static_cast<std::uint32_t>(
-                std::strtoul(value().c_str(), nullptr, 10));
+            opts.ckptEvery =
+                flagNumber<std::uint32_t>("--ckpt-every", value());
         } else if (arg == "--trace") {
             opts.tracePath = value();
         } else if (arg == "--trace-format") {
@@ -283,17 +282,14 @@ parseArgs(int argc, char **argv)
             opts.sweep = true;
         } else if (arg == "--mixes") {
             const std::string spec = value();
-            unsigned lo = 0, hi = 0;
-            if (std::sscanf(spec.c_str(), "%u-%u", &lo, &hi) == 2) {
-                opts.mixLo = lo;
-                opts.mixHi = hi;
-            } else if (std::sscanf(spec.c_str(), "%u", &lo) == 1) {
-                opts.mixLo = opts.mixHi = lo;
-            } else {
-                std::fprintf(stderr, "bad --mixes '%s'\n",
-                             spec.c_str());
-                usage(argv[0]);
-            }
+            const std::string_view range = spec;
+            const std::size_t dash = range.find('-');
+            opts.mixLo =
+                flagNumber<std::uint32_t>("--mixes", range.substr(0, dash));
+            opts.mixHi = dash == std::string_view::npos
+                             ? opts.mixLo
+                             : flagNumber<std::uint32_t>(
+                                   "--mixes", range.substr(dash + 1));
             if (opts.mixLo < 1 || opts.mixHi > 12 ||
                 opts.mixLo > opts.mixHi) {
                 std::fprintf(stderr,
@@ -301,22 +297,19 @@ parseArgs(int argc, char **argv)
                 usage(argv[0]);
             }
         } else if (arg == "--sweep-seeds") {
-            opts.sweepSeeds = static_cast<std::uint32_t>(
-                std::strtoul(value().c_str(), nullptr, 10));
+            opts.sweepSeeds =
+                flagNumber<std::uint32_t>("--sweep-seeds", value());
             if (opts.sweepSeeds == 0) {
                 std::fprintf(stderr,
                              "--sweep-seeds must be nonzero\n");
                 usage(argv[0]);
             }
         } else if (arg == "--jobs" || arg == "-j") {
-            opts.jobs = static_cast<unsigned>(
-                std::strtoul(value().c_str(), nullptr, 10));
-        } else if (arg.rfind("-j", 0) == 0 && arg.size() > 2 &&
-                   arg.find_first_not_of("0123456789", 2) ==
-                       std::string::npos) {
+            opts.jobs = flagNumber<unsigned>(arg.c_str(), value());
+        } else if (arg.rfind("-j", 0) == 0 && arg.size() > 2) {
             // make-style attached form: -j8
-            opts.jobs = static_cast<unsigned>(
-                std::strtoul(arg.c_str() + 2, nullptr, 10));
+            opts.jobs = flagNumber<unsigned>(
+                "-j", std::string_view(arg).substr(2));
         } else if (arg == "-v" || arg == "--verbose") {
             setLogLevel(LogLevel::Verbose);
         } else if (arg == "-q" || arg == "--quiet") {
