@@ -25,7 +25,8 @@ namespace {
 void
 BM_SliceProbe(benchmark::State &state)
 {
-    CacheSlice slice(0, CacheGeometry{256 * 1024, 8, 64});
+    SliceStore store(1, CacheGeometry{256 * 1024, 8, 64});
+    const CacheSlice slice = store.slice(0);
     for (Addr line = 0; line < 4096; ++line) {
         const auto set = slice.setIndex(line);
         slice.fill(set, slice.victimWay(set), line, false, line);

@@ -11,6 +11,7 @@ namespace morphcache {
 
 CacheLevelModel::CacheLevelModel(const LevelParams &params)
     : params_(params),
+      store_(params.numSlices, params.sliceGeom, params.policy),
       bus_(params.numSlices, params.bus)
 {
     MC_ASSERT(params_.numSlices > 0);
@@ -28,11 +29,6 @@ CacheLevelModel::CacheLevelModel(const LevelParams &params)
     MC_ASSERT(isPowerOf2(acfvGranularity_));
     acfvGranShift_ = exactLog2(acfvGranularity_);
     numSets_ = params_.sliceGeom.numSets();
-    slices_.reserve(params_.numSlices);
-    for (std::uint32_t i = 0; i < params_.numSlices; ++i) {
-        slices_.emplace_back(static_cast<SliceId>(i),
-                             params_.sliceGeom, params_.policy);
-    }
     acfvs_.reserve(std::size_t{params_.numSlices} * params_.numSlices);
     for (std::uint32_t s = 0; s < params_.numSlices; ++s) {
         for (std::uint32_t c = 0; c < params_.numSlices; ++c) {
@@ -135,7 +131,7 @@ CacheLevelModel::lookup(CoreId core, Addr line_addr, Cycle now)
     LookupOutcome out;
     out.latency = params_.localHitLatency;
 
-    const std::uint64_t set = slices_[core].setIndex(line_addr);
+    const std::uint64_t set = store_.slice(core).setIndex(line_addr);
     const auto &group = groupSlices(core);
     stats_.sliceProbes += group.size(); // own + broadcast probes
 
@@ -143,30 +139,29 @@ CacheLevelModel::lookup(CoreId core, Addr line_addr, Cycle now)
     // across member slices after a merge, keep one copy — the local
     // one if present, else the first member found in group order —
     // and invalidate the rest the first time it is touched. The
-    // per-slice tag arrays are small enough to stay cache-resident,
-    // so the broadcast probe is a handful of hot word scans.
+    // store keeps one set's fingerprints and valid words for every
+    // slice side by side, so the broadcast probe reads one block.
+    const std::uint32_t assoc = params_.sliceGeom.assoc;
     SliceId hit_slice = invalidSlice;
-    std::uint32_t hit_way = 0;
-    if (const auto own_way = slices_[core].probe(line_addr)) {
+    std::uint32_t hit_way = store_.slice(core).probe(line_addr);
+    if (hit_way != assoc)
         hit_slice = static_cast<SliceId>(core);
-        hit_way = *own_way;
-    }
     if (group.size() > 1) {
         for (SliceId member : group) {
             if (member == core)
                 continue;
-            const auto way = slices_[member].probe(line_addr);
-            if (!way)
+            const CacheSlice view = store_.slice(member);
+            const std::uint32_t way = view.probe(line_addr);
+            if (way == assoc)
                 continue;
             if (hit_slice == invalidSlice) {
                 hit_slice = member;
-                hit_way = *way;
+                hit_way = way;
             } else {
                 // Duplicate: drop this copy.
                 if (recency_)
-                    recencyDrop(member, set, *way);
-                const Eviction dup =
-                    slices_[member].invalidateAt(set, *way);
+                    recencyDrop(member, set, way);
+                const Eviction dup = view.invalidateAt(set, way);
                 noteEviction(member, line_addr, dup.reused);
                 ++stats_.lazyInvalidations;
             }
@@ -221,7 +216,7 @@ CacheLevelModel::lookup(CoreId core, Addr line_addr, Cycle now)
         const std::uint64_t stamp = nextStamp();
         if (recency_)
             recencyRestamp(hit_slice, set, hit_way, stamp);
-        slices_[hit_slice].touch(set, hit_way, stamp);
+        store_.slice(hit_slice).touch(set, hit_way, stamp);
     }
     acfvRef(core, hit_slice).set(line_addr >> acfvGranShift_);
     if (params_.trackOracle) {
@@ -238,7 +233,7 @@ CacheLevelModel::insert(CoreId core, Addr line_addr, bool dirty)
     if (hooks_ && hooks_->insert(*this, core, line_addr, dirty, out))
         return out;
     const auto &group = groupSlices(core);
-    const std::uint64_t set = slices_[core].setIndex(line_addr);
+    const std::uint64_t set = store_.slice(core).setIndex(line_addr);
 
     // 1) Invalid way in the requester's own slice.
     // 2) Invalid way in any member slice.
@@ -248,7 +243,7 @@ CacheLevelModel::insert(CoreId core, Addr line_addr, bool dirty)
 
     auto find_invalid = [&](SliceId member) -> bool {
         const std::uint32_t way =
-            slices_[member].firstInvalidWay(set);
+            store_.slice(member).firstInvalidWay(set);
         if (way == params_.sliceGeom.assoc)
             return false;
         target = member;
@@ -268,9 +263,9 @@ CacheLevelModel::insert(CoreId core, Addr line_addr, bool dirty)
             // Exact LRU across the merged ways (stamps compose).
             std::uint64_t oldest = ~std::uint64_t{0};
             for (SliceId member : group) {
-                const std::uint32_t way = slices_[member].victimWay(set);
-                const std::uint64_t stamp =
-                    slices_[member].stampAt(set, way);
+                const CacheSlice view = store_.slice(member);
+                const std::uint32_t way = view.victimWay(set);
+                const std::uint64_t stamp = view.stampAt(set, way);
                 if (stamp < oldest) {
                     oldest = stamp;
                     target = member;
@@ -286,7 +281,7 @@ CacheLevelModel::insert(CoreId core, Addr line_addr, bool dirty)
                 groupRotor_[g]++ % static_cast<std::uint32_t>(
                                         group.size());
             target = group[idx];
-            target_way = slices_[target].victimWay(set);
+            target_way = store_.slice(target).victimWay(set);
         }
     }
 
@@ -301,16 +296,16 @@ CacheLevelModel::fillInto(CoreId core, SliceId target,
                           bool dirty, std::uint64_t stamp)
 {
     InsertOutcome out;
-    const std::uint64_t set = slices_[target].setIndex(line_addr);
+    const CacheSlice view = store_.slice(target);
+    const std::uint64_t set = view.setIndex(line_addr);
     if (recency_) {
-        if (slices_[target].validAt(set, way))
+        if (view.validAt(set, way))
             recencyRestamp(target, set, way, stamp);
         else
             recencyAdd(target, set, way, stamp);
     }
     out.slice = target;
-    out.evicted = slices_[target].fill(set, way, line_addr, dirty,
-                                       stamp);
+    out.evicted = view.fill(set, way, line_addr, dirty, stamp);
     out.evictedFrom = target;
     ++stats_.fills;
     ++stats_.sliceProbes;
@@ -336,7 +331,7 @@ CacheLevelModel::insertAtStackPosition(CoreId core, Addr line_addr,
     ensureRecencyIndex();
     const std::uint32_t g = groupOf_[core];
     const auto &group = partition_[g];
-    const std::uint64_t set = slices_[core].setIndex(line_addr);
+    const std::uint64_t set = store_.slice(core).setIndex(line_addr);
     const std::span<const std::uint16_t> order = recencyOrder(g, set);
 
     // The victim: the first member holding an invalid way, with its
@@ -346,7 +341,7 @@ CacheLevelModel::insertAtStackPosition(CoreId core, Addr line_addr,
     std::uint32_t target_way = 0;
     if (order.size() < group.size() * params_.sliceGeom.assoc) {
         for (SliceId member : group) {
-            const std::uint32_t inv = slices_[member].firstInvalidWay(set);
+            const std::uint32_t inv = store_.slice(member).firstInvalidWay(set);
             if (inv != params_.sliceGeom.assoc) {
                 target = member;
                 target_way = inv;
@@ -376,11 +371,11 @@ void
 CacheLevelModel::promoteByOne(SliceId slice, std::uint64_t set,
                               std::uint32_t way)
 {
-    MC_ASSERT(slices_[slice].validAt(set, way));
+    MC_ASSERT(store_.slice(slice).validAt(set, way));
     ensureRecencyIndex();
     const std::uint32_t g = groupOf_[slice];
     const std::span<const std::uint16_t> order = recencyOrder(g, set);
-    const std::uint64_t line_stamp = slices_[slice].stampAt(set, way);
+    const std::uint64_t line_stamp = store_.slice(slice).stampAt(set, way);
 
     // The immediate upward neighbour in the group's LRU stack is the
     // first key stamped after the line; swap recencies with it.
@@ -390,11 +385,11 @@ CacheLevelModel::promoteByOne(SliceId slice, std::uint64_t set,
         return;
     const GroupWay above = recencyWay(g, order[up]);
     const std::uint64_t above_stamp =
-        slices_[above.slice].stampAt(set, above.way);
+        store_.slice(above.slice).stampAt(set, above.way);
     recencyRestamp(slice, set, way, above_stamp);
-    slices_[slice].setStampAt(set, way, above_stamp);
+    store_.slice(slice).setStampAt(set, way, above_stamp);
     recencyRestamp(above.slice, set, above.way, line_stamp);
-    slices_[above.slice].setStampAt(set, above.way, line_stamp);
+    store_.slice(above.slice).setStampAt(set, above.way, line_stamp);
 }
 
 InsertOutcome
@@ -402,8 +397,8 @@ CacheLevelModel::insertIntoSlice(CoreId core, SliceId target,
                                  Addr line_addr, bool dirty)
 {
     MC_ASSERT(target < params_.numSlices);
-    const std::uint64_t set = slices_[target].setIndex(line_addr);
-    const std::uint32_t way = slices_[target].victimWay(set);
+    const CacheSlice view = store_.slice(target);
+    const std::uint32_t way = view.victimWay(view.setIndex(line_addr));
     return fillInto(core, target, way, line_addr, dirty, nextStamp());
 }
 
@@ -422,7 +417,7 @@ CacheLevelModel::markDirty(CoreId core, Addr line_addr)
     // Absorb the writeback into the first member (in group order)
     // holding the line, in one fused probe-and-mark walk per slice.
     for (SliceId member : groupSlices(core)) {
-        if (slices_[member].markDirtyIfPresent(line_addr))
+        if (store_.slice(member).markDirtyIfPresent(line_addr))
             return true;
     }
     return false;
@@ -432,7 +427,7 @@ bool
 CacheLevelModel::presentInGroup(CoreId core, Addr line_addr) const
 {
     for (SliceId member : groupSlices(core)) {
-        if (slices_[member].probe(line_addr))
+        if (store_.slice(member).contains(line_addr))
             return true;
     }
     return false;
@@ -443,7 +438,7 @@ CacheLevelModel::presentInSlices(const std::vector<SliceId> &slices,
                                  Addr line_addr) const
 {
     for (SliceId member : slices) {
-        if (slices_[member].probe(line_addr))
+        if (store_.slice(member).contains(line_addr))
             return true;
     }
     return false;
@@ -456,7 +451,7 @@ CacheLevelModel::findInOtherGroups(CoreId core, Addr line_addr) const
     for (std::uint32_t s = 0; s < params_.numSlices; ++s) {
         if (groupOf_[s] == own_group)
             continue;
-        if (slices_[s].probe(line_addr))
+        if (store_.slice(static_cast<SliceId>(s)).contains(line_addr))
             return static_cast<SliceId>(s);
     }
     return std::nullopt;
@@ -542,7 +537,7 @@ CacheLevelModel::rebuildRecencyIndex()
             std::uint16_t *keys = &index.keys[base + set * ways];
             std::uint16_t n = 0;
             for (std::size_t pos = 0; pos < group.size(); ++pos) {
-                std::uint64_t m = slices_[group[pos]].validMask(set);
+                std::uint64_t m = store_.slice(group[pos]).validMask(set);
                 while (m != 0) {
                     const auto way =
                         static_cast<std::uint32_t>(std::countr_zero(m));
@@ -613,7 +608,7 @@ CacheLevelModel::recencyDrop(SliceId slice, std::uint64_t set,
     std::uint16_t &n = recency_->count[g * numSets_ + set];
     const std::uint16_t key = recencyKey(slice, way);
     const std::size_t at = recencyLowerBound(
-        g, set, keys, 0, n, slices_[slice].stampAt(set, way), key);
+        g, set, keys, 0, n, store_.slice(slice).stampAt(set, way), key);
     MC_ASSERT(at < n && keys[at] == key);
     std::copy(keys + at + 1, keys + n, keys + at);
     --n;
@@ -627,7 +622,7 @@ CacheLevelModel::recencyRestamp(SliceId slice, std::uint64_t set,
     std::uint16_t *keys = &recency_->keys[recencySlot(g, set)];
     const std::size_t n = recency_->count[g * numSets_ + set];
     const std::uint16_t key = recencyKey(slice, way);
-    const std::uint64_t old = slices_[slice].stampAt(set, way);
+    const std::uint64_t old = store_.slice(slice).stampAt(set, way);
     const std::size_t at =
         recencyLowerBound(g, set, keys, 0, n, old, key);
     MC_ASSERT(at < n && keys[at] == key);
@@ -652,18 +647,18 @@ CacheLevelModel::recencyRestamp(SliceId slice, std::uint64_t set,
     }
 }
 
-CacheSlice &
+CacheSlice
 CacheLevelModel::slice(SliceId id)
 {
     MC_ASSERT(id < params_.numSlices);
-    return slices_[id];
+    return store_.slice(id);
 }
 
-const CacheSlice &
+ConstCacheSlice
 CacheLevelModel::slice(SliceId id) const
 {
     MC_ASSERT(id < params_.numSlices);
-    return slices_[id];
+    return store_.slice(id);
 }
 
 Acfv &
@@ -857,7 +852,10 @@ CacheLevelModel::registerStats(StatsRegistry &registry,
                              "fills since the last footprint reset");
         registry.bindCounter(
             slice + "validLines",
-            [this, s]() { return slices_[s].validLineCount(); },
+            [this, s]() {
+                return store_.slice(static_cast<SliceId>(s))
+                    .validLineCount();
+            },
             "occupied lines in the physical slice");
         registry.bindScalar(
             slice + "acfPopcount",
@@ -895,8 +893,8 @@ CacheLevelModel::saveState(CkptWriter &w) const
             w.u32(s);
     }
     w.u32Vec(groupRotor_);
-    for (const CacheSlice &s : slices_)
-        s.saveState(w);
+    for (std::uint32_t s = 0; s < params_.numSlices; ++s)
+        store_.saveState(w, static_cast<SliceId>(s));
     w.u64(acfvs_.size());
     for (const Acfv &vec : acfvs_)
         vec.saveState(w);
@@ -968,8 +966,8 @@ CacheLevelModel::loadState(CkptReader &r)
     if (rotor.size() != groupRotor_.size())
         r.fail("group rotor size mismatch");
     groupRotor_ = std::move(rotor);
-    for (CacheSlice &s : slices_)
-        s.loadState(r);
+    for (std::uint32_t s = 0; s < params_.numSlices; ++s)
+        store_.loadState(r, static_cast<SliceId>(s));
     r.expectU64("ACFV bank size", acfvs_.size());
     for (Acfv &vec : acfvs_)
         vec.loadState(r);

@@ -344,9 +344,9 @@ class CacheLevelModel
      */
     bool invalidateOutsideGroup(CoreId core, Addr line_addr);
 
-    /** Direct slice access (tests, reconfiguration walks). */
-    CacheSlice &slice(SliceId id);
-    const CacheSlice &slice(SliceId id) const;
+    /** View of one slice (tests, reconfiguration walks). */
+    CacheSlice slice(SliceId id);
+    ConstCacheSlice slice(SliceId id) const;
 
     /** Number of slices. */
     std::uint32_t numSlices() const { return params_.numSlices; }
@@ -445,13 +445,14 @@ class CacheLevelModel
     Eviction
     invalidateLine(SliceId slice, Addr line_addr)
     {
-        const auto way = slices_[slice].probe(line_addr);
-        if (!way)
+        const CacheSlice view = store_.slice(slice);
+        const std::uint32_t way = view.probe(line_addr);
+        if (way == params_.sliceGeom.assoc)
             return {};
-        const std::uint64_t set = slices_[slice].setIndex(line_addr);
+        const std::uint64_t set = view.setIndex(line_addr);
         if (recency_)
-            recencyDrop(slice, set, *way);
-        return slices_[slice].invalidateAt(set, *way);
+            recencyDrop(slice, set, way);
+        return view.invalidateAt(set, way);
     }
 
     /** Allocate and build the recency index if it does not exist. */
@@ -482,7 +483,7 @@ class CacheLevelModel
              std::uint16_t key) const
     {
         const GroupWay gw = recencyWay(group, key);
-        return slices_[gw.slice].stampAt(set, gw.way);
+        return store_.slice(gw.slice).stampAt(set, gw.way);
     }
 
     /**
@@ -540,7 +541,8 @@ class CacheLevelModel
      * division is a shift.
      */
     unsigned acfvGranShift_ = 0; // ckpt: derived(CacheLevelModel)
-    std::vector<CacheSlice> slices_;
+    /** Every slice's lines, set-major (SliceStore). */
+    SliceStore store_;
     /** Sets per slice (one geometry per level). */
     std::uint64_t numSets_ = 0; // ckpt: derived(CacheLevelModel)
     Partition partition_;

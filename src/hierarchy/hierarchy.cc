@@ -114,16 +114,13 @@ validated(const HierarchyParams &params)
 } // namespace
 
 Hierarchy::Hierarchy(const HierarchyParams &params)
-    : params_(validated(params)), l2_(params.l2), l3_(params.l3),
+    : params_(validated(params)),
+      l1s_(params_.numCores, params_.l1Geom, ReplPolicy::LRU),
+      l2_(params.l2), l3_(params.l3),
       topology_(Topology::allPrivateTopology(params.numCores)),
       coreStats_(params.numCores)
 {
     lineShift_ = exactLog2(params_.l1Geom.lineBytes);
-    l1s_.reserve(params_.numCores);
-    for (std::uint32_t c = 0; c < params_.numCores; ++c) {
-        l1s_.emplace_back(static_cast<SliceId>(c), params_.l1Geom,
-                          ReplPolicy::LRU);
-    }
 }
 
 void
@@ -164,7 +161,7 @@ Hierarchy::enforceInclusion(const Topology &old_topology)
         if (superset)
             continue;
         const auto &backing = topology_.l3[new_l3[s]];
-        CacheSlice &slice = l2_.slice(static_cast<SliceId>(s));
+        const CacheSlice slice = l2_.slice(static_cast<SliceId>(s));
         for (std::uint64_t set = 0; set < geom.numSets(); ++set) {
             for (std::uint32_t way = 0; way < geom.assoc; ++way) {
                 if (!slice.validAt(set, way))
@@ -183,7 +180,7 @@ Hierarchy::enforceInclusion(const Topology &old_topology)
 
     // L1 lines must be present in the owning core's new L2 group.
     for (std::uint32_t c = 0; c < params_.numCores; ++c) {
-        CacheSlice &l1 = l1s_[c];
+        const CacheSlice l1 = l1s_.slice(static_cast<SliceId>(c));
         const auto &l1_geom = params_.l1Geom;
         for (std::uint64_t set = 0; set < l1_geom.numSets(); ++set) {
             for (std::uint32_t way = 0; way < l1_geom.assoc; ++way) {
@@ -219,14 +216,14 @@ Hierarchy::access(const MemAccess &access, Cycle now)
     result.latency = params_.l1Latency;
 
     // ---- L1 -----------------------------------------------------
-    CacheSlice &l1 = l1s_[access.core];
-    if (const auto way = l1.probe(line)) {
+    const CacheSlice l1 = l1s_.slice(access.core);
+    if (const std::uint32_t way = l1.probe(line); way != l1.assoc()) {
         const std::uint64_t set = l1.setIndex(line);
-        l1.touch(set, *way, ++l1Stamp_);
+        l1.touch(set, way, ++l1Stamp_);
         if (is_write) {
-            if (!l1.dirtyAt(set, *way) && params_.coherence)
+            if (!l1.dirtyAt(set, way) && params_.coherence)
                 coherenceInvalidate(access.core, line);
-            l1.setDirtyAt(set, *way);
+            l1.setDirtyAt(set, way);
         }
         ++stats.l1Hits;
         result.servedBy = ServedBy::L1;
@@ -281,9 +278,7 @@ Hierarchy::access(const MemAccess &access, Cycle now)
         if (params_.coherence)
             coherenceInvalidate(access.core, line);
         // Write-back, write-allocate: the L1 copy becomes dirty.
-        if (const auto way = l1.probe(line)) {
-            l1.setDirtyAt(l1.setIndex(line), *way);
-        }
+        l1.markDirtyIfPresent(line);
     }
 
     stats.totalLatency += result.latency;
@@ -293,7 +288,7 @@ Hierarchy::access(const MemAccess &access, Cycle now)
 void
 Hierarchy::fillL1(CoreId core, Addr line_addr, bool dirty)
 {
-    CacheSlice &l1 = l1s_[core];
+    const CacheSlice l1 = l1s_.slice(core);
     const std::uint64_t set = l1.setIndex(line_addr);
     const std::uint32_t way = l1.victimWay(set);
     const Eviction ev = l1.fill(set, way, line_addr, dirty, ++l1Stamp_);
@@ -328,7 +323,7 @@ Hierarchy::fillL2(CoreId core, Addr line_addr, bool dirty)
     bool victim_dirty = out.evicted.dirty;
     for (SliceId member : l2_.partition()[l2_.groupOf(out.evictedFrom)]) {
         const Eviction ev =
-            l1s_[member].invalidate(out.evicted.lineAddr);
+            l1s_.slice(member).invalidate(out.evicted.lineAddr);
         if (ev.valid && ev.dirty)
             victim_dirty = true;
     }
@@ -359,7 +354,7 @@ Hierarchy::fillL3(CoreId core, Addr line_addr, bool dirty)
         victim_dirty = true;
     for (SliceId member : backing) {
         const Eviction ev =
-            l1s_[member].invalidate(out.evicted.lineAddr);
+            l1s_.slice(member).invalidate(out.evicted.lineAddr);
         if (ev.valid && ev.dirty)
             victim_dirty = true;
     }
@@ -373,7 +368,7 @@ Hierarchy::coherenceInvalidate(CoreId writer, Addr line_addr)
     for (std::uint32_t c = 0; c < params_.numCores; ++c) {
         if (c == writer)
             continue;
-        l1s_[c].invalidate(line_addr);
+        l1s_.slice(static_cast<SliceId>(c)).invalidate(line_addr);
     }
     l2_.invalidateOutsideGroup(writer, line_addr);
     l3_.invalidateOutsideGroup(writer, line_addr);
@@ -400,11 +395,11 @@ Hierarchy::resetFootprints()
     l3_.resetFootprints();
 }
 
-CacheSlice &
+CacheSlice
 Hierarchy::l1(CoreId core)
 {
     MC_ASSERT(core < params_.numCores);
-    return l1s_[core];
+    return l1s_.slice(core);
 }
 
 void
@@ -479,9 +474,9 @@ Hierarchy::saveState(CkptWriter &w) const
 {
     savePartition(w, topology_.l2);
     savePartition(w, topology_.l3);
-    w.u64(l1s_.size());
-    for (const CacheSlice &l1 : l1s_)
-        l1.saveState(w);
+    w.u64(params_.numCores);
+    for (std::uint32_t c = 0; c < params_.numCores; ++c)
+        l1s_.saveState(w, static_cast<SliceId>(c));
     l2_.saveState(w);
     l3_.saveState(w);
     for (const CoreStats &stats : coreStats_) {
@@ -511,9 +506,9 @@ Hierarchy::loadState(CkptReader &r)
     topology.l2 = loadPartition(r, params_.numCores);
     topology.l3 = loadPartition(r, params_.numCores);
     topology_ = std::move(topology);
-    r.expectU64("L1 slice count", l1s_.size());
-    for (CacheSlice &l1 : l1s_)
-        l1.loadState(r);
+    r.expectU64("L1 slice count", params_.numCores);
+    for (std::uint32_t c = 0; c < params_.numCores; ++c)
+        l1s_.loadState(r, static_cast<SliceId>(c));
     l2_.loadState(r);
     l3_.loadState(r);
     for (CoreStats &stats : coreStats_) {

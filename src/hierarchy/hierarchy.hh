@@ -13,7 +13,9 @@
  *
  * The whole object is value-semantic: copying it checkpoints the
  * complete cache state, which is how the ideal offline scheme of
- * Figure 15 re-runs an epoch under many topologies.
+ * Figure 15 re-runs an epoch under many topologies. Slice views are
+ * made from its stores on demand and never kept, so a copy shares
+ * nothing with the original.
  */
 
 #ifndef MORPHCACHE_HIERARCHY_HIERARCHY_HH
@@ -171,8 +173,8 @@ class Hierarchy
     /** Number of cores. */
     std::uint32_t numCores() const { return params_.numCores; }
 
-    /** Direct L1 access (tests). */
-    CacheSlice &l1(CoreId core);
+    /** View of one core's L1 (tests). */
+    CacheSlice l1(CoreId core);
 
     /**
      * Serialize the complete cache state: topology, L1 slices, both
@@ -208,7 +210,8 @@ class Hierarchy
      * across levels, validated at construction).
      */
     unsigned lineShift_ = 0; // ckpt: derived(Hierarchy)
-    std::vector<CacheSlice> l1s_;
+    /** Every core's private L1, one store (SliceStore). */
+    SliceStore l1s_;
     CacheLevelModel l2_;
     CacheLevelModel l3_;
     Topology topology_;

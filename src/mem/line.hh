@@ -2,19 +2,21 @@
  * @file
  * Cache line (way) outcome types.
  *
- * Per-way storage itself is struct-of-arrays inside CacheSlice
- * (flat address/stamp arrays plus packed per-set flag words); the
- * record type that remains here is the eviction outcome handed
- * across the slice boundary. A way carries: the full line address
- * (block number, stored rather than a tag so lines remain
- * unambiguous when a slice participates in differently shaped
- * logical groups over its lifetime), a valid bit, a dirty bit, a
- * global recency stamp (larger is more recent; doubles as the
- * "ideal LRU timestamp" the paper mentions for merging LRU state),
- * and a reused bit — set on the first hit after a fill, so
+ * Per-way storage itself lives in a level's SliceStore (set-major
+ * address, stamp and fingerprint arrays plus packed flag words per
+ * set and slice); the record type that remains here is the
+ * eviction outcome handed across the slice boundary. A way carries:
+ * the full line address (block number, stored rather than a tag so
+ * lines remain unambiguous when a slice participates in differently
+ * shaped logical groups over its lifetime), a valid bit, a dirty
+ * bit, a global recency stamp (larger is more recent; doubles as
+ * the "ideal LRU timestamp" the paper mentions for merging LRU
+ * state), and a reused bit — set on the first hit after a fill, so
  * single-use (streaming) lines end their residency with it still
  * clear, which is what keeps them out of the active-footprint
- * estimate (Section 2.1 defines the ACF through *reuse*).
+ * estimate (Section 2.1 defines the ACF through *reuse*). Its
+ * fingerprint byte is derived from the address and never leaves
+ * the store.
  */
 
 #ifndef MORPHCACHE_MEM_LINE_HH

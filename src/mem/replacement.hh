@@ -3,8 +3,8 @@
  * Replacement policies for cache slices.
  *
  * Two policies are modelled, matching Section 2.2 of the paper:
- * exact LRU via global timestamps (the stamps live in the slice's
- * per-way stamp array), and generalized tree pseudo-LRU
+ * exact LRU via global timestamps (the stamps live in the level
+ * store's per-way stamp array), and generalized tree pseudo-LRU
  * (Robinson [24]) as the practical alternative. When slices are
  * merged, timestamps compose directly; PLRU trees are kept per slice
  * and composed with a per-set rotor, mirroring the paper's

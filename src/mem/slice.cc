@@ -1,93 +1,90 @@
 #include "mem/slice.hh"
 
-#include "common/logging.hh"
+#include <string>
 
 namespace morphcache {
 
-CacheSlice::CacheSlice(SliceId id, const CacheGeometry &geom,
-                       ReplPolicy policy)
-    : id_(id), geom_(geom), policy_(policy),
-      assoc_(geom.assoc),
-      numSets_(geom.numSets()),
-      setMask_(geom.numSets() - 1),
-      waysMask_(geom.assoc >= 64 ? ~std::uint64_t{0}
-                                 : (std::uint64_t{1} << geom.assoc) - 1),
-      tags_(geom.numLines(), 0),
-      stamps_(geom.numLines(), 0),
-      validBits_(geom.numSets(), 0),
-      dirtyBits_(geom.numSets(), 0),
-      reusedBits_(geom.numSets(), 0),
-      plru_(geom.numSets(), geom.assoc)
+namespace {
+
+/** The geometry, asserted valid before any array is sized from it. */
+const CacheGeometry &
+checked(const CacheGeometry &geom)
 {
     MC_ASSERT(geom.valid());
     // The per-set flag words cap associativity at one machine word.
     MC_ASSERT(geom.assoc <= 64);
+    return geom;
+}
+
+} // namespace
+
+SliceStore::SliceStore(std::uint32_t num_slices,
+                       const CacheGeometry &geom, ReplPolicy policy)
+    : policy_(policy), numSlices_(num_slices),
+      assoc_(checked(geom).assoc), numSets_(geom.numSets()),
+      setMask_(geom.numSets() - 1),
+      waysMask_(geom.assoc >= 64 ? ~std::uint64_t{0}
+                                 : (std::uint64_t{1} << geom.assoc) - 1),
+      tags_(geom.numLines() * num_slices, 0),
+      stamps_(geom.numLines() * num_slices, 0),
+      fingerprints_(geom.numLines() * num_slices + 7, 0),
+      validBits_(geom.numSets() * num_slices, 0),
+      dirtyBits_(geom.numSets() * num_slices, 0),
+      reusedBits_(geom.numSets() * num_slices, 0),
+      // Only tree-PLRU consults the trees. Under LRU they are
+      // one-leaf trees whose words keep the checkpoint layout, so
+      // an LRU slice may have any associativity up to 64.
+      plru_(num_slices,
+            PlruState(geom.numSets(),
+                      policy == ReplPolicy::TreePLRU ? geom.assoc : 1))
+{
+    MC_ASSERT(num_slices > 0);
 }
 
 void
-CacheSlice::invalidateAll()
+SliceStore::saveState(CkptWriter &w, SliceId slice) const
 {
+    w.u64(numSets_ * assoc_);
     for (std::uint64_t set = 0; set < numSets_; ++set) {
-        validBits_[set] = 0;
-        dirtyBits_[set] = 0;
-    }
-}
-
-std::uint64_t
-CacheSlice::validLineCount() const
-{
-    std::uint64_t count = 0;
-    for (std::uint64_t set = 0; set < numSets_; ++set)
-        count += static_cast<std::uint64_t>(
-            std::popcount(validBits_[set]));
-    return count;
-}
-
-void
-CacheSlice::saveState(CkptWriter &w) const
-{
-    w.u64(tags_.size());
-    for (std::uint64_t set = 0; set < numSets_; ++set) {
+        const std::size_t row = set * numSlices_ + slice;
         for (std::uint32_t way = 0; way < assoc_; ++way) {
-            w.u64(tags_[set * assoc_ + way]);
+            const std::size_t idx = row * assoc_ + way;
+            w.u64(tags_[idx]);
             w.u8(static_cast<std::uint8_t>(
-                (validAt(set, way) ? 1u : 0u) |
-                (dirtyAt(set, way) ? 2u : 0u) |
-                (reusedAt(set, way) ? 4u : 0u)));
-            w.u64(stamps_[set * assoc_ + way]);
+                ((validBits_[row] >> way) & 1) |
+                (((dirtyBits_[row] >> way) & 1) << 1) |
+                (((reusedBits_[row] >> way) & 1) << 2)));
+            w.u64(stamps_[idx]);
         }
     }
-    plru_.saveState(w);
+    plru_[slice].saveState(w);
 }
 
 void
-CacheSlice::loadState(CkptReader &r)
+SliceStore::loadState(CkptReader &r, SliceId slice)
 {
-    r.expectU64("slice line count", tags_.size());
+    r.expectU64("slice line count", numSets_ * assoc_);
     for (std::uint64_t set = 0; set < numSets_; ++set) {
+        const std::size_t row = set * numSlices_ + slice;
         for (std::uint32_t way = 0; way < assoc_; ++way) {
+            const std::size_t idx = row * assoc_ + way;
             const std::uint64_t bit = std::uint64_t{1} << way;
-            tags_[set * assoc_ + way] = r.u64();
+            tags_[idx] = r.u64();
+            fingerprints_[idx] = fingerprint(tags_[idx]);
             const std::uint8_t flags = r.u8();
             if (flags > 7)
                 r.fail("cache-line flags byte is " +
                        std::to_string(flags) + ", expected <= 7");
-            if (flags & 1)
-                validBits_[set] |= bit;
-            else
-                validBits_[set] &= ~bit;
-            if (flags & 2)
-                dirtyBits_[set] |= bit;
-            else
-                dirtyBits_[set] &= ~bit;
-            if (flags & 4)
-                reusedBits_[set] |= bit;
-            else
-                reusedBits_[set] &= ~bit;
-            stamps_[set * assoc_ + way] = r.u64();
+            validBits_[row] = (flags & 1) ? validBits_[row] | bit
+                                          : validBits_[row] & ~bit;
+            dirtyBits_[row] = (flags & 2) ? dirtyBits_[row] | bit
+                                          : dirtyBits_[row] & ~bit;
+            reusedBits_[row] = (flags & 4) ? reusedBits_[row] | bit
+                                           : reusedBits_[row] & ~bit;
+            stamps_[idx] = r.u64();
         }
     }
-    plru_.loadState(r);
+    plru_[slice].loadState(r);
 }
 
 } // namespace morphcache

@@ -1,6 +1,15 @@
 /**
  * @file
- * A physical cache slice: the unit MorphCache merges and splits.
+ * Line storage for every slice of one cache level, and the slice
+ * view MorphCache merges and splits.
+ *
+ * A SliceStore holds all physical slices of a level (the 16 L1s,
+ * the L2 slices or the L3 slices) set-major: tags, stamps and a
+ * one-byte fingerprint per way are laid out [set][slice][way], the
+ * valid, dirty and reused words [set][slice]. A group probe of one
+ * set therefore reads one contiguous run of fingerprints and one of
+ * valid words, whichever slices the group holds. A CacheSlice is a
+ * value view (store, slice id) made on demand; it owns nothing.
  */
 
 #ifndef MORPHCACHE_MEM_SLICE_HH
@@ -8,7 +17,7 @@
 
 #include <bit>
 #include <cstdint>
-#include <optional>
+#include <cstring>
 #include <vector>
 
 #include "common/logging.hh"
@@ -20,72 +29,179 @@
 
 namespace morphcache {
 
+template <typename Store> class SliceView;
+class SliceStore;
+
+/** Read-write view of one slice. */
+using CacheSlice = SliceView<SliceStore>;
+/** Read-only view of one slice. */
+using ConstCacheSlice = SliceView<const SliceStore>;
+
 /**
- * One physical slice of cache (e.g. one 256 KB 8-way L2 slice).
+ * The lines of every physical slice of one level.
  *
- * A slice only stores state; *policy* over one or more slices (group
- * lookup, cross-slice victim choice, inclusion) is implemented by
- * SliceGroup in the hierarchy library. This split is what makes
- * splitting a merged group O(1): every line physically lives in
- * exactly one slice's ways at all times, so un-merging is just a
- * change of view.
+ * All slices share one geometry (merging adds ways, never sets), so
+ * slice `s`'s ways of set `set` start at `(set * numSlices + s) *
+ * assoc` in the per-way arrays, and its flag words sit at
+ * `set * numSlices + s`. A line still lives in exactly one slice's
+ * ways, so splitting a merged group stays a change of view.
  *
- * Storage is struct-of-arrays: line addresses and recency stamps
- * live in flat per-way arrays (`set * assoc + way`), while the
- * single-bit flags (valid/dirty/reused) pack into one 64-bit word
- * per set. probe() and victimWay() then reduce to a word load plus
- * a bit scan instead of striding 40-byte records, and the flag
- * words bound `assoc` at 64 (asserted at construction). The
- * checkpoint encoding is unchanged from the record-per-line layout:
- * saveState() walks set-major way order emitting the same
- * (lineAddr, flags, stamp) triples byte for byte.
+ * Fingerprints are derived state: a byte hashed from each way's
+ * line address, written by every fill and rebuilt by loadState(),
+ * never serialized. A probe matches eight of them per 64-bit word
+ * and compares full line addresses only on valid candidates.
+ *
+ * The checkpoint encoding is the record-per-line one of a slice
+ * that owns its arrays: saveState() walks one slice's sets in
+ * order and emits (lineAddr, flags, stamp) per way, then its PLRU
+ * trees. The PLRU trees stay per slice.
  */
-class CacheSlice
+class SliceStore
 {
   public:
     /**
-     * @param id Dense identifier of this slice within its level.
-     * @param geom Slice geometry (validated; assoc <= 64).
+     * @param num_slices Slices in the level.
+     * @param geom Geometry of each slice (validated; assoc <= 64).
      * @param policy Replacement policy used for intra-slice victims.
      */
-    CacheSlice(SliceId id, const CacheGeometry &geom,
+    SliceStore(std::uint32_t num_slices, const CacheGeometry &geom,
                ReplPolicy policy = ReplPolicy::LRU);
 
-    /** Slice identifier. */
-    SliceId id() const { return id_; }
-
-    /** Slice geometry. */
-    const CacheGeometry &geometry() const { return geom_; }
-
-    /** Replacement policy in effect. */
-    ReplPolicy policy() const { return policy_; }
-
-    /** Ways per set (cached from the geometry). */
-    std::uint32_t assoc() const { return assoc_; }
-
-    /** Sets in the slice (cached from the geometry). */
-    std::uint64_t numSets() const { return numSets_; }
+    /** View of slice `id` (unchecked: hot paths build views). */
+    CacheSlice slice(SliceId id);
+    ConstCacheSlice slice(SliceId id) const;
 
     /**
-     * Look up a line in this slice: scan the set's valid ways in
-     * ascending way order (first match wins, mirroring the original
-     * record scan) comparing stored line addresses.
-     * @return The way holding it, or std::nullopt on miss.
+     * Serialize one slice: a line count, then (u64 lineAddr,
+     * u8 flags, u64 stamp) per way in set-major order, then the
+     * slice's PLRU trees.
      */
-    std::optional<std::uint32_t>
+    void saveState(CkptWriter &w, SliceId slice) const;
+    /** Restore one slice and rebuild its fingerprints. */
+    void loadState(CkptReader &r, SliceId slice);
+
+    /** Fingerprint byte of a line address. */
+    static std::uint8_t
+    fingerprint(Addr line_addr)
+    {
+        // The top byte of a multiplicative hash depends on every
+        // address bit, including the tag bits above the set index.
+        return static_cast<std::uint8_t>(
+            (line_addr * 0x9e3779b97f4a7c15ULL) >> 56);
+    }
+
+  private:
+    template <typename Store> friend class SliceView;
+
+    ReplPolicy policy_;         // ckpt: derived(SliceStore)
+    std::uint32_t numSlices_;   // ckpt: derived(SliceStore)
+    /** Cached geometry: ways per set. */
+    std::uint32_t assoc_;
+    /** Cached geometry: set count (power of two). */
+    std::uint64_t numSets_;
+    /** numSets_ - 1 (set-index mask; replaces the modulo). */
+    std::uint64_t setMask_;     // ckpt: derived(SliceStore)
+    /** Low `assoc_` bits set (valid-word scan mask). */
+    std::uint64_t waysMask_;    // ckpt: derived(SliceStore)
+    /** Stored block numbers, [set][slice][way]. */
+    std::vector<Addr> tags_;
+    /** Recency stamps, [set][slice][way]. */
+    std::vector<std::uint64_t> stamps_;
+    /**
+     * Fingerprint of each way's stored address, [set][slice][way],
+     * plus 7 bytes of padding: a probe reads whole 8-byte words, so
+     * a slice whose assoc is not a multiple of 8 reads up to 7 bytes
+     * past its ways, into the next slice's or into the padding.
+     */
+    // ckpt: derived(SliceStore::loadState)
+    std::vector<std::uint8_t> fingerprints_;
+    /** One valid bit per way, one word per (set, slice). */
+    std::vector<std::uint64_t> validBits_;
+    /** One dirty bit per way, one word per (set, slice). */
+    std::vector<std::uint64_t> dirtyBits_;
+    /** One reused bit per way, one word per (set, slice). */
+    std::vector<std::uint64_t> reusedBits_;
+    /** One PLRU tree per set, per slice. */
+    std::vector<PlruState> plru_;
+};
+
+/**
+ * One physical slice of cache (e.g. one 256 KB 8-way L2 slice),
+ * seen through its level's store.
+ *
+ * A slice only stores state; *policy* over one or more slices
+ * (group lookup, cross-slice victim choice, inclusion) lives in
+ * CacheLevelModel. The view is two words and is made on demand, so
+ * copying the object that owns the store (a Hierarchy copied by the
+ * ideal offline oracle) never leaves a view pointing at the
+ * original. `Store` is SliceStore or const SliceStore; mutators
+ * compile only for the former.
+ */
+template <typename Store>
+class SliceView
+{
+  public:
+    SliceView(Store &store, SliceId id) : store_(&store), id_(id) {}
+
+    /** Ways per set (cached from the geometry). */
+    std::uint32_t assoc() const { return store_->assoc_; }
+
+    /** Sets in the slice (cached from the geometry). */
+    std::uint64_t numSets() const { return store_->numSets_; }
+
+    /** Set index this slice uses for a line address. */
+    std::uint64_t
+    setIndex(Addr line_addr) const
+    {
+        return line_addr & store_->setMask_;
+    }
+
+    /**
+     * Look up a line in this slice: the first valid way holding it,
+     * in ascending way order. Eight fingerprints are matched per
+     * word and masked with the valid word; only candidates have
+     * their full line address compared.
+     * @return The way holding it, or assoc() on a miss (a plain
+     *         integer, so the caller's loop keeps it in a register).
+     *
+     * Forced inline: out of line, GCC 12 calls it once per member
+     * from the level's group loops, recomputing the fingerprint
+     * pattern and reloading the store's array pointers each time.
+     */
+    [[gnu::always_inline]] std::uint32_t
     probe(Addr line_addr) const
     {
-        const std::uint64_t set = line_addr & setMask_;
-        const std::uint64_t base = set * assoc_;
-        std::uint64_t m = validBits_[set];
-        while (m != 0) {
-            const auto way =
-                static_cast<std::uint32_t>(std::countr_zero(m));
-            if (tags_[base + way] == line_addr)
-                return way;
-            m &= m - 1;
+        static_assert(std::endian::native == std::endian::little,
+                      "fingerprint byte k must be way k of a word");
+        const Store &s = *store_;
+        const std::size_t r = row(line_addr & s.setMask_);
+        const std::uint64_t valid = s.validBits_[r];
+        if (valid == 0)
+            return s.assoc_;
+        const std::size_t base = r * s.assoc_;
+        const std::uint8_t *fps = s.fingerprints_.data() + base;
+        const Addr *tags = s.tags_.data() + base;
+        const std::uint64_t pattern =
+            0x0101010101010101ULL * SliceStore::fingerprint(line_addr);
+        for (std::uint32_t first = 0; first < s.assoc_; first += 8) {
+            std::uint64_t word;
+            std::memcpy(&word, fps + first, sizeof(word));
+            std::uint64_t m = equalBytes(word ^ pattern) & (valid >> first);
+            while (m != 0) {
+                const std::uint32_t way =
+                    first + static_cast<std::uint32_t>(std::countr_zero(m));
+                if (tags[way] == line_addr)
+                    return way;
+                m &= m - 1;
+            }
         }
-        return std::nullopt;
+        return s.assoc_;
+    }
+
+    /** Whether the slice holds the line. */
+    bool contains(Addr line_addr) const
+    {
+        return probe(line_addr) != assoc();
     }
 
     // --- Per-way field access (unchecked hot-path accessors) -----
@@ -94,80 +210,64 @@ class CacheSlice
     Addr
     lineAddrAt(std::uint64_t set, std::uint32_t way) const
     {
-        return tags_[set * assoc_ + way];
+        return store_->tags_[index(set, way)];
     }
 
     /** Recency stamp at (set, way). */
     std::uint64_t
     stampAt(std::uint64_t set, std::uint32_t way) const
     {
-        return stamps_[set * assoc_ + way];
+        return store_->stamps_[index(set, way)];
     }
 
     /** Overwrite the recency stamp at (set, way). */
     void
     setStampAt(std::uint64_t set, std::uint32_t way,
-               std::uint64_t stamp)
+               std::uint64_t stamp) const
     {
-        stamps_[set * assoc_ + way] = stamp;
+        store_->stamps_[index(set, way)] = stamp;
     }
 
     /** Valid bit at (set, way). */
     bool
     validAt(std::uint64_t set, std::uint32_t way) const
     {
-        return (validBits_[set] >> way) & 1;
+        return (store_->validBits_[row(set)] >> way) & 1;
     }
 
     /** Dirty bit at (set, way). */
     bool
     dirtyAt(std::uint64_t set, std::uint32_t way) const
     {
-        return (dirtyBits_[set] >> way) & 1;
-    }
-
-    /** Reused bit at (set, way). */
-    bool
-    reusedAt(std::uint64_t set, std::uint32_t way) const
-    {
-        return (reusedBits_[set] >> way) & 1;
+        return (store_->dirtyBits_[row(set)] >> way) & 1;
     }
 
     /** Mark (set, way) dirty (writeback from above). */
     void
-    setDirtyAt(std::uint64_t set, std::uint32_t way)
+    setDirtyAt(std::uint64_t set, std::uint32_t way) const
     {
-        dirtyBits_[set] |= std::uint64_t{1} << way;
+        store_->dirtyBits_[row(set)] |= std::uint64_t{1} << way;
     }
 
     /** Word of valid bits for a set (bit k = way k). */
     std::uint64_t validMask(std::uint64_t set) const
     {
-        return validBits_[set];
+        return store_->validBits_[row(set)];
     }
 
     /**
-     * Probe-and-mark-dirty in one walk (writeback absorption):
-     * equivalent to probe() followed by setDirtyAt() on a hit.
+     * Probe-and-mark-dirty (writeback absorption): probe() followed
+     * by setDirtyAt() on a hit.
      * @return True iff the line was present.
      */
     bool
-    markDirtyIfPresent(Addr line_addr)
+    markDirtyIfPresent(Addr line_addr) const
     {
-        const std::uint64_t set = line_addr & setMask_;
-        const std::uint64_t base = set * assoc_;
-        std::uint64_t m = validBits_[set];
-        while (m != 0) {
-            const std::uint64_t bit = m & (~m + 1);
-            const auto way =
-                static_cast<std::uint32_t>(std::countr_zero(m));
-            if (tags_[base + way] == line_addr) {
-                dirtyBits_[set] |= bit;
-                return true;
-            }
-            m &= m - 1;
-        }
-        return false;
+        const std::uint32_t way = probe(line_addr);
+        if (way == assoc())
+            return false;
+        setDirtyAt(setIndex(line_addr), way);
+        return true;
     }
 
     /**
@@ -177,9 +277,10 @@ class CacheSlice
     std::uint32_t
     firstInvalidWay(std::uint64_t set) const
     {
-        const std::uint64_t inv = ~validBits_[set] & waysMask_;
+        const std::uint64_t inv =
+            ~store_->validBits_[row(set)] & store_->waysMask_;
         if (inv == 0)
-            return assoc_;
+            return store_->assoc_;
         return static_cast<std::uint32_t>(std::countr_zero(inv));
     }
 
@@ -188,12 +289,13 @@ class CacheSlice
      * PLRU tree.
      */
     void
-    touch(std::uint64_t set, std::uint32_t way, std::uint64_t stamp)
+    touch(std::uint64_t set, std::uint32_t way,
+          std::uint64_t stamp) const
     {
-        stamps_[set * assoc_ + way] = stamp;
-        reusedBits_[set] |= std::uint64_t{1} << way;
-        if (policy_ == ReplPolicy::TreePLRU)
-            plru_.tree(set).touch(way);
+        store_->stamps_[index(set, way)] = stamp;
+        store_->reusedBits_[row(set)] |= std::uint64_t{1} << way;
+        if (store_->policy_ == ReplPolicy::TreePLRU)
+            store_->plru_[id_].tree(set).touch(way);
     }
 
     /**
@@ -203,18 +305,18 @@ class CacheSlice
     std::uint32_t
     victimWay(std::uint64_t set) const
     {
-        const std::uint64_t inv = ~validBits_[set] & waysMask_;
-        if (inv != 0)
-            return static_cast<std::uint32_t>(std::countr_zero(inv));
-        if (policy_ == ReplPolicy::TreePLRU)
-            return plru_.tree(set).victim();
+        const std::uint32_t inv = firstInvalidWay(set);
+        if (inv != store_->assoc_)
+            return inv;
+        if (store_->policy_ == ReplPolicy::TreePLRU)
+            return store_->plru_[id_].tree(set).victim();
 
-        const std::uint64_t base = set * assoc_;
+        const std::uint64_t *stamps = &store_->stamps_[index(set, 0)];
         std::uint32_t victim = 0;
-        std::uint64_t oldest = stamps_[base];
-        for (std::uint32_t way = 1; way < assoc_; ++way) {
-            if (stamps_[base + way] < oldest) {
-                oldest = stamps_[base + way];
+        std::uint64_t oldest = stamps[0];
+        for (std::uint32_t way = 1; way < store_->assoc_; ++way) {
+            if (stamps[way] < oldest) {
+                oldest = stamps[way];
                 victim = way;
             }
         }
@@ -227,27 +329,26 @@ class CacheSlice
      */
     Eviction
     fill(std::uint64_t set, std::uint32_t way, Addr line_addr,
-         bool dirty, std::uint64_t stamp)
+         bool dirty, std::uint64_t stamp) const
     {
-        const std::uint64_t idx = set * assoc_ + way;
+        Store &s = *store_;
+        const std::size_t idx = index(set, way);
+        const std::size_t r = row(set);
         const std::uint64_t bit = std::uint64_t{1} << way;
         Eviction evicted;
-        if (validBits_[set] & bit) {
-            evicted.valid = true;
-            evicted.lineAddr = tags_[idx];
-            evicted.dirty = (dirtyBits_[set] & bit) != 0;
-            evicted.reused = (reusedBits_[set] & bit) != 0;
-        }
-        tags_[idx] = line_addr;
-        stamps_[idx] = stamp;
-        validBits_[set] |= bit;
+        if (s.validBits_[r] & bit)
+            evicted = record(set, way);
+        s.tags_[idx] = line_addr;
+        s.fingerprints_[idx] = SliceStore::fingerprint(line_addr);
+        s.stamps_[idx] = stamp;
+        s.validBits_[r] |= bit;
         if (dirty)
-            dirtyBits_[set] |= bit;
+            s.dirtyBits_[r] |= bit;
         else
-            dirtyBits_[set] &= ~bit;
-        reusedBits_[set] &= ~bit;
-        if (policy_ == ReplPolicy::TreePLRU)
-            plru_.tree(set).touch(way);
+            s.dirtyBits_[r] &= ~bit;
+        s.reusedBits_[r] &= ~bit;
+        if (s.policy_ == ReplPolicy::TreePLRU)
+            s.plru_[id_].tree(set).touch(way);
         return evicted;
     }
 
@@ -260,91 +361,99 @@ class CacheSlice
      * reused bit stay.
      */
     Eviction
-    invalidateAt(std::uint64_t set, std::uint32_t way)
+    invalidateAt(std::uint64_t set, std::uint32_t way) const
     {
         const std::uint64_t bit = std::uint64_t{1} << way;
-        MC_ASSERT(validBits_[set] & bit);
-        Eviction evicted;
-        evicted.valid = true;
-        evicted.lineAddr = tags_[set * assoc_ + way];
-        evicted.dirty = (dirtyBits_[set] & bit) != 0;
-        evicted.reused = (reusedBits_[set] & bit) != 0;
-        validBits_[set] &= ~bit;
-        dirtyBits_[set] &= ~bit;
+        const std::size_t r = row(set);
+        MC_ASSERT(store_->validBits_[r] & bit);
+        const Eviction evicted = record(set, way);
+        store_->validBits_[r] &= ~bit;
+        store_->dirtyBits_[r] &= ~bit;
         return evicted;
     }
 
     /**
      * Invalidate a line if present. Only the valid and dirty bits
      * clear; the stored address, stamp, and reused bit stay (the
-     * record layout behaved the same way, and the checkpoint
-     * encoding serializes them regardless of validity).
+     * checkpoint encoding serializes them regardless of validity).
      * @return The eviction record (valid=false if it wasn't here).
      */
     Eviction
-    invalidate(Addr line_addr)
+    invalidate(Addr line_addr) const
     {
+        const std::uint32_t way = probe(line_addr);
+        if (way == assoc())
+            return {};
+        return invalidateAt(setIndex(line_addr), way);
+    }
+
+    /** Number of valid lines currently resident. */
+    std::uint64_t
+    validLineCount() const
+    {
+        std::uint64_t count = 0;
+        for (std::uint64_t set = 0; set < store_->numSets_; ++set)
+            count += static_cast<std::uint64_t>(
+                std::popcount(store_->validBits_[row(set)]));
+        return count;
+    }
+
+  private:
+    /** Index of this slice's flag words for `set`. */
+    std::size_t
+    row(std::uint64_t set) const
+    {
+        return set * store_->numSlices_ + id_;
+    }
+
+    /** Index of (set, way) in the per-way arrays. */
+    std::size_t
+    index(std::uint64_t set, std::uint32_t way) const
+    {
+        return row(set) * store_->assoc_ + way;
+    }
+
+    /** The eviction record of a valid (set, way). */
+    Eviction
+    record(std::uint64_t set, std::uint32_t way) const
+    {
+        const std::uint64_t bit = std::uint64_t{1} << way;
         Eviction evicted;
-        const auto way = probe(line_addr);
-        if (!way)
-            return evicted;
-        const std::uint64_t set = line_addr & setMask_;
-        const std::uint64_t bit = std::uint64_t{1} << *way;
         evicted.valid = true;
-        evicted.lineAddr = tags_[set * assoc_ + *way];
-        evicted.dirty = (dirtyBits_[set] & bit) != 0;
-        evicted.reused = (reusedBits_[set] & bit) != 0;
-        validBits_[set] &= ~bit;
-        dirtyBits_[set] &= ~bit;
+        evicted.lineAddr = store_->tags_[index(set, way)];
+        evicted.dirty = (store_->dirtyBits_[row(set)] & bit) != 0;
+        evicted.reused = (store_->reusedBits_[row(set)] & bit) != 0;
         return evicted;
     }
 
-    /** Invalidate every line in the slice. */
-    void invalidateAll();
-
-    /** Number of valid lines currently resident. */
-    std::uint64_t validLineCount() const;
-
-    /** Set index this slice uses for a line address. */
-    std::uint64_t
-    setIndex(Addr line_addr) const
+    /**
+     * Bit k set iff byte k of `x` is zero. Exact: adding 0x7f to
+     * each byte's low seven bits cannot carry into the next byte.
+     */
+    static std::uint64_t
+    equalBytes(std::uint64_t x)
     {
-        return line_addr & setMask_;
+        constexpr std::uint64_t low7 = 0x7f7f7f7f7f7f7f7fULL;
+        const std::uint64_t zero = ~(((x & low7) + low7) | x | low7);
+        // Gather the eight high bits (bit 8k+7 -> bit 56+k).
+        return ((zero >> 7) * 0x0102040810204080ULL) >> 56;
     }
 
-    /**
-     * Serialize all line + replacement state. The byte stream is
-     * the original record-per-line encoding: a line count, then
-     * (u64 lineAddr, u8 flags, u64 stamp) per way in set-major
-     * order, then the PLRU trees.
-     */
-    void saveState(CkptWriter &w) const;
-    void loadState(CkptReader &r);
-
-  private:
-    SliceId id_;         // ckpt: derived(CacheSlice)
-    CacheGeometry geom_; // ckpt: derived(CacheSlice)
-    ReplPolicy policy_;  // ckpt: derived(CacheSlice)
-    /** Cached geometry: ways per set. */
-    std::uint32_t assoc_;
-    /** Cached geometry: set count (power of two). */
-    std::uint64_t numSets_;
-    /** numSets_ - 1 (set-index mask; replaces the modulo). */
-    std::uint64_t setMask_; // ckpt: derived(CacheSlice)
-    /** Low `assoc_` bits set (valid-word scan mask). */
-    std::uint64_t waysMask_; // ckpt: derived(CacheSlice)
-    /** Stored block numbers, indexed set * assoc + way. */
-    std::vector<Addr> tags_;
-    /** Recency stamps, indexed set * assoc + way. */
-    std::vector<std::uint64_t> stamps_;
-    /** One valid bit per way, one word per set. */
-    std::vector<std::uint64_t> validBits_;
-    /** One dirty bit per way, one word per set. */
-    std::vector<std::uint64_t> dirtyBits_;
-    /** One reused bit per way, one word per set. */
-    std::vector<std::uint64_t> reusedBits_;
-    PlruState plru_;
+    Store *store_;
+    SliceId id_;
 };
+
+inline CacheSlice
+SliceStore::slice(SliceId id)
+{
+    return {*this, id};
+}
+
+inline ConstCacheSlice
+SliceStore::slice(SliceId id) const
+{
+    return {*this, id};
+}
 
 } // namespace morphcache
 

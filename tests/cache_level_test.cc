@@ -129,16 +129,16 @@ TEST(CacheLevel, LazyInvalidationDropsDuplicates)
     // Same line in both slices while private (e.g. shared data).
     level.insert(0, 0x80, false);
     level.insert(1, 0x80, false);
-    EXPECT_TRUE(level.slice(0).probe(0x80).has_value());
-    EXPECT_TRUE(level.slice(1).probe(0x80).has_value());
+    EXPECT_TRUE(level.slice(0).contains(0x80));
+    EXPECT_TRUE(level.slice(1).contains(0x80));
 
     // Merge, then touch the line: exactly one copy must survive.
     level.configure({{0, 1}});
     const auto out = level.lookup(0, 0x80, 0);
     EXPECT_TRUE(out.hit);
     EXPECT_EQ(level.stats().lazyInvalidations, 1u);
-    const int copies = level.slice(0).probe(0x80).has_value() +
-                       level.slice(1).probe(0x80).has_value();
+    const int copies = level.slice(0).contains(0x80) +
+                       level.slice(1).contains(0x80);
     EXPECT_EQ(copies, 1);
 }
 
@@ -290,9 +290,9 @@ TEST(CacheLevelPolicy, PromoteByOneSwapsNeighbors)
     for (std::uint64_t k = 0; k < 4; ++k)
         level.insert(0, lineInSet(set, k), false);
     // Line k=0 is LRU. Promote it once: now k=1 is LRU.
-    const auto way = level.slice(0).probe(lineInSet(set, 0));
-    ASSERT_TRUE(way.has_value());
-    level.promoteByOne(0, set, *way);
+    const std::uint32_t way = level.slice(0).probe(lineInSet(set, 0));
+    ASSERT_NE(way, level.slice(0).assoc());
+    level.promoteByOne(0, set, way);
     level.insert(0, lineInSet(set, 9), false);
     EXPECT_TRUE(level.presentInGroup(0, lineInSet(set, 0)));
     EXPECT_FALSE(level.presentInGroup(0, lineInSet(set, 1)));
@@ -304,8 +304,8 @@ TEST(CacheLevelPolicy, InsertIntoSliceStaysInSlice)
     level.configure({{0, 1}});
     const auto out = level.insertIntoSlice(0, 1, 0x123, false);
     EXPECT_EQ(out.slice, 1);
-    EXPECT_TRUE(level.slice(1).probe(0x123).has_value());
-    EXPECT_FALSE(level.slice(0).probe(0x123).has_value());
+    EXPECT_TRUE(level.slice(1).contains(0x123));
+    EXPECT_FALSE(level.slice(0).contains(0x123));
 }
 
 } // namespace

@@ -44,8 +44,8 @@ TEST(HierarchyEdge, WriteAfterRemoteDirtyCopy)
     EXPECT_NE(result.servedBy, ServedBy::L1);
     // Core 0's copies must be gone; core 1 owns the line dirty.
     EXPECT_FALSE(h.l2().presentInGroup(0, 0x500));
-    EXPECT_FALSE(h.l1(0).probe(0x500).has_value());
-    EXPECT_TRUE(h.l1(1).probe(0x500).has_value());
+    EXPECT_FALSE(h.l1(0).contains(0x500));
+    EXPECT_TRUE(h.l1(1).contains(0x500));
 }
 
 TEST(HierarchyEdge, PingPongWritesStayCorrect)
@@ -56,10 +56,10 @@ TEST(HierarchyEdge, PingPongWritesStayCorrect)
         h.access(write(1, 0x700), round * 10 + 5);
     }
     // Exactly one L1 holds the line at the end (the last writer).
-    const int copies = (h.l1(0).probe(0x700).has_value() ? 1 : 0) +
-                       (h.l1(1).probe(0x700).has_value() ? 1 : 0);
+    const int copies = (h.l1(0).contains(0x700) ? 1 : 0) +
+                       (h.l1(1).contains(0x700) ? 1 : 0);
     EXPECT_EQ(copies, 1);
-    EXPECT_TRUE(h.l1(1).probe(0x700).has_value());
+    EXPECT_TRUE(h.l1(1).contains(0x700));
 }
 
 TEST(HierarchyEdge, L3DirtyEvictionCountsWriteback)

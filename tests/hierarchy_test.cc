@@ -90,7 +90,7 @@ TEST(Hierarchy, L3EvictionBackInvalidatesL2AndL1)
     const Addr victim = 7 + l3_sets;
     EXPECT_FALSE(h.l3().presentInGroup(0, victim));
     EXPECT_FALSE(h.l2().presentInGroup(0, victim));
-    EXPECT_FALSE(h.l1(0).probe(victim).has_value());
+    EXPECT_FALSE(h.l1(0).contains(victim));
     // Re-access misses to memory (inclusion was enforced).
     const auto result = h.access(read(0, victim), 0);
     EXPECT_EQ(result.servedBy, ServedBy::Memory);
@@ -201,7 +201,7 @@ TEST(HierarchyCoherence, WriteInvalidatesOtherCores)
 
     h.access(write(0, 0x3000), 0);
     EXPECT_FALSE(h.l2().presentInGroup(1, 0x3000));
-    EXPECT_FALSE(h.l1(1).probe(0x3000).has_value());
+    EXPECT_FALSE(h.l1(1).contains(0x3000));
     EXPECT_TRUE(h.l2().presentInGroup(0, 0x3000));
 }
 

@@ -81,27 +81,28 @@ TEST(PlruTree, TwoWayAlternates)
 
 TEST(Slice, ProbeMissOnEmpty)
 {
-    CacheSlice slice(0, l2Geom());
-    EXPECT_FALSE(slice.probe(0x1000).has_value());
+    SliceStore store(1, l2Geom());
+    const CacheSlice slice = store.slice(0);
+    EXPECT_EQ(slice.probe(0x1000), slice.assoc());
     EXPECT_EQ(slice.validLineCount(), 0u);
 }
 
 TEST(Slice, FillThenHit)
 {
-    CacheSlice slice(0, l2Geom());
+    SliceStore store(1, l2Geom());
+    const CacheSlice slice = store.slice(0);
     const Addr line = 0xabcd;
     const std::uint64_t set = slice.setIndex(line);
     const Eviction ev = slice.fill(set, 0, line, false, 1);
     EXPECT_FALSE(ev.valid);
-    const auto way = slice.probe(line);
-    ASSERT_TRUE(way.has_value());
-    EXPECT_EQ(*way, 0u);
+    EXPECT_EQ(slice.probe(line), 0u);
     EXPECT_EQ(slice.validLineCount(), 1u);
 }
 
 TEST(Slice, LruEvictsOldest)
 {
-    CacheSlice slice(0, l2Geom());
+    SliceStore store(1, l2Geom());
+    const CacheSlice slice = store.slice(0);
     const std::uint64_t set = 7;
     const std::uint64_t sets = l2Geom().numSets();
     // Fill all 8 ways of one set with increasing stamps.
@@ -117,7 +118,8 @@ TEST(Slice, LruEvictsOldest)
 
 TEST(Slice, FillReturnsEvictionWithDirtyFlag)
 {
-    CacheSlice slice(0, l2Geom());
+    SliceStore store(1, l2Geom());
+    const CacheSlice slice = store.slice(0);
     const std::uint64_t set = 0;
     const std::uint64_t sets = l2Geom().numSets();
     for (std::uint32_t i = 0; i < 8; ++i)
@@ -131,30 +133,22 @@ TEST(Slice, FillReturnsEvictionWithDirtyFlag)
 
 TEST(Slice, InvalidateRemovesLine)
 {
-    CacheSlice slice(0, l2Geom());
+    SliceStore store(1, l2Geom());
+    const CacheSlice slice = store.slice(0);
     const Addr line = 0x77;
     slice.fill(slice.setIndex(line), 2, line, true, 1);
     const Eviction ev = slice.invalidate(line);
     EXPECT_TRUE(ev.valid);
     EXPECT_TRUE(ev.dirty);
-    EXPECT_FALSE(slice.probe(line).has_value());
+    EXPECT_FALSE(slice.contains(line));
     // Second invalidate is a no-op.
     EXPECT_FALSE(slice.invalidate(line).valid);
 }
 
-TEST(Slice, InvalidateAll)
-{
-    CacheSlice slice(0, l2Geom());
-    for (Addr line = 0; line < 64; ++line)
-        slice.fill(slice.setIndex(line), 0, line, false, line + 1);
-    EXPECT_GT(slice.validLineCount(), 0u);
-    slice.invalidateAll();
-    EXPECT_EQ(slice.validLineCount(), 0u);
-}
-
 TEST(Slice, VictimPrefersInvalidWays)
 {
-    CacheSlice slice(0, l2Geom());
+    SliceStore store(1, l2Geom());
+    const CacheSlice slice = store.slice(0);
     slice.fill(0, 0, 0, false, 100);
     slice.fill(0, 1, l2Geom().numSets(), false, 1);
     // Ways 2.. are invalid; victim must be one of them, not the
@@ -164,7 +158,8 @@ TEST(Slice, VictimPrefersInvalidWays)
 
 TEST(Slice, PlruPolicyVictims)
 {
-    CacheSlice slice(0, l2Geom(), ReplPolicy::TreePLRU);
+    SliceStore store(1, l2Geom(), ReplPolicy::TreePLRU);
+    const CacheSlice slice = store.slice(0);
     const std::uint64_t sets = l2Geom().numSets();
     for (std::uint32_t i = 0; i < 8; ++i)
         slice.fill(0, i, sets * (i + 1), false, 1);
@@ -185,7 +180,8 @@ TEST_P(SliceFillSweep, CapacityNeverExceeded)
     const std::uint32_t assoc = GetParam();
     const CacheGeometry geom{64 * 1024, assoc, 64};
     ASSERT_TRUE(geom.valid());
-    CacheSlice slice(0, geom);
+    SliceStore store(1, geom);
+    const CacheSlice slice = store.slice(0);
     for (Addr line = 0; line < 4 * geom.numLines(); ++line) {
         const std::uint64_t set = geom.setIndex(line);
         slice.fill(set, slice.victimWay(set), line, false, line + 1);

@@ -51,7 +51,7 @@ checkInclusion(Hierarchy &h)
         const auto &backing = h.topology().l3[l3_group[s]];
         for (std::uint64_t set = 0; set < geom.numSets(); ++set) {
             for (std::uint32_t way = 0; way < geom.assoc; ++way) {
-                const CacheSlice &slice =
+                const CacheSlice slice =
                     h.l2().slice(static_cast<SliceId>(s));
                 if (!slice.validAt(set, way))
                     continue;
