@@ -119,25 +119,30 @@ fsyncCount()
 }
 
 void
+retryTransientIo(const std::string &key,
+                 const std::function<void()> &attempt)
+{
+    const std::uint64_t id = fnv1a64(key.data(), key.size());
+    for (std::uint64_t n = 1;; ++n) {
+        try {
+            attempt();
+            return;
+        } catch (const IoError &err) {
+            if (!err.transient() || n >= kIoAttempts)
+                throw;
+            vfs().sleepMs(retryDelayMs(id, 0, n));
+        }
+    }
+}
+
+void
 atomicWriteFile(const std::string &path, const void *data,
                 std::size_t size)
 {
-    // Bounded transient retry with the campaign backoff schedule,
-    // keyed by path so concurrent writers jitter apart. Each
-    // attempt uses a fresh scratch file: whatever a failed attempt
-    // left behind is unlinked and never renamed, so the destination
-    // is only ever complete-old or complete-new bytes.
-    const std::uint64_t id = fnv1a64(path.data(), path.size());
-    for (std::uint64_t attempt = 1;; ++attempt) {
-        try {
-            atomicWriteOnce(path, data, size);
-            return;
-        } catch (const IoError &err) {
-            if (!err.transient() || attempt >= kIoAttempts)
-                throw;
-            vfs().sleepMs(retryDelayMs(id, 0, attempt));
-        }
-    }
+    // Each attempt uses a fresh scratch file: whatever a failed
+    // attempt left behind is unlinked and never renamed, so the
+    // destination is only ever complete-old or complete-new bytes.
+    retryTransientIo(path, [&] { atomicWriteOnce(path, data, size); });
 }
 
 void

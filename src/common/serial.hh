@@ -21,9 +21,9 @@
  * reaches each syscall; transient faults (EINTR/EAGAIN/ESTALE/...)
  * are retried a bounded number of times with seeded-jitter backoff,
  * persistent ones (ENOSPC/EIO/...) surface as a typed IoError.
- * mc_lint's `atomic-write` rule enforces that src/ file writes go
- * through it (or a sanctioned streaming sink). Setting MC_NO_FSYNC
- * in the environment skips the fsyncs (test-suite escape hatch).
+ * mc_analyze's `write-path` check keeps src/ and tools/ file writes
+ * on the Vfs seam it is built on. Setting MC_NO_FSYNC in the
+ * environment skips the fsyncs (test-suite escape hatch).
  */
 
 #ifndef MORPHCACHE_COMMON_SERIAL_HH
@@ -32,6 +32,7 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -326,6 +327,16 @@ class CkptReader
     std::size_t size_;
     std::size_t offset_ = 0;
 };
+
+/**
+ * Run `attempt`, retrying it while it throws a transient IoError
+ * (EINTR/EAGAIN/ESTALE/...): a bounded number of attempts with
+ * seeded-jitter backoff (retryDelayMs, keyed by `key` so concurrent
+ * callers jitter apart). A persistent IoError, or the last transient
+ * one, propagates. `attempt` must be safe to repeat.
+ */
+void retryTransientIo(const std::string &key,
+                      const std::function<void()> &attempt);
 
 /**
  * Durably write `size` bytes to `path` via write-then-rename: the

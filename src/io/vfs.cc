@@ -56,8 +56,8 @@ fsyncCounter()
 
 /**
  * The production filesystem: thin per-op syscall wrappers, the one
- * translation unit in src/ that names the raw primitives (mc_lint
- * `vfs-io`). Every method normalizes failure to -errno so callers
+ * translation unit that names the raw primitives (mc_analyze
+ * `write-path`). Every method normalizes failure to -errno so callers
  * never read the thread-local errno across a virtual boundary.
  */
 class RealVfs final : public Vfs

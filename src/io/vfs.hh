@@ -7,8 +7,9 @@
  * link/rename protocol, the stats/trace sinks — routes through the
  * process-wide Vfs instance instead of calling POSIX directly. In
  * production that instance is RealVfs (the only translation unit in
- * src/ allowed to name open/write/fsync/rename/link — enforced by
- * mc_lint's `vfs-io` rule); under test it is FaultyVfs
+ * src/ or tools/ allowed to name open/write/fsync/rename/link —
+ * enforced by mc_analyze's `write-path` check); under test it is
+ * FaultyVfs
  * (faulty_vfs.hh), which injects ENOSPC/EIO/short-write/fsync-fail/
  * ESTALE faults and crash points from a splitMix64-seeded schedule,
  * so the whole failure space of a shared filesystem is enumerable

@@ -12,9 +12,10 @@ namespace morphcache {
 namespace {
 
 // Process-wide tallies. Relaxed atomics: monotonic counters read
-// only at snapshot time, never ordering anything (sanctioned in
-// mc_lint's globals allowlist alongside the logging registry —
-// telemetry only, never feeding simulated values).
+// only at snapshot time, never ordering anything (allowlisted
+// `globals` entries in tools/mc_analyze_allow.txt, alongside the
+// logging registry — telemetry only, never feeding simulated
+// values).
 std::atomic<bool> meterEnabled{false};
 std::atomic<std::uint64_t> meterBytes{0};
 std::atomic<std::uint64_t> meterCalls{0};

@@ -6,10 +6,10 @@
  * but telemetry legitimately does: the phase profiler, lease
  * deadlines and manifest event timestamps all measure or stamp
  * wall-clock time. Those reads are funnelled through this one
- * translation unit so mc_lint's `wall-clock` rule can forbid raw
- * clock primitives everywhere else in src/, tools/,
- * and bench/ — a new clock read is a deliberate, reviewed addition
- * to the allowlist, not an accident that quietly couples output
+ * translation unit so mc_analyze's `wall-clock` check can forbid
+ * raw clock primitives everywhere else in src/, tools/, and bench/
+ * — a new clock read is a deliberate, reviewed addition to the
+ * allowlist, not an accident that quietly couples output
  * bytes to the scheduler.
  */
 

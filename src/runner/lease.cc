@@ -23,7 +23,7 @@ leaseNow()
     // Deadlines are compared by *other processes*, so this must be
     // the shared wall clock, not the per-process steady clock. It
     // gates only whether a claim is stale — never anything
-    // simulated (mc_lint determinism allow-list entry).
+    // simulated (a `wall-clock` entry in mc_analyze's allowlist).
     const auto now = std::chrono::system_clock::now();
     return std::chrono::duration<double>(now.time_since_epoch())
         .count();

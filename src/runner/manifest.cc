@@ -729,10 +729,15 @@ initManifestWithPlan(const std::string &path,
     const std::vector<CampaignCell> cellList = plan.cells();
     if (cellList.empty())
         throw ConfigError("campaign plan generates no cells");
+    // Transient errnos (ESTALE on NFS) retry like atomicWriteFile's;
+    // a repeat after a success that reported failure sees the benign
+    // EEXIST/ENOENT.
     const std::string dir = campaignStateDir(path);
-    const int mk_rc = vfs().mkdirPath(dir);
-    if (mk_rc < 0 && mk_rc != -EEXIST)
-        throwIo(VfsOp::Mkdir, dir, mk_rc);
+    retryTransientIo(dir, [&] {
+        const int mk_rc = vfs().mkdirPath(dir);
+        if (mk_rc < 0 && mk_rc != -EEXIST)
+            throwIo(VfsOp::Mkdir, dir, mk_rc);
+    });
 
     std::string doc = manifestHeaderLine(
         cellList.size(), campaignHash(cellList), unixNowSec());
@@ -743,10 +748,11 @@ initManifestWithPlan(const std::string &path,
         // Clear any stale state a previous campaign under the same
         // manifest path left behind, so cells never restore from
         // another campaign's checkpoints, results, or leases. ENOENT
-        // is the common case (nothing there); any other failure
-        // means the stale file survived — workers would skip a cell
-        // whose old result exists and merge would render it — so
-        // it is a typed error before the manifest is written.
+        // is the common case (nothing there); a failure that
+        // outlasts the retry means the stale file survived — workers
+        // would skip a cell whose old result exists and merge would
+        // render it — so it is a typed error before the manifest is
+        // written.
         const std::string stale[] = {
             cellCkptPath(dir, i),
             cellCkptPath(dir, i) + ".prev",
@@ -754,9 +760,11 @@ initManifestWithPlan(const std::string &path,
             cellLeasePath(dir, i),
         };
         for (const std::string &file : stale) {
-            const int rm_rc = vfs().unlinkPath(file);
-            if (rm_rc < 0 && rm_rc != -ENOENT)
-                throwIo(VfsOp::Unlink, file, rm_rc);
+            retryTransientIo(file, [&] {
+                const int rm_rc = vfs().unlinkPath(file);
+                if (rm_rc < 0 && rm_rc != -ENOENT)
+                    throwIo(VfsOp::Unlink, file, rm_rc);
+            });
         }
     }
     atomicWriteFile(path, doc.data(), doc.size());

@@ -24,9 +24,9 @@
  * with per-cell checkpoint chains (`cellNNNN.ckpt[.prev]`), atomic
  * result files (`cellNNNN.result.json`), and worker lease files
  * (`cellNNNN.lease`, see lease.hh). All writes under it go through
- * atomicWriteFile or the lease API (enforced by mc_lint's
- * `manifest-write` rule); the manifest itself is the one sanctioned
- * append-only writer, fsync-backed per event.
+ * atomicWriteFile or the lease API (raw rename/link outside the Vfs
+ * seam fails mc_analyze's `write-path` check); the manifest itself
+ * is the one sanctioned append-only writer, fsync-backed per event.
  */
 
 #ifndef MORPHCACHE_RUNNER_MANIFEST_HH

@@ -1,9 +1,8 @@
 // mc_analyze clean fixture: the same shapes as wrap_bug.cc, each
-// routed through the sanctioned pattern. Must produce no findings.
+// routed through the sanctioned pattern (satSub/satDec from
+// src/common/bitops.hh). Must produce no findings.
 
 #include <cstdint>
-
-#include "common/bitops.hh"
 
 namespace fixture {
 

@@ -62,16 +62,29 @@ runAnalyze(const std::string &args)
     return r;
 }
 
-/** Fixture-mode run against one file under tests/analyze_fixtures,
- *  with the repo allowlist replaced by `allowlist` (empty = none;
- *  the real tree's entries must not leak into fixture runs). */
+/** Fixture-mode run against files under tests/analyze_fixtures
+ *  (space-separated names), with the repo allowlist replaced by
+ *  `allowlist` (empty = none; the real tree's entries must not leak
+ *  into fixture runs). Fixture mode checks each fixture as if its
+ *  directory were src/. */
 RunResult
-runFixture(const std::string &name, const std::string &allowlist)
+runFixture(const std::string &names, const std::string &allowlist)
 {
+    std::string paths;
+    std::istringstream in(names);
+    for (std::string name; in >> name;)
+        paths += " tests/analyze_fixtures/" + name;
     return runAnalyze("--repo-root " MC_SOURCE_DIR
                       " --fixture-mode --cache-dir '' --allowlist '" +
                       (allowlist.empty() ? "/dev/null" : allowlist) +
-                      "' tests/analyze_fixtures/" + name);
+                      "'" + paths);
+}
+
+/** Whether `output` reports `site` (its allowlist key suffix). */
+bool
+reportsSite(const std::string &output, const std::string &site)
+{
+    return output.find("(site: " + site + ")") != std::string::npos;
 }
 
 std::string
@@ -168,6 +181,102 @@ TEST(Analyze, ConcurrencyFixtures)
 
     const RunResult clean = runFixture("conc_clean.cc", "");
     EXPECT_EQ(clean.exit, 0) << clean.output;
+}
+
+TEST(Analyze, WritePathFixtures)
+{
+    if (!havePython())
+        GTEST_SKIP() << "python3 not available";
+    const RunResult bug = runFixture("write_bug.cc", "");
+    EXPECT_EQ(bug.exit, 1) << bug.output;
+    // Write-mode fopen, raw write/publish/flush/mkdir syscalls, and
+    // an ofstream: every way around the Vfs seam.
+    for (const char *site :
+         {"dumpStats:fopen", "dumpStats:fwrite", "publish:open",
+          "publish:fsync", "publish:rename", "publish:unlink",
+          "prepare:mkdir", "prepare:std::ofstream"})
+        EXPECT_TRUE(reportsSite(bug.output, site))
+            << site << "\n" << bug.output;
+
+    // Read-mode fopen, ifstream, seam calls with a receiver, and a
+    // member helper named write() stay silent.
+    const RunResult clean = runFixture("write_clean.cc", "");
+    EXPECT_EQ(clean.exit, 0) << clean.output;
+}
+
+TEST(Analyze, GlobalsFixtures)
+{
+    if (!havePython())
+        GTEST_SKIP() << "python3 not available";
+    const RunResult bug = runFixture("glob_bug.cc", "");
+    EXPECT_EQ(bug.exit, 1) << bug.output;
+    for (const char *name :
+         {"cellsRun", "lastSeeds", "epochCursor", "scratchCycle"})
+        EXPECT_TRUE(reportsSite(bug.output, name))
+            << name << "\n" << bug.output;
+
+    const RunResult clean = runFixture("glob_clean.cc", "");
+    EXPECT_EQ(clean.exit, 0) << clean.output;
+}
+
+TEST(Analyze, IncludesFixtures)
+{
+    if (!havePython())
+        GTEST_SKIP() << "python3 not available";
+    // Checked as if tests/analyze_fixtures were src/.
+    const RunResult bug = runFixture("inc_bug.cc inc_bug.hh", "");
+    EXPECT_EQ(bug.exit, 1) << bug.output;
+    EXPECT_TRUE(reportsSite(bug.output, "bits/stdc++.h"))
+        << bug.output;
+    EXPECT_TRUE(reportsSite(bug.output, "unresolved:common/missing.hh"));
+    EXPECT_TRUE(reportsSite(bug.output, "own-header-first"));
+    EXPECT_NE(bug.output.find("'MORPHCACHE_INC_BUG_HH'"),
+              std::string::npos);
+
+    const RunResult clean = runFixture("inc_clean.cc inc_clean.hh", "");
+    EXPECT_EQ(clean.exit, 0) << clean.output;
+}
+
+TEST(Analyze, CallsOutsideFunctionBodiesAreSeen)
+{
+    if (!havePython())
+        GTEST_SKIP() << "python3 not available";
+    // A namespace-scope initializer, a namespace-scope lambda, a
+    // default member initializer, an in-class static initializer, a
+    // default argument, and a constructor initializer list.
+    const RunResult bug = runFixture("gap_bug.cc", "");
+    EXPECT_EQ(bug.exit, 1) << bug.output;
+    for (const char *at :
+         {"gap_bug.cc:13: [determinism]", "gap_bug.cc:17: [wall-clock]",
+          "gap_bug.cc:23: [determinism]", "gap_bug.cc:26: [determinism]",
+          "gap_bug.cc:29: [determinism]", "gap_bug.cc:32: [determinism]"})
+        EXPECT_NE(bug.output.find(at), std::string::npos)
+            << at << "\n" << bug.output;
+
+    // The same shapes fed from seeds, and accessor declarations
+    // named time()/clock().
+    const RunResult clean = runFixture("gap_clean.cc", "");
+    EXPECT_EQ(clean.exit, 0) << clean.output;
+}
+
+TEST(Analyze, EveryRetiredRegexPatternIsACallSite)
+{
+    if (!havePython())
+        GTEST_SKIP() << "python3 not available";
+    const RunResult bug = runFixture("parity_bug.cc", "");
+    EXPECT_EQ(bug.exit, 1) << bug.output;
+    for (const char *site :
+         {"entropy:srand", "entropy:rand", "entropy:random_device",
+          "entropy:time", "entropy:clock",
+          "clocks:std::chrono::steady_clock::now",
+          "clocks:std::chrono::system_clock::now",
+          "clocks:std::chrono::high_resolution_clock::now",
+          "clocks:gettimeofday", "clocks:clock_gettime",
+          "clocks:timespec_get", "stdoutWriters:cout",
+          "stdoutWriters:printf", "stdoutWriters:fprintf",
+          "stdoutWriters:puts", "stdoutWriters:putchar"})
+        EXPECT_TRUE(reportsSite(bug.output, site))
+            << site << "\n" << bug.output;
 }
 
 TEST(Analyze, AllowlistPermitsAuditedSites)

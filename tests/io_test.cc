@@ -520,6 +520,35 @@ TEST(ManifestIo, InitFailsWhenAStaleResultCannotBeRemoved)
     vfs().unlinkPath(path);
 }
 
+TEST(ManifestIo, InitRetriesATransientStaleResultUnlink)
+{
+    // A transient errno (ESTALE on NFS) on the stale-result unlink
+    // is retried like atomicWriteFile's faults: init succeeds and
+    // the earlier campaign's result is gone.
+    CampaignPlan plan;
+    plan.base.seed = 9;
+    plan.mixLo = plan.mixHi = 1;
+    const std::string path = tmpPath("io_m_reinit_estale.jsonl");
+    initManifestWithPlan(path, plan);
+    const std::string result =
+        cellResultPath(campaignStateDir(path), 0);
+    writeText(result, "{\"stale\":true}\n");
+
+    plan.base.seed = 10;
+    FaultPlan fplan;
+    fplan.faultPermille = 0;
+    FaultyVfs faulty(vfs(), fplan);
+    faulty.failNext(VfsOp::Unlink, ESTALE, "cell0000.result");
+    {
+        ScopedVfs swap(&faulty);
+        initManifestWithPlan(path, plan);
+    }
+    EXPECT_EQ(faulty.armedFaults(), 0u);
+    EXPECT_FALSE(vfs().existsPath(result));
+    EXPECT_EQ(planFromManifest(path).base.seed, 10u);
+    vfs().unlinkPath(path);
+}
+
 // ---------------------------------------------------------------
 // Lease protocol under faults
 // ---------------------------------------------------------------

@@ -27,6 +27,15 @@ $camp work --manifest "$work/ref.jsonl" -j4 $work_args
 $camp merge --manifest "$work/ref.jsonl" \
     --stats-out "$work/ref.stats" > "$work/ref.out"
 
+# A stats file that cannot be written fails the merge and names the
+# path, instead of reporting success over a missing file.
+if $camp merge --manifest "$work/ref.jsonl" --stats-out /dev/full \
+    > /dev/null 2> "$work/full.err"; then
+    echo "merge --stats-out /dev/full exited 0" >&2
+    exit 1
+fi
+grep -q "/dev/full" "$work/full.err"
+
 # Seeded kill point: derive the delay (0.30s..1.29s) from the seed
 # so reruns of the same commit kill at the same wall-clock offset.
 frac=$(awk 'BEGIN { srand(9); printf "%.2f", 0.30 + rand() }')

@@ -1,13 +1,15 @@
 #!/bin/sh
-# Static-analysis CI leg: mc_lint (determinism/convention linter),
-# clang-tidy over the compilation database, cppcheck, and a fast
-# model-check of the reconfiguration engine. Fails on any finding.
+# Static-analysis CI leg: mc_analyze (wrap-safety, checkpoint
+# coverage, determinism, runner concurrency, and the write-path,
+# globals and include conventions), clang-tidy over the compilation
+# database, cppcheck, and a fast model-check of the reconfiguration
+# engine. Fails on any finding.
 #
 # Run from the repo root: tools/ci_static_analysis.sh [build-dir]
 #
 # clang-tidy and cppcheck are skipped with a notice when the binary
 # is not installed (local developer machines); CI installs both, and
-# mc_lint + the model check always run, so the leg never silently
+# mc_analyze + the model check always run, so the leg never silently
 # passes with zero coverage.
 set -eu
 
@@ -15,36 +17,29 @@ builddir="${1:-build-analysis}"
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
 cd "$repo_root"
 
-echo "== mc_analyze: AST-level semantic analyzer =="
+echo "== mc_analyze: whole tree =="
 # Whole-tree run must be clean. The parse cache lives under
 # .cache/mc_analyze (content-hash keyed, safe to persist across CI
-# runs); --write-coverage records which files were resolved at
-# call-expression level so mc_lint can stand down its overlapping
-# regexes for exactly those files.
-coverage="$(mktemp)"
-python3 tools/mc_analyze --write-coverage "$coverage"
+# runs).
+python3 tools/mc_analyze
 
 echo "== mc_analyze: mutation fixtures must be caught =="
-# One seeded-bug fixture per pass. A pass that goes blind makes its
-# fixture exit 0 and fails this leg -- the analyzer is not allowed
-# to silently pass with zero coverage.
-for fix in wrap_bug ckpt_bug det_bug conc_bug; do
-    if python3 tools/mc_analyze --fixture-mode --cache-dir '' \
-        --allowlist /dev/null \
-        "tests/analyze_fixtures/$fix.cc" >/dev/null 2>&1; then
-        echo "FAIL: planted bug fixture '$fix' was not detected" >&2
+# Every seeded-bug fixture must exit 1 and every clean one 0. A check
+# that goes blind makes its bug fixture pass and fails this leg --
+# the analyzer is not allowed to silently pass with zero coverage.
+for fix in tests/analyze_fixtures/*_bug.cc; do
+    status=0
+    python3 tools/mc_analyze --fixture-mode --cache-dir '' \
+        --allowlist /dev/null "$fix" >/dev/null 2>&1 || status=$?
+    if [ "$status" -ne 1 ]; then
+        echo "FAIL: planted bug fixture '$fix' exited $status" >&2
         exit 1
     fi
 done
-for fix in wrap_clean ckpt_clean det_clean conc_clean; do
+for fix in tests/analyze_fixtures/*_clean.cc; do
     python3 tools/mc_analyze --fixture-mode --cache-dir '' \
-        --allowlist /dev/null -q \
-        "tests/analyze_fixtures/$fix.cc"
+        --allowlist /dev/null -q "$fix"
 done
-
-echo "== mc_lint: determinism & convention linter =="
-python3 tools/mc_lint.py --ast-coverage "$coverage"
-rm -f "$coverage"
 
 # The analyzers and the model checker consume a real build:
 # clang-tidy needs compile_commands.json (exported unconditionally

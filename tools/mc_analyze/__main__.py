@@ -3,7 +3,7 @@
     python3 tools/mc_analyze [paths...] [options]
 
 With no paths, analyzes src/, tools/, bench/. Exit codes: 0 clean,
-1 findings, 2 internal error (same contract as mc_lint).
+1 findings, 2 internal error.
 """
 
 from __future__ import annotations
@@ -46,8 +46,8 @@ def collect_files(repo_root: str, paths: list[str]) -> list[str]:
     return out
 
 
-def make_scope(fixture_mode: bool):
-    """(path, kind) -> bool. Which pass applies where:
+class Scope:
+    """scope(path, kind) -> bool: which check applies where.
 
       wrap          src/ tools/ bench/  (everything scanned)
       serialization everything scanned
@@ -55,16 +55,37 @@ def make_scope(fixture_mode: bool):
                     stats-bypass)
       det-all       everything scanned (wall-clock)
       concurrency   src/runner/ only
+      write-path    src/ and tools/
+      globals       src/ only
+      includes      src/ only
+
+    Fixture mode applies every check to every file and checks a
+    fixture as if its directory were src/.
     """
-    def scope(path: str, kind: str) -> bool:
-        if fixture_mode:
-            return True
-        if kind == "det-src":
-            return path.startswith("src/")
-        if kind == "concurrency":
-            return path.startswith("src/runner/")
-        return True
-    return scope
+
+    _ROOTS = {"det-src": ("src/",), "concurrency": ("src/runner/",),
+              "write-path": ("src/", "tools/"), "globals": ("src/",),
+              "includes": ("src/",)}
+
+    def __init__(self, repo_root: str, fixture_mode: bool):
+        self.repo_root = repo_root
+        self.fixture_mode = fixture_mode
+
+    def __call__(self, path: str, kind: str) -> bool:
+        roots = self._ROOTS.get(kind)
+        return self.fixture_mode or roots is None or \
+            path.startswith(roots)
+
+    def src_path(self, path: str) -> str:
+        """`path` relative to its src/ root."""
+        if self.fixture_mode:
+            return os.path.basename(path)
+        return path[len("src/"):]
+
+    def src_root(self, path: str) -> str:
+        return os.path.join(self.repo_root,
+                            os.path.dirname(path)
+                            if self.fixture_mode else "src")
 
 
 def parse_one(repo_root: str, rel: str, frontend: str,
@@ -108,9 +129,6 @@ def main(argv: list[str]) -> int:
     ap.add_argument("--allowlist", default=None,
                     help="allowlist file (default: "
                          "tools/mc_analyze_allow.txt when present)")
-    ap.add_argument("--write-coverage", default=None, metavar="FILE",
-                    help="write the analyzed-file list for "
-                         "mc_lint --ast-coverage delegation")
     ap.add_argument("--fixture-mode", action="store_true",
                     help="apply every pass to every file "
                          "regardless of path (test fixtures)")
@@ -155,7 +173,7 @@ def main(argv: list[str]) -> int:
     models = [parse_one(repo_root, rel, args.frontend, cache,
                         clang, flags) for rel in files]
     index = Index(models)
-    scope = make_scope(args.fixture_mode)
+    scope = Scope(repo_root, args.fixture_mode)
 
     allow_path = args.allowlist
     if allow_path is None:
@@ -177,11 +195,6 @@ def main(argv: list[str]) -> int:
     findings = [f for f in findings if not allow.permits(f)]
     findings.extend(allow.residual_findings())
     findings.sort(key=lambda f: (f.path, f.line, f.check))
-
-    if args.write_coverage:
-        with open(args.write_coverage, "w", encoding="utf-8") as f:
-            for rel in files:
-                f.write(rel + "\n")
 
     for f in findings:
         print(f)

@@ -19,7 +19,8 @@ import os
 
 from model import FileModel
 
-MODEL_VERSION = 1
+#: Bumping this invalidates every cached model.
+MODEL_VERSION = 2
 
 
 class ModelCache:

@@ -2,8 +2,10 @@
 
 Produces a flat token stream (identifiers, numbers, punctuators) with
 line numbers, plus the comment list (for ``// ckpt:`` annotations).
-Preprocessor lines are consumed whole; ``#include`` targets are kept.
-String/char literals collapse to single STR/CHR tokens. Raw strings,
+Preprocessor lines are consumed whole; ``#include`` targets and the
+header-guard ``#ifndef``/``#define`` pair are kept. String/char
+literals collapse to single STR/CHR tokens; a STR token carries the
+literal's contents in ``value`` (fopen modes). Raw strings,
 line continuations, and digit separators are handled. This is a
 lexer, not a preprocessor: macros are not expanded, which is fine for
 the declaration/expression shapes the analyzer extracts (the repo
@@ -32,15 +34,18 @@ _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _NUM_RE = re.compile(r"(?:0[xXbB])?[0-9a-fA-F']*(?:\.[0-9']*)?"
                      r"(?:[eEpP][+-]?[0-9]+)?[uUlLzZfF]*")
 _INCLUDE_RE = re.compile(r'#\s*include\s+(["<])([^">]+)[">]')
+_GUARD_RE = re.compile(r"#\s*(ifndef|define)\s+(\w+)")
 
 
 class Token:
-    __slots__ = ("kind", "text", "line")
+    __slots__ = ("kind", "text", "line", "value")
 
-    def __init__(self, kind: str, text: str, line: int):
+    def __init__(self, kind: str, text: str, line: int,
+                 value: str = ""):
         self.kind = kind
         self.text = text
         self.line = line
+        self.value = value
 
     def __repr__(self) -> str:  # debug aid
         return f"Token({self.kind!r}, {self.text!r}, L{self.line})"
@@ -53,6 +58,9 @@ class LexResult:
         self.comments: list[tuple[int, str]] = []
         #: (line, kind, target) for #include directives.
         self.includes: list[tuple[int, str, str]] = []
+        #: (ifndef name, define name) of the first #ifndef directly
+        #: followed by a #define (the header guard), else None.
+        self.guard: tuple[str, str] | None = None
 
 
 def lex(text: str) -> LexResult:
@@ -63,6 +71,7 @@ def lex(text: str) -> LexResult:
     i, n = 0, len(text)
     line = 1
     at_line_start = True
+    ifndef: str | None = None  # guard candidate awaiting its #define
     while i < n:
         c = text[i]
         if c == "\n":
@@ -104,13 +113,20 @@ def lex(text: str) -> LexResult:
             m = _INCLUDE_RE.match(directive)
             if m:
                 res.includes.append((line, m.group(1), m.group(2)))
+            g = _GUARD_RE.match(directive)
+            if res.guard is None and g and g.group(1) == "define" \
+                    and ifndef is not None:
+                res.guard = (ifndef, g.group(2))
+            ifndef = g.group(2) if g and g.group(1) == "ifndef" \
+                else None
             line += directive.count("\n")
             i = j
             continue
         at_line_start = False
+        ifndef = None
         if c == '"':
             j = _scan_string(text, i)
-            res.tokens.append(Token(STR, "", line))
+            res.tokens.append(Token(STR, "", line, text[i + 1:j - 1]))
             line += text.count("\n", i, j)
             i = j
             continue

@@ -3,8 +3,8 @@
 One ``FileModel`` per source file, produced by either frontend
 (``uparse`` or ``clang``) and serialized to JSON for the cache. The
 model is deliberately a *projection* of the AST: only the facts the
-four passes consume are kept, so both frontends can realistically
-produce identical models and the cache stays small.
+passes consume are kept, so both frontends can realistically produce
+identical models and the cache stays small.
 """
 
 from __future__ import annotations
@@ -155,7 +155,10 @@ class FuncModel:
         #: from a thread entry is shared state.
         self.captures: list[tuple[str, str]] = []
         self.idents: set[str] = set()
-        self.calls: list[tuple[str, int]] = []  # (callee, line)
+        #: (callee, line, arg0, mode): arg0 is the first argument when
+        #: it is a bare identifier (``stdout``), mode the contents of
+        #: a string-literal second argument (fopen's), else None.
+        self.calls: list[tuple] = []
         self.subs: list[SubSite] = []
         self.loops: list[LoopSite] = []
         self.writes: list[WriteSite] = []
@@ -203,6 +206,30 @@ class FuncModel:
         return f
 
 
+class GlobalVar:
+    """A namespace-scope variable definition."""
+
+    def __init__(self, line: int, name: str, type_: str,
+                 const: bool):
+        self.line = line
+        self.name = name
+        self.type = type_
+        #: Declared const/constexpr/constinit (anywhere before the
+        #: initializer).
+        self.const = const
+
+    def to_json(self) -> list[Any]:
+        return [self.line, self.name, self.type, self.const]
+
+    @staticmethod
+    def from_json(v: list[Any]) -> "GlobalVar":
+        return GlobalVar(*v)
+
+
+#: Name of the synthetic scope holding calls outside function bodies.
+FILE_SCOPE = "<file-scope>"
+
+
 class FileModel:
     def __init__(self, path: str, frontend: str):
         self.path = path  # repo-root-relative, forward slashes
@@ -210,6 +237,16 @@ class FileModel:
         self.aliases: dict[str, str] = {}  # using X = Y;
         self.classes: list[ClassModel] = []
         self.functions: list[FuncModel] = []
+        #: Calls outside any function body: namespace-scope and
+        #: in-class initializers, default arguments, constructor
+        #: initializer lists. Not in `functions`: only the
+        #: determinism and structure passes read it.
+        self.file_scope = FuncModel(FILE_SCOPE, None, 0, 0)
+        self.globals: list[GlobalVar] = []
+        #: (line, '"' | '<', target) per #include.
+        self.includes: list[tuple[int, str, str]] = []
+        #: (#ifndef name, #define name) of the header guard, or None.
+        self.guard: tuple[str, str] | None = None
 
     def to_json(self) -> dict[str, Any]:
         return {
@@ -217,6 +254,10 @@ class FileModel:
             "aliases": self.aliases,
             "classes": [c.to_json() for c in self.classes],
             "functions": [f.to_json() for f in self.functions],
+            "fileScope": self.file_scope.to_json(),
+            "globals": [g.to_json() for g in self.globals],
+            "includes": self.includes,
+            "guard": self.guard,
         }
 
     @staticmethod
@@ -226,6 +267,10 @@ class FileModel:
         fm.classes = [ClassModel.from_json(c) for c in d["classes"]]
         fm.functions = [FuncModel.from_json(f)
                         for f in d["functions"]]
+        fm.file_scope = FuncModel.from_json(d["fileScope"])
+        fm.globals = [GlobalVar.from_json(g) for g in d["globals"]]
+        fm.includes = [tuple(i) for i in d["includes"]]
+        fm.guard = tuple(d["guard"]) if d["guard"] else None
         return fm
 
 

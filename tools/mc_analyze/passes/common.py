@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import re
 
-from model import ClassModel, FileModel, FuncModel
+from model import FILE_SCOPE, ClassModel, FileModel, FuncModel
 
 _UNSIGNED = re.compile(
     r"\b(uint8_t|uint16_t|uint32_t|uint64_t|uintptr_t|size_t|"
@@ -30,6 +30,34 @@ _ELEM = re.compile(
 
 _CHAIN_TOKEN = re.compile(
     r"[A-Za-z_][A-Za-z0-9_]*|\[[^\[\]]*\]|\([^()]*\)|\.|->|::|<.*?>")
+
+
+def norm(text: str) -> str:
+    return re.sub(r"\s+", "", text)
+
+
+def receiverless(callee: str) -> str | None:
+    """Last component if the call has no object receiver (allows
+    std:: and global :: qualification), else None."""
+    if "." in callee or "->" in callee:
+        return None
+    parts = callee.split("::")
+    if len(parts) > 1 and parts[0] not in ("", "std"):
+        return None
+    return parts[-1]
+
+
+def scopes(fm: FileModel):
+    """(site prefix, class, calls, [(declared type, line)]) for every
+    function body of `fm`, then for its file scope, whose types come
+    from namespace-scope variables and class members."""
+    for fn in fm.functions:
+        yield fn.name, fn.cls, fn.calls, \
+            [(t, fn.line) for _, t in fn.locals + fn.params]
+    typed = [(g.type, g.line) for g in fm.globals]
+    typed += [(m.type, m.line) for cm in fm.classes
+              for m in cm.members]
+    yield FILE_SCOPE, None, fm.file_scope.calls, typed
 
 
 def strip_cv_ref(t: str) -> str:
@@ -96,6 +124,21 @@ class Index:
                 out.setdefault(m.name, m.type)
             stack.extend(cm.bases)
         return out
+
+    def has_method(self, cls_name: str, method: str) -> bool:
+        """Whether the class or one of its bases declares `method`."""
+        seen: set[str] = set()
+        stack = [cls_name]
+        while stack:
+            name = stack.pop()
+            cm = self.classes.get(name)
+            if name in seen or not cm:
+                continue
+            seen.add(name)
+            if method in cm.methods:
+                return True
+            stack.extend(cm.bases)
+        return False
 
     def method_ret(self, cls_name: str, method: str) -> str:
         for fn in self.funcs.get((cls_name, method), []):

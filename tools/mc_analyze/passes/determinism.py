@@ -11,29 +11,28 @@ Two layers:
     unconditionally in ``src/`` — an order-insensitive reduction is
     allowlisted with its justification.
 
-  * **Entropy / wall-clock / stdout bans** upgraded from mc_lint's
-    regexes to call-expression resolution: a call to ``rand()``,
-    ``time()``, ``clock_gettime()`` etc. is flagged as a *call*, so
-    accessor methods named ``time()`` or comments no longer need
-    pattern gymnastics. The sanctioned-site sets are imported from
-    mc_lint — one source of truth for both layers of tooling.
+  * **Entropy / wall-clock / stdout bans** resolved at the call
+    level: a call to ``rand()``, ``time()``, ``clock_gettime()``
+    etc. is flagged as a *call*, so accessor methods named
+    ``time()`` or comments need no pattern gymnastics. Calls outside
+    function bodies (namespace-scope and in-class initializers,
+    default arguments, constructor initializer lists) are read from
+    the file's synthetic ``<file-scope>``; declared types there come
+    from namespace-scope variables and class members. The clock shim
+    ``src/perf/clock.cc`` is the one file that may read a clock;
+    every other sanctioned site is an allowlist entry.
 """
 
 from __future__ import annotations
 
-import os
 import re
-import sys
 
 from model import Finding
-from passes.common import Index, strip_cv_ref
+from passes.common import Index, norm, receiverless, scopes, \
+    strip_cv_ref
 
-_TOOLS_DIR = os.path.dirname(os.path.dirname(
-    os.path.dirname(os.path.abspath(__file__))))
-if _TOOLS_DIR not in sys.path:
-    sys.path.insert(0, _TOOLS_DIR)
-
-import mc_lint  # noqa: E402  (sanctioned-site sets)
+#: The sanctioned clock shim (DESIGN.md section 13).
+CLOCK_SEAM = "src/perf/clock.cc"
 
 _UNORDERED = re.compile(r"\bunordered_(map|set|multimap|multiset)\b")
 _CLOCKS = re.compile(
@@ -43,36 +42,20 @@ _ENTROPY_CALLS = {"rand", "srand"}
 _TIME_CALLS = {"time", "clock"}
 
 
-def _norm(text: str) -> str:
-    return re.sub(r"\s+", "", text)
-
-
-def _receiverless(callee: str) -> str | None:
-    """Last component if the call has no object receiver (allows
-    std:: qualification), else None."""
-    if "." in callee or "->" in callee:
-        return None
-    parts = callee.split("::")
-    if len(parts) > 1 and parts[0] not in ("", "std"):
-        return None
-    return parts[-1]
-
-
 def run_determinism(index: Index, scope) -> list[Finding]:
     findings: list[Finding] = []
     for fm in index.models:
         in_src = scope(fm.path, "det-src")
-        everywhere = scope(fm.path, "det-all")
-        if not in_src and not everywhere:
-            continue
-        wall_ok = fm.path in mc_lint.WALL_CLOCK_ALLOW
-        for fn in fm.functions:
-            if in_src:
+        clocks = scope(fm.path, "det-all") and fm.path != CLOCK_SEAM
+        if in_src:
+            for fn in fm.functions:
                 _unordered_loops(index, fm.path, fn, findings)
-                _entropy(index, fm.path, fn, findings)
-                _stats_bypass(fm.path, fn, findings)
-            if everywhere and not wall_ok:
-                _wall_clock(fm.path, fn, findings)
+        for site, _, calls, typed in scopes(fm):
+            if in_src:
+                _entropy(fm.path, site, calls, typed, findings)
+                _stats_bypass(fm.path, site, calls, findings)
+            if clocks:
+                _wall_clock(fm.path, site, calls, typed, findings)
     return findings
 
 
@@ -90,64 +73,58 @@ def _unordered_loops(index, path, fn, findings):
             f"({t}): hash order must not reach an ordered sink; "
             "copy to a vector and sort, or allowlist an "
             "order-insensitive reduction",
-            f"{fn.name}:{_norm(lp.expr)}"))
+            f"{fn.name}:{norm(lp.expr)}"))
 
 
-def _entropy(index, path, fn, findings):
-    if path in mc_lint.DETERMINISM_ALLOW:
-        return
-    for call in fn.calls:
+def _entropy(path, site, calls, typed, findings):
+    for call in calls:
         callee, line = call[0], call[1]
-        name = _receiverless(callee)
+        name = receiverless(callee)
         if name in _ENTROPY_CALLS:
             findings.append(Finding(
                 path, line, "determinism",
                 f"call to {name}(): simulation code derives values "
                 "from seeds/cycles (DESIGN.md section 9)",
-                f"{fn.name}:{name}"))
+                f"{site}:{name}"))
         elif name in _TIME_CALLS:
             findings.append(Finding(
                 path, line, "determinism",
                 f"call to libc {name}(): wall time must not feed "
                 "simulation state (DESIGN.md section 9)",
-                f"{fn.name}:{name}"))
-    for pool in (fn.locals, fn.params):
-        for _, t in pool:
-            if "random_device" in t:
-                findings.append(Finding(
-                    path, fn.line, "determinism",
-                    "std::random_device: nondeterministic entropy "
-                    "source in simulation code",
-                    f"{fn.name}:random_device"))
+                f"{site}:{name}"))
+    for t, line in typed:
+        if "random_device" in t:
+            findings.append(Finding(
+                path, line, "determinism",
+                "std::random_device: nondeterministic entropy "
+                "source in simulation code",
+                f"{site}:random_device"))
 
 
-def _wall_clock(path, fn, findings):
-    for call in fn.calls:
+def _wall_clock(path, site, calls, typed, findings):
+    for call in calls:
         callee, line = call[0], call[1]
-        name = _receiverless(callee)
+        name = receiverless(callee)
         if name in _CLOCK_CALLS or (name and _CLOCKS.search(callee)):
             findings.append(Finding(
                 path, line, "wall-clock",
                 f"wall-clock read '{callee}' outside the sanctioned "
                 "clock sites; call perfNowNs()/unixNowSec() "
                 "(src/perf/clock.hh)",
-                f"{fn.name}:{_norm(callee)}"))
-    for _, t in fn.locals:
+                f"{site}:{norm(callee)}"))
+    for t, line in typed:
         if _CLOCKS.search(t):
             findings.append(Finding(
-                path, fn.line, "wall-clock",
-                f"wall-clock typed local ({t}) outside the "
+                path, line, "wall-clock",
+                f"wall-clock typed declaration ({t}) outside the "
                 "sanctioned clock sites (src/perf/clock.hh)",
-                f"{fn.name}:{_norm(t)}"))
+                f"{site}:{norm(t)}"))
 
 
-def _stats_bypass(path, fn, findings):
-    if path in mc_lint.STATS_BYPASS_ALLOW:
-        return
-    for call in fn.calls:
-        callee, line = call[0], call[1]
-        arg0 = call[2] if len(call) > 2 else ""
-        name = _receiverless(callee)
+def _stats_bypass(path, site, calls, findings):
+    for call in calls:
+        callee, line, arg0 = call[0], call[1], call[2]
+        name = receiverless(callee)
         if callee == "std::cout" or name in ("puts", "putchar") or \
                 name == "printf" or \
                 (name == "fprintf" and arg0 == "stdout"):
@@ -156,4 +133,4 @@ def _stats_bypass(path, fn, findings):
                 path, line, "stats-bypass",
                 f"{what} bypasses StatsRegistry/logging; stdout "
                 "carries only registry-reported bytes",
-                f"{fn.name}:{name or 'cout'}"))
+                f"{site}:{name or 'cout'}"))

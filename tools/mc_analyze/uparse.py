@@ -1,12 +1,16 @@
 """Built-in C++ frontend: token stream -> semantic model.
 
 A declaration/expression extractor, not a full parser: it recognizes
-exactly the shapes the four passes consume -- namespaces, class
-bodies with member declarations and ``// ckpt:`` annotations,
-function definitions (in-class, out-of-line, lambdas), local/param
+exactly the shapes the passes consume -- namespaces, class bodies
+with member declarations and ``// ckpt:`` annotations, function
+definitions (in-class, out-of-line, lambdas), local/param
 declarations with types, call expressions, subtraction/decrement
-sites, container iteration, writes to non-local names, and lock
-guard scopes. Unknown constructs degrade to "no fact extracted",
+sites, container iteration, writes to non-local names, lock guard
+scopes, namespace-scope variables, includes and the header guard.
+Calls outside any function body (initializers, default arguments,
+constructor initializer lists) land in the file's synthetic
+``<file-scope>``; a lambda there is parsed as a function of its own.
+Unknown constructs degrade to "no fact extracted",
 never to a crash: the analyzer's contract is that seeded-bug
 fixtures (tests/analyze_fixtures) prove the facts it *does* extract
 are sound.
@@ -19,9 +23,9 @@ from __future__ import annotations
 
 import re
 
-from lexer import IDENT, NUMBER, PUNCT, Token, lex
-from model import (ClassModel, FileModel, FuncModel, GuardSite,
-                   LoopSite, Member, SubSite, WriteSite)
+from lexer import IDENT, NUMBER, PUNCT, STR, Token, lex
+from model import (ClassModel, FileModel, FuncModel, GlobalVar,
+                   GuardSite, LoopSite, Member, SubSite, WriteSite)
 
 _KEYWORDS = {
     "if", "else", "for", "while", "do", "switch", "case", "default",
@@ -63,6 +67,8 @@ class Parser:
         self.toks: list[Token] = res.tokens
         self.n = len(self.toks)
         self.model = FileModel(path, "uparse")
+        self.model.includes = res.includes
+        self.model.guard = res.guard
         # line -> annotation (kind, arg) from // ckpt: comments.
         self.annots: dict[int, tuple[str, str | None]] = {}
         for line, comment in res.comments:
@@ -247,11 +253,15 @@ class Parser:
                 i += 1
                 stmt_start = i
                 continue
+            if t.kind == PUNCT and t.text in ("(", "["):
+                # Braces inside parentheses (`f(T{x})`) never open
+                # a scope.
+                i = self.match.get(i, i) + 1
+                continue
             if t.kind == PUNCT and t.text == "{":
                 close = self.match.get(i)
                 if close is None:
                     return
-                head = list(range(stmt_start, i))
                 first = self.first_word(stmt_start, i)
                 if first == "namespace":
                     self.scan_scope(i + 1, close, cls)
@@ -259,11 +269,14 @@ class Parser:
                     self.parse_class(stmt_start, i, close)
                 elif first == "enum":
                     pass  # no facts from enums
-                elif self.has_top_paren(stmt_start, i):
+                elif self.param_list(stmt_start, i) is not None:
                     self.handle_stmt(stmt_start, i, cls,
                                      body=(i, close))
-                # else: brace initializer at scope; no facts.
-                del head
+                else:
+                    # Braced initializer or a lambda body inside an
+                    # initializer: the declaration runs on to ';'.
+                    i = close + 1
+                    continue
                 i = close + 1
                 stmt_start = i
                 continue
@@ -288,20 +301,32 @@ class Parser:
             return ""
         return ""
 
-    def has_top_paren(self, i: int, end: int) -> bool:
-        depth = 0
-        j = i
+    def param_list(self, i: int, end: int) -> int | None:
+        """The '(' opening the parameter list when [i, end) declares
+        a function, None when it declares variables: the first
+        top-level '(', '=' or '{' decides (`int x = f();` is a
+        variable, `int f(int a = g());` a function). Template
+        arguments, brackets, decltype/alignas operands and operator
+        names are skipped."""
+        j = self.skip_template_intro(self.skip_attr(i))
         while j < end:
             t = self.tx(j)
+            if t in ("=", "{"):
+                return None
             if t == "(":
-                if depth == 0:
-                    return True
-            if t in ("(", "[", "{"):
-                depth += 1
-            elif t in (")", "]", "}"):
-                depth -= 1
+                return j
+            if t == "operator":
+                return self.find_top_paren(j, end)
+            if t in ("decltype", "alignas") and self.tx(j + 1) == "(":
+                j = self.match.get(j + 1, j + 1)
+            elif t == "[":
+                j = self.match.get(j, j)
+            elif t == "<":
+                close = self.try_angle(j)
+                if close is not None:
+                    j = close
             j += 1
-        return False
+        return None
 
     # ---- classes -----------------------------------------------
 
@@ -350,6 +375,9 @@ class Parser:
                 i += 1
                 stmt_start = i
                 continue
+            if t.kind == PUNCT and t.text in ("(", "["):
+                i = self.match.get(i, i) + 1
+                continue
             if t.kind == PUNCT and t.text == "{":
                 close = self.match.get(i)
                 if close is None:
@@ -359,12 +387,12 @@ class Parser:
                     self.parse_class(stmt_start, i, close)
                 elif first == "enum":
                     pass
-                elif self.has_top_paren(stmt_start, i):
+                elif self.param_list(stmt_start, i) is not None:
                     self.class_stmt(stmt_start, i, cm,
                                     body=(i, close))
                 else:
-                    # brace initializer: `std::mutex m;` has none,
-                    # but `int x{0};` ends with ; after the brace.
+                    # Braced initializer (`int x{0};`) or a lambda
+                    # body inside one: the member runs on to ';'.
                     i = close + 1
                     continue
                 i = close + 1
@@ -388,12 +416,10 @@ class Parser:
             if first == "using":
                 self.parse_alias(i, end)
             return
-        if self.has_top_paren(i, end):
-            # Method (decl or def). Find name: ident before the
-            # first top-level '('.
-            p = self.find_top_paren(i, end)
-            if p is None:
-                return
+        p = self.param_list(i, end)
+        if p is not None:
+            # Method (decl or def). Name: ident before the '('.
+            self.scan_signature(p, body[0] if body else end, cm.name)
             name = self.method_name(p)
             if name:
                 if name not in cm.methods:
@@ -410,26 +436,26 @@ class Parser:
         if not parsed:
             return
         type_text, j = parsed
-        # Declarators: NAME [array]* [= init | {init}]? (, NAME ...)*
-        while j < end:
-            if self.kind(j) != IDENT or self.tx(j) in _KEYWORDS:
-                return
-            name = self.tx(j)
-            line = self.line(j)
+        self.scan_initializers(j, end, cm.name)
+        for k in self.declarators(j, end):
+            line = self.line(k)
             annot = self.annots.get(line) or \
                 self.annots.get(line - 1)
             cm.members.append(Member(
-                name, type_text, line, static,
+                self.tx(k), type_text, line, static,
                 annot[0] if annot else None,
                 annot[1] if annot else None))
-            j += 1
-            while self.tx(j) == "[":
-                close = self.match.get(j)
-                if close is None:
-                    return
-                j = close + 1
-            # Skip initializer to top-level ',' or end.
+
+    def declarators(self, j: int, end: int):
+        """Indices of the names in `NAME [array]* [init] (, NAME
+        ...)*` starting at j."""
+        while j < end:
+            if self.kind(j) != IDENT or self.tx(j) in _KEYWORDS:
+                return
+            yield j
+            # Skip array bounds and initializer to a top-level ','.
             depth = 0
+            j += 1
             while j < end:
                 t = self.tx(j)
                 if depth == 0 and t == ",":
@@ -440,8 +466,6 @@ class Parser:
                 elif t in (")", "]", "}"):
                     depth -= 1
                 j += 1
-            else:
-                return
 
     def parse_alias(self, i: int, end: int) -> None:
         # using NAME = TYPE ;
@@ -509,12 +533,12 @@ class Parser:
         if first == "using":
             self.parse_alias(i, end)
             return
-        if first in ("typedef", "static_assert", "extern"):
+        if first in ("typedef", "static_assert", "class", "struct",
+                     "union", "enum", "friend"):
             return
-        if body is None:
-            return  # ns-scope variable or fn decl: no facts needed
-        p = self.find_top_paren(i, end)
+        p = self.param_list(i, end)
         if p is None:
+            self.parse_globals(i, end)
             return
         name = self.method_name(p)
         # Qualifier: Class :: name (
@@ -529,6 +553,9 @@ class Parser:
             j -= 1
         if self.tx(j) == "::" and self.kind(j - 1) == IDENT:
             qual = self.tx(j - 1)
+        self.scan_signature(p, body[0] if body else end, qual)
+        if body is None:
+            return  # function declaration
         fn = self.parse_function(i, p, qual, name, body)
         self.model.functions.append(fn)
 
@@ -583,6 +610,107 @@ class Parser:
             if name:
                 fn.params.append((name, ptype))
 
+    # ---- outside function bodies -------------------------------
+
+    def parse_globals(self, i: int, end: int) -> None:
+        """Namespace-scope variable definitions in [i, end)."""
+        if any(self.tx(k) == "extern" for k in range(i, end)):
+            return  # a declaration; the definition lives elsewhere
+        parsed = self.parse_type(i, end)
+        if not parsed:
+            return
+        type_text, j = parsed
+        init = self.scan_initializers(j, end, None)
+        const = any(self.tx(k) in ("const", "constexpr", "constinit")
+                    for k in range(i, init))
+        for k in self.declarators(j, end):
+            self.model.globals.append(
+                GlobalVar(self.line(k), self.tx(k), type_text, const))
+
+    def scan_initializers(self, i: int, end: int,
+                          cls: str | None) -> int:
+        """Record the calls in the initializers of a variable or
+        member declaration whose declarators start at i; returns
+        the index where the first initializer starts (end if
+        none)."""
+        init = i
+        while init < end and self.tx(init) not in ("=", "{", "("):
+            if self.tx(init) == "[":
+                init = self.match.get(init, init)
+            init += 1
+        self.scan_calls(init, end, cls, min_depth=0)
+        return init
+
+    def scan_signature(self, paren: int, end: int,
+                       cls: str | None) -> None:
+        """Calls in a function declarator outside its body: default
+        arguments in the parameter list, and everything parenthesized
+        after it up to `end` (constructor initializer arguments,
+        noexcept operands) -- but not the member names themselves."""
+        close = self.match.get(paren)
+        if close is None:
+            return
+        self.scan_calls(paren + 1, close, cls, min_depth=0)
+        self.scan_calls(close + 1, end, cls, min_depth=1)
+
+    def scan_calls(self, i: int, end: int, cls: str | None,
+                   min_depth: int) -> None:
+        """Record into the file scope every call in [i, end) at
+        bracket depth >= min_depth; lambdas become functions."""
+        scope = self.model.file_scope
+        depth = 0
+        j = i
+        while j < end:
+            t = self.toks[j]
+            if t.kind == PUNCT:
+                if t.text == "[" and self.is_lambda_intro(j):
+                    j = self.parse_lambda(j, scope, cls)
+                    continue
+                if t.text in ("(", "[", "{"):
+                    depth += 1
+                elif t.text in (")", "]", "}"):
+                    depth -= 1
+            elif t.kind == IDENT and depth >= min_depth:
+                call = self.call_site(j)
+                if call:
+                    scope.calls.append(call)
+            j += 1
+
+    def call_site(self, j: int) -> tuple | None:
+        """(callee, line, arg0, mode) when the identifier at j names
+        a call (or is `cout`), else None."""
+        name = self.tx(j)
+        if name == "cout":
+            return ("std::cout", self.line(j), "", None)
+        if self.tx(j + 1) != "(" or (name in _KEYWORDS and
+                                     name not in ("this", "operator")):
+            return None
+        arg0 = self.tx(j + 2) if self.kind(j + 2) == IDENT else ""
+        return (self.call_chain_text(j), self.line(j), arg0,
+                self.string_arg(j + 1, 1))
+
+    def string_arg(self, paren: int, n: int) -> str | None:
+        """Contents of argument n of the call opening at `paren`
+        when that argument is one string literal, else None."""
+        close = self.match.get(paren)
+        if close is None:
+            return None
+        start, depth, idx = paren + 1, 0, 0
+        for k in range(paren + 1, close + 1):
+            t = self.tx(k)
+            if k == close or (t == "," and depth == 0):
+                if idx == n:
+                    if k == start + 1 and self.kind(start) == STR:
+                        return self.toks[start].value
+                    return None
+                idx += 1
+                start = k + 1
+            elif t in ("(", "[", "{"):
+                depth += 1
+            elif t in (")", "]", "}"):
+                depth -= 1
+        return None
+
     # ---- function bodies ---------------------------------------
 
     def parse_body(self, i: int, end: int, fn: FuncModel) -> None:
@@ -614,7 +742,7 @@ class Parser:
                     j += 1
                     continue
                 if t.text == "[" and self.is_lambda_intro(j):
-                    j = self.parse_lambda(j, fn)
+                    j = self.parse_lambda(j, fn, fn.cls)
                     continue
                 if t.text in ("-", "-=", "--"):
                     self.record_sub(j, fn)
@@ -639,21 +767,12 @@ class Parser:
                     continue
                 if t.text in _KEYWORDS and t.text not in (
                         "this", "operator"):
-                    if t.text in ("static_cast", "const_cast",
-                                  "reinterpret_cast"):
-                        pass  # handled in operand scans
                     j += 1
                     continue
-                if nxt == "(":
-                    callee = self.call_chain_text(j)
-                    arg0 = self.tx(j + 2) \
-                        if self.kind(j + 2) == IDENT else ""
-                    fn.calls.append((callee, t.line, arg0))
-                    self.maybe_mut_call(j, callee, fn, depth)
-                    j += 1
-                    continue
-                if t.text == "cout":
-                    fn.calls.append(("std::cout", t.line, ""))
+                call = self.call_site(j)
+                if call:
+                    fn.calls.append(call)
+                    self.maybe_mut_call(j, call[0], fn, depth)
                     j += 1
                     continue
                 # Local declaration attempt at statement start.
@@ -692,7 +811,8 @@ class Parser:
         after = self.tx(close + 1)
         return after in ("(", "{") or after == "mutable"
 
-    def parse_lambda(self, j: int, enclosing: FuncModel) -> int:
+    def parse_lambda(self, j: int, enclosing: FuncModel,
+                     cls: str | None) -> int:
         close_cap = self.match[j]
         # Find the body '{': after optional (params) [specs].
         k = close_cap + 1
@@ -710,7 +830,7 @@ class Parser:
         close_b = self.match.get(k)
         if close_b is None:
             return close_cap + 1
-        fn = FuncModel(f"<lambda:{self.line(j)}>", enclosing.cls,
+        fn = FuncModel(f"<lambda:{self.line(j)}>", cls,
                        self.line(j), self.line(close_b))
         ctx_start = max(0, j - 8)
         fn.entry_ctx = self.text_range(ctx_start, j)
@@ -724,7 +844,7 @@ class Parser:
         self.parse_body(k + 1, close_b, fn)
         # The enclosing function "calls" the lambda (call-graph
         # reachability for the concurrency pass).
-        enclosing.calls.append((fn.name, self.line(j), ""))
+        enclosing.calls.append((fn.name, self.line(j), "", None))
         # Names visible from the enclosing scope resolve captured
         # identifiers, but stay distinct from the lambda's own
         # locals: a by-reference capture is shared state.

@@ -67,6 +67,7 @@
 #include "common/error.hh"
 #include "common/logging.hh"
 #include "common/numparse.hh"
+#include "io/vfs.hh"
 #include "runner/executor.hh"
 #include "runner/lease.hh"
 
@@ -486,12 +487,12 @@ runMerge(const Options &opts)
 
     std::printf("%s", report.reportText.c_str());
     if (!opts.statsOutPath.empty()) {
-        FILE *out = std::fopen(opts.statsOutPath.c_str(), "w");
-        if (!out)
-            fatal("cannot write '%s'", opts.statsOutPath.c_str());
-        std::fwrite(report.statsJsonArray.data(), 1,
-                    report.statsJsonArray.size(), out);
-        std::fclose(out);
+        // Throws IoError naming the path on an open, write or close
+        // failure (ENOSPC, EIO).
+        vfsWriteWholeFile(opts.statsOutPath,
+                          report.statsJsonArray.data(),
+                          report.statsJsonArray.size(),
+                          /*want_fsync=*/false);
         std::fprintf(stderr, "stats registries written to %s\n",
                      opts.statsOutPath.c_str());
     }

@@ -34,7 +34,6 @@
  * 173 of the ckpt scenario, nothing else.
  */
 
-#include <sys/stat.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -696,9 +695,10 @@ main(int argc, char **argv)
         opts.dir = "/tmp/mc_iofuzz." +
                    std::to_string(static_cast<long>(::getpid()));
     }
-    if (::mkdir(opts.dir.c_str(), 0777) != 0 && errno != EEXIST) {
+    const int mk_rc = vfs().mkdirPath(opts.dir);
+    if (mk_rc < 0 && mk_rc != -EEXIST) {
         std::fprintf(stderr, "cannot create workdir '%s': %s\n",
-                     opts.dir.c_str(), std::strerror(errno));
+                     opts.dir.c_str(), std::strerror(-mk_rc));
         return 2;
     }
 

@@ -92,6 +92,7 @@
 #include "common/error.hh"
 #include "common/logging.hh"
 #include "common/numparse.hh"
+#include "io/vfs.hh"
 #include "perf/clock.hh"
 #include "runner/run_factory.hh"
 #include "runner/sim_sweep.hh"
@@ -452,12 +453,10 @@ runSweep(const Options &opts)
             doc += cell.value->statsJson;
         }
         doc += "\n]\n";
-        FILE *out = std::fopen(opts.statsOutPath.c_str(), "w");
-        if (!out) {
-            fatal("cannot write '%s'", opts.statsOutPath.c_str());
-        }
-        std::fwrite(doc.data(), 1, doc.size(), out);
-        std::fclose(out);
+        // Throws IoError naming the path on an open, write or close
+        // failure, like the single-run --stats-out.
+        vfsWriteWholeFile(opts.statsOutPath, doc.data(), doc.size(),
+                          /*want_fsync=*/false);
         // The path differs between -j runs being diffed, so this
         // confirmation stays out of the deterministic stdout stream.
         std::fprintf(stderr, "stats registries written to %s\n",
