@@ -5,6 +5,7 @@
 #include <cstring>
 
 #include "common/logging.hh"
+#include "common/textfmt.hh"
 
 namespace morphcache {
 
@@ -13,15 +14,6 @@ namespace {
 const char ckptMagic[4] = {'M', 'C', 'K', 'P'};
 
 volatile std::sig_atomic_t g_interrupt = 0;
-
-std::string
-hex64(std::uint64_t v)
-{
-    char buf[24];
-    std::snprintf(buf, sizeof(buf), "%016llx",
-                  static_cast<unsigned long long>(v));
-    return buf;
-}
 
 /**
  * Strip and verify the trailing checksum. Returns the payload size

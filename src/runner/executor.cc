@@ -13,7 +13,6 @@
 #include "common/logging.hh"
 #include "runner/lease.hh"
 #include "runner/run_factory.hh"
-#include "runner/sweep.hh"
 #include "sim/simulation.hh"
 #include "stats/registry.hh"
 

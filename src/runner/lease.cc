@@ -12,6 +12,7 @@
 
 #include "common/error.hh"
 #include "common/serial.hh"
+#include "common/textfmt.hh"
 #include "io/vfs.hh"
 #include "runner/manifest.hh"
 

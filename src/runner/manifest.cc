@@ -10,35 +10,12 @@
 #include "common/error.hh"
 #include "common/logging.hh"
 #include "common/serial.hh"
+#include "common/textfmt.hh"
 #include "io/vfs.hh"
 #include "perf/clock.hh"
 #include "runner/sweep.hh"
 
 namespace morphcache {
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
 
 std::size_t
 findJsonKey(const std::string &text, const char *key)
@@ -92,15 +69,6 @@ jsonFieldStr(const std::string &text, const char *key,
         ++at;
     }
     return at < text.size();
-}
-
-std::string
-hex64(std::uint64_t v)
-{
-    char buf[24];
-    std::snprintf(buf, sizeof(buf), "%016llx",
-                  static_cast<unsigned long long>(v));
-    return buf;
 }
 
 std::uint64_t

@@ -58,8 +58,6 @@ struct CampaignCell
 // line, scalar fields, no nesting except the trailing "stats").
 // ---------------------------------------------------------------
 
-std::string jsonEscape(const std::string &s);
-
 /** Offset just past `"key":` in `text`, or npos. */
 std::size_t findJsonKey(const std::string &text, const char *key);
 
@@ -69,9 +67,6 @@ bool jsonFieldF64(const std::string &text, const char *key,
                   double &out);
 bool jsonFieldStr(const std::string &text, const char *key,
                   std::string &out);
-
-/** Fixed-width lowercase hex of a 64-bit value. */
-std::string hex64(std::uint64_t v);
 
 // ---------------------------------------------------------------
 // Campaign identity and state-directory layout
@@ -303,8 +298,8 @@ struct CampaignPlan
 
     /**
      * The cell list: rep-major, mix-minor, seeds derived via
-     * sweepCellSeed(base.seed, cellIndex) — the same labels and
-     * seeds as the cells of a `morphcache_sim --sweep` run.
+     * sweepCellSeed(base.seed, cellIndex), labelled
+     * "mix:<NN> seed=<seed>".
      */
     std::vector<CampaignCell> cells() const;
 

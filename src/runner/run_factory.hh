@@ -33,7 +33,8 @@ struct BuiltRun
 
 /**
  * Construct workload + memory system + simulation parameters for a
- * spec. Throws ConfigError on an unparseable workload or scheme.
+ * spec. Throws ConfigError on an unparseable workload or scheme, or
+ * on a geometry HierarchyParams::validate() rejects (zero cores).
  */
 BuiltRun buildRun(const RunSpec &spec);
 

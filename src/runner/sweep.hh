@@ -1,43 +1,41 @@
 /**
  * @file
- * Deterministic parallel sweep runner.
+ * Cell seeds and the in-process parallel map.
  *
  * A sweep is an ordered list of independent *cells* — one
- * simulation run each (one config × workload × seed point). The
- * SweepRunner fans the cells across a fixed-size ThreadPool and
- * hands the results back in submission order, so the output of a
- * sweep is byte-identical no matter how many workers ran it.
+ * simulation run each (one config × workload × seed point). Grids
+ * of cells run through the campaign executor (`mc_campaign`); the
+ * bench binaries fan their per-mix rows through parallelMap(). Both
+ * give output that is byte-identical no matter how many workers ran
+ * it, because:
  *
- * The determinism contract, and what makes it hold:
- *
- *  - every cell owns its full simulation state: its own Workload
- *    (cloned from a prototype built on the submitting thread), its
- *    own memory system / hierarchy, and its own StatsRegistry —
+ *  - every cell owns its full simulation state: its own Workload,
+ *    its own memory system / hierarchy, and its own StatsRegistry —
  *    nothing simulated is shared between cells;
  *  - cell seeds derive only from (base seed, cell index) via
  *    sweepCellSeed(), never from thread identity or time;
  *  - results land in a pre-sized slot per cell (no reordering, no
- *    reallocation) and are read back only after the pool drains;
+ *    reallocation) and are read back only after every worker has
+ *    joined;
  *  - the remaining process-wide state (the log sinks and the phase
  *    Profiler) is mutex-guarded / atomic and feeds no simulated
  *    numbers.
- *
- * A throwing cell fails only itself: the exception is captured into
- * that cell's SweepResult and every other cell still runs.
  */
 
 #ifndef MORPHCACHE_RUNNER_SWEEP_HH
 #define MORPHCACHE_RUNNER_SWEEP_HH
 
+#include <algorithm>
+#include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <exception>
 #include <optional>
-#include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "common/rng.hh"
-#include "runner/thread_pool.hh"
 
 namespace morphcache {
 
@@ -55,94 +53,52 @@ sweepCellSeed(std::uint64_t base, std::uint64_t index)
     return splitMix64(state);
 }
 
-/** Outcome of one sweep cell: a value, or the error that ate it. */
-template <typename R>
-struct SweepResult
+/**
+ * Run `fn(i)` for every i in [0, n) on `jobs` threads (0 = one per
+ * hardware thread, at least 1) and return the values in index
+ * order, whatever order the cells finished in. The threads pull
+ * indices from a shared counter and each cell writes only its own
+ * slot. Every cell runs; once all threads have joined, the
+ * lowest-index cell's exception, if any, is rethrown.
+ */
+template <typename Fn>
+auto
+parallelMap(std::size_t n, unsigned jobs, Fn fn)
+    -> std::vector<decltype(fn(std::size_t{0}))>
 {
-    std::optional<R> value;
-    /** Captured cell exception (null when the cell succeeded). */
-    std::exception_ptr exception;
-    /** what() of the captured exception, for reporting. */
-    std::string error;
-
-    bool ok() const { return value.has_value(); }
-
-    /** The value; rethrows the cell's exception on failure. */
-    R &
-    get()
+    using R = decltype(fn(std::size_t{0}));
+    if (jobs == 0)
+        jobs = std::max(1u, std::thread::hardware_concurrency());
+    std::vector<std::optional<R>> values(n);
+    std::vector<std::exception_ptr> errors(n);
     {
-        if (!value.has_value())
-            std::rethrow_exception(exception);
-        return *value;
-    }
-};
-
-class SweepRunner
-{
-  public:
-    /** @param jobs Worker threads; 0 = hardware_concurrency. */
-    explicit SweepRunner(unsigned jobs = 0) : pool_(jobs) {}
-
-    unsigned jobs() const { return pool_.numThreads(); }
-
-    /**
-     * Run `cells[i]()` for every i across the pool; result i is
-     * cell i's, regardless of completion order.
-     */
-    template <typename Fn>
-    auto
-    run(std::vector<Fn> cells)
-        -> std::vector<SweepResult<decltype(cells.front()())>>
-    {
-        using R = decltype(cells.front()());
-        std::vector<SweepResult<R>> results(cells.size());
-        for (std::size_t i = 0; i < cells.size(); ++i) {
-            Fn &cell = cells[i];
-            SweepResult<R> &slot = results[i];
-            pool_.submit([&cell, &slot]() {
-                try {
-                    slot.value.emplace(cell());
-                } catch (const std::exception &err) {
-                    slot.exception = std::current_exception();
-                    slot.error = err.what();
-                } catch (...) {
-                    slot.exception = std::current_exception();
-                    slot.error = "unknown exception";
+        std::atomic<std::size_t> next{0};
+        // Leaving this block joins every thread (a jthread joins on
+        // destruction, also when starting a later one throws), so the
+        // slots are read only after every cell has run.
+        std::vector<std::jthread> threads;
+        for (std::size_t t = 0; t < std::min<std::size_t>(jobs, n); ++t) {
+            threads.emplace_back([&]() {
+                for (std::size_t i = next++; i < n; i = next++) {
+                    try {
+                        values[i].emplace(fn(i));
+                    } catch (...) {
+                        errors[i] = std::current_exception();
+                    }
                 }
             });
         }
-        pool_.wait();
-        return results;
     }
 
-    /**
-     * Index-driven convenience: run `fn(i)` for i in [0, n) and
-     * return the values in index order, rethrowing the first failed
-     * cell's exception. The per-index shape (rather than iterating
-     * a container) is what the bench per-mix loops dispatch
-     * through.
-     */
-    template <typename Fn>
-    auto
-    map(std::size_t n, Fn fn)
-        -> std::vector<decltype(fn(std::size_t{0}))>
-    {
-        using R = decltype(fn(std::size_t{0}));
-        std::vector<std::function<R()>> cells;
-        cells.reserve(n);
-        for (std::size_t i = 0; i < n; ++i)
-            cells.push_back([fn, i]() { return fn(i); });
-        auto results = run(std::move(cells));
-        std::vector<R> values;
-        values.reserve(n);
-        for (auto &result : results)
-            values.push_back(std::move(result.get()));
-        return values;
+    std::vector<R> out;
+    out.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        if (errors[i])
+            std::rethrow_exception(errors[i]);
+        out.push_back(std::move(*values[i]));
     }
-
-  private:
-    ThreadPool pool_;
-};
+    return out;
+}
 
 } // namespace morphcache
 

@@ -3,6 +3,8 @@
 #include <cstdio>
 
 #include "common/logging.hh"
+#include "common/serial.hh"
+#include "common/textfmt.hh"
 #include "io/vfs.hh"
 
 namespace morphcache {
@@ -22,31 +24,6 @@ formatValue(double v)
         std::snprintf(buf, sizeof(buf), "%.6g", v);
     }
     return buf;
-}
-
-/** Minimal JSON string escaping (names are dotted identifiers). */
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
 }
 
 void
@@ -359,15 +336,7 @@ StatsRegistry::loadState(CkptReader &r)
 std::string
 configHashHex(const std::string &description)
 {
-    std::uint64_t h = 0xcbf29ce484222325ull;
-    for (char c : description) {
-        h ^= static_cast<unsigned char>(c);
-        h *= 0x100000001b3ull;
-    }
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%016llx",
-                  static_cast<unsigned long long>(h));
-    return buf;
+    return hex64(fnv1a64(description.data(), description.size()));
 }
 
 } // namespace morphcache

@@ -8,6 +8,7 @@
 
 #include "common/error.hh"
 #include "common/logging.hh"
+#include "common/textfmt.hh"
 #include "io/vfs.hh"
 
 namespace morphcache {
@@ -40,23 +41,7 @@ void
 appendJsonString(std::string &out, const char *s)
 {
     out += '"';
-    for (; *s; ++s) {
-        const char c = *s;
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
+    out += jsonEscape(s);
     out += '"';
 }
 

@@ -21,11 +21,8 @@
 #include "perf/clock.hh"
 #include "runner/manifest.hh"
 #include "runner/run_factory.hh"
-#include "runner/sim_sweep.hh"
-#include "sim/config.hh"
 #include "stats/profiler.hh"
-#include "workload/generator.hh"
-#include "workload/profiles.hh"
+#include "stats/registry.hh"
 
 using namespace morphcache;
 
@@ -81,28 +78,39 @@ TEST(AllocMeter, OperatorNewIsCounted)
 
 namespace {
 
-/** One small 4-core cell, stats JSON on (the parity witness). */
-SimCellResult
+/** What the parity witness compares. */
+struct ParityCell
+{
+    std::string statsJson;
+    double throughput = 0.0;
+    std::string finalTopology;
+};
+
+/** One small 4-core morph cell, stats JSON on (the parity witness). */
+ParityCell
 runParityCell()
 {
-    const HierarchyParams hier = fastScaleHierarchy(4);
-    const GeneratorParams gen = generatorFor(hier);
-    MixSpec mix = mixByName("MIX 03");
-    mix.benchmarks.resize(4);
-    MixWorkload workload(mix, gen, 42);
-
-    SimCellSpec spec;
-    spec.label = "parity";
-    spec.workload = &workload;
-    spec.scheme = "morph";
-    spec.hier = hier;
-    spec.sim.epochs = 3;
-    spec.sim.warmupEpochs = 1;
-    spec.sim.refsPerEpochPerCore = 1500;
+    RunSpec spec;
+    spec.workload = "mix:3";
+    spec.cores = 4;
+    spec.epochs = 3;
+    spec.refs = 1500;
     spec.seed = 42;
-    spec.configDesc = "parity";
-    spec.wantStatsJson = true;
-    return runSimCell(spec);
+    BuiltRun built = buildRun(spec);
+    built.sim.warmupEpochs = 1;
+
+    StatsRegistry registry;
+    built.system->registerStats(registry);
+    Simulation simulation(*built.system, *built.workload, built.sim);
+    simulation.setRegistry(&registry);
+
+    ParityCell cell;
+    cell.throughput = simulation.run().avgThroughput;
+    cell.statsJson = registry.jsonString();
+    const auto &morph =
+        dynamic_cast<const MorphCacheSystem &>(*built.system);
+    cell.finalTopology = morph.hierarchy().topology().name();
+    return cell;
 }
 
 } // namespace
@@ -116,18 +124,18 @@ TEST(AllocMeter, MeteringChangesNoSimulatedByte)
 
     AllocMeter::setEnabled(false);
     Profiler::global().setEnabled(false);
-    const SimCellResult off = runParityCell();
+    const ParityCell off = runParityCell();
 
     AllocMeter::setEnabled(true);
     Profiler::global().setEnabled(true);
-    const SimCellResult on = runParityCell();
+    const ParityCell on = runParityCell();
 
     AllocMeter::setEnabled(meter_was);
     Profiler::global().setEnabled(prof_was);
 
     ASSERT_FALSE(off.statsJson.empty());
     EXPECT_EQ(off.statsJson, on.statsJson);
-    EXPECT_EQ(off.run.avgThroughput, on.run.avgThroughput);
+    EXPECT_EQ(off.throughput, on.throughput);
     EXPECT_EQ(off.finalTopology, on.finalTopology);
 }
 

@@ -36,6 +36,19 @@ if $camp merge --manifest "$work/ref.jsonl" --stats-out /dev/full \
 fi
 grep -q "/dev/full" "$work/full.err"
 
+# A spec no cell can run fails init, which then writes no manifest,
+# instead of leaving a campaign whose every cell fails or aborts.
+for bad in "--scheme bogus" "--cores 0"; do
+    if $camp init --manifest "$work/bad.jsonl" $bad 2> /dev/null; then
+        echo "init $bad exited 0" >&2
+        exit 1
+    fi
+    if [ -e "$work/bad.jsonl" ]; then
+        echo "init $bad wrote a manifest" >&2
+        exit 1
+    fi
+done
+
 # Seeded kill point: derive the delay (0.30s..1.29s) from the seed
 # so reruns of the same commit kill at the same wall-clock offset.
 frac=$(awk 'BEGIN { srand(9); printf "%.2f", 0.30 + rand() }')

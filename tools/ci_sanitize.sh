@@ -12,11 +12,12 @@ cmake -B "$builddir" -S . -DMORPHCACHE_SANITIZE=ON
 cmake --build "$builddir" -j
 ctest --test-dir "$builddir" --output-on-failure -j "$(nproc)"
 
-# ThreadSanitizer pass over the deterministic sweep runner: the
-# thread pool, the per-run registries, and the shared logging /
-# profiler sinks must be race-free under oversubscription.
+# ThreadSanitizer pass over everything that runs cells on threads:
+# parallelMap, the campaign executor's claim and heartbeat threads,
+# the per-run registries, and the shared logging / profiler sinks
+# must be race-free under oversubscription.
 tsandir="${builddir}-tsan"
 cmake -B "$tsandir" -S . -DMORPHCACHE_TSAN=ON
 cmake --build "$tsandir" -j --target mc_tests
 "$tsandir"/tests/mc_tests \
-    --gtest_filter='ThreadPool.*:SweepRunner.*:SweepSeed.*:SimSweep.*'
+    --gtest_filter='ParallelMap.*:SweepSeed.*:Executor.*:Campaign.*'

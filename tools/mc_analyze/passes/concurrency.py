@@ -1,9 +1,9 @@
 """Pass 4: concurrency discipline in the runner.
 
 ``src/runner`` is the only multi-threaded corner of the repo (the
-campaign executor fans out claim/run/heartbeat threads; the thread
-pool runs sharded work). The discipline the code review enforces by
-hand is mechanical:
+campaign executor fans out claim/run/heartbeat threads;
+``parallelMap`` fans out the bench rows). The discipline the code
+review enforces by hand is mechanical:
 
   mutable state reachable from a thread entry point must be
     (a) atomic (std::atomic<...> member / local),

@@ -8,14 +8,17 @@
  * on separate hosts over a shared filesystem; any of them can die
  * (SIGKILL included) at any point and the fleet still finishes with
  * merged output byte-identical to an uninterrupted run. This is the
- * repo's one durable campaign engine: a single `work -jN` process is
- * the crash-resumable form of `morphcache_sim --sweep -jN`.
+ * repo's one grid runner: every mix × seed sweep runs through it,
+ * from one `work -j1` process to a fleet, with merged bytes that do
+ * not depend on the job or worker count.
  *
  * Usage:
  *   mc_campaign init --manifest FILE [spec options]
  *       write a fresh manifest embedding the campaign plan (base
  *       RunSpec + mix range + seed replicas) so workers rebuild the
- *       exact cell list from the manifest alone
+ *       exact cell list from the manifest alone; the first cell is
+ *       built first, so a bad spec (unknown scheme, zero cores)
+ *       fails here and writes nothing
  *       spec options: --scheme S --cores N --epochs N --refs N
  *                     --seed N --paper-scale --check POLICY
  *                     --quarantine N --mixes A-B --sweep-seeds K
@@ -70,6 +73,7 @@
 #include "io/vfs.hh"
 #include "runner/executor.hh"
 #include "runner/lease.hh"
+#include "runner/run_factory.hh"
 
 using namespace morphcache;
 
@@ -252,12 +256,16 @@ handleInterruptSignal(int)
 int
 runInit(const Options &opts)
 {
+    // Every cell shares the scheme, scale, core count and check
+    // policy, so building the first one rejects a spec no cell could
+    // run before any file is written.
+    const std::vector<CampaignCell> cells = opts.plan.cells();
+    buildRun(cells.front().spec);
     initManifestWithPlan(opts.manifestPath, opts.plan);
-    const std::size_t n = opts.plan.cells().size();
     std::fprintf(stderr,
                  "campaign initialised: %zu cells in %s "
                  "(state dir %s)\n",
-                 n, opts.manifestPath.c_str(),
+                 cells.size(), opts.manifestPath.c_str(),
                  campaignStateDir(opts.manifestPath).c_str());
     return 0;
 }

@@ -20,20 +20,9 @@
  *     --csv FILE         dump per-epoch throughput/misses as CSV
  *     --record FILE      record the workload to a trace file and exit
  *
- * Sweep mode (deterministic parallel experiment runner):
- *     --sweep            run a mix × seed sweep of the chosen
- *                        scheme instead of a single run; stdout is
- *                        byte-identical for any --jobs value
- *     --mixes A-B        mix range swept (default 1-12)
- *     --sweep-seeds K    seed replicas per mix (default 1); cell
- *                        seeds derive from --seed via
- *                        splitMix64(seed ^ cellIndex)
- *     --jobs N           worker threads (default: all hardware
- *                        threads)
- *     with --stats-out FILE, writes a JSON array holding every
- *     cell's stats registry, in cell order
+ * Grids of runs (mix × seed sweeps) run through mc_campaign.
  *
- * Checkpoint/restore (single runs; durable sweeps are mc_campaign):
+ * Checkpoint/restore:
  *     --checkpoint FILE  write checkpoints to FILE (atomic
  *                        write-then-rename; previous kept as .prev)
  *     --restore FILE     restore from FILE (falls back to .prev)
@@ -83,20 +72,14 @@
 #include <cstring>
 #include <memory>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "check/fault.hh"
-#include "check/invariant.hh"
 #include "ckpt/ckpt.hh"
 #include "common/error.hh"
 #include "common/logging.hh"
 #include "common/numparse.hh"
-#include "io/vfs.hh"
-#include "perf/clock.hh"
 #include "runner/run_factory.hh"
-#include "runner/sim_sweep.hh"
-#include "sim/config.hh"
 #include "sim/simulation.hh"
 #include "stats/profiler.hh"
 #include "stats/registry.hh"
@@ -120,12 +103,6 @@ struct Options
     std::string statsOutPath;
     bool statsEpochs = false;
     bool profile = false;
-    bool sweep = false;
-    std::uint32_t mixLo = 1;
-    std::uint32_t mixHi = 12;
-    std::uint32_t sweepSeeds = 1;
-    /** Worker threads; 0 = hardware_concurrency. */
-    unsigned jobs = 0;
     /** Single-run: write checkpoints to this path. */
     std::string checkpointPath;
     /** Single-run: restore from this checkpoint chain first. */
@@ -177,8 +154,6 @@ usage(const char *argv0)
                  "jsonl|chrome] [--trace-summary FILE]\n"
                  "          [--stats-out FILE] [--stats-epochs] "
                  "[--profile] [-v] [-q]\n"
-                 "          [--sweep] [--mixes A-B] [--sweep-seeds "
-                 "K] [--jobs N]\n"
                  "          [--checkpoint FILE] [--restore FILE] "
                  "[--ckpt-every N]\n",
                  argv0);
@@ -279,38 +254,6 @@ parseArgs(int argc, char **argv)
             opts.statsEpochs = true;
         } else if (arg == "--profile") {
             opts.profile = true;
-        } else if (arg == "--sweep") {
-            opts.sweep = true;
-        } else if (arg == "--mixes") {
-            const std::string spec = value();
-            const std::string_view range = spec;
-            const std::size_t dash = range.find('-');
-            opts.mixLo =
-                flagNumber<std::uint32_t>("--mixes", range.substr(0, dash));
-            opts.mixHi = dash == std::string_view::npos
-                             ? opts.mixLo
-                             : flagNumber<std::uint32_t>(
-                                   "--mixes", range.substr(dash + 1));
-            if (opts.mixLo < 1 || opts.mixHi > 12 ||
-                opts.mixLo > opts.mixHi) {
-                std::fprintf(stderr,
-                             "--mixes range must lie in 1-12\n");
-                usage(argv[0]);
-            }
-        } else if (arg == "--sweep-seeds") {
-            opts.sweepSeeds =
-                flagNumber<std::uint32_t>("--sweep-seeds", value());
-            if (opts.sweepSeeds == 0) {
-                std::fprintf(stderr,
-                             "--sweep-seeds must be nonzero\n");
-                usage(argv[0]);
-            }
-        } else if (arg == "--jobs" || arg == "-j") {
-            opts.jobs = flagNumber<unsigned>(arg.c_str(), value());
-        } else if (arg.rfind("-j", 0) == 0 && arg.size() > 2) {
-            // make-style attached form: -j8
-            opts.jobs = flagNumber<unsigned>(
-                "-j", std::string_view(arg).substr(2));
         } else if (arg == "-v" || arg == "--verbose") {
             setLogLevel(LogLevel::Verbose);
         } else if (arg == "-q" || arg == "--quiet") {
@@ -324,17 +267,6 @@ parseArgs(int argc, char **argv)
     return opts;
 }
 
-MorphConfig
-morphConfigFromSpec(const RunSpec &spec, bool shared_space)
-{
-    MorphConfig config;
-    config.sharedAddressSpace = shared_space;
-    config.checkPolicy = checkPolicyFromName(spec.checkPolicy);
-    config.quarantineCleanEpochs = spec.quarantine;
-    config.faults = spec.faults;
-    return config;
-}
-
 /**
  * SIGINT/SIGTERM raise the ckpt interrupt flag; the run loop notices
  * it at the next epoch boundary, flushes its checkpoint, and exits
@@ -344,134 +276,6 @@ extern "C" void
 handleInterruptSignal(int)
 {
     requestCkptInterrupt();
-}
-
-/**
- * Sweep mode: fan mix × seed cells of the chosen scheme across the
- * worker pool. Everything written to stdout is a pure function of
- * the cell list, so the bytes are identical for any --jobs value;
- * wall-clock telemetry goes to stderr.
- */
-int
-runSweep(const Options &opts)
-{
-    const HierarchyParams hier =
-        opts.spec.paperScale
-            ? paperScaleHierarchy(opts.spec.cores)
-            : fastScaleHierarchy(opts.spec.cores);
-    const GeneratorParams gen = generatorFor(hier);
-    SimParams sim;
-    sim.epochs = opts.spec.epochs;
-    sim.refsPerEpochPerCore = opts.spec.refs;
-
-    const std::string base_desc = describe(opts.spec);
-
-    std::vector<std::unique_ptr<Workload>> prototypes;
-    std::vector<SimCellSpec> cells;
-    std::uint64_t cell_index = 0;
-    for (std::uint32_t rep = 0; rep < opts.sweepSeeds; ++rep) {
-        for (std::uint32_t m = opts.mixLo; m <= opts.mixHi; ++m) {
-            const std::uint64_t seed =
-                sweepCellSeed(opts.spec.seed, cell_index);
-            char name[16];
-            std::snprintf(name, sizeof(name), "MIX %02d", m);
-            MixSpec mix = mixByName(name);
-            if (opts.spec.cores < mix.benchmarks.size())
-                mix.benchmarks.resize(opts.spec.cores);
-            prototypes.push_back(
-                std::make_unique<MixWorkload>(mix, gen, seed));
-
-            SimCellSpec spec;
-            char label[64];
-            std::snprintf(label, sizeof(label),
-                          "mix:%02u seed=%llu", m,
-                          static_cast<unsigned long long>(seed));
-            spec.label = label;
-            spec.workload = prototypes.back().get();
-            spec.scheme = opts.spec.scheme;
-            spec.hier = hier;
-            spec.sim = sim;
-            spec.morph = morphConfigFromSpec(opts.spec, false);
-            spec.seed = seed;
-            char desc[640];
-            std::snprintf(desc, sizeof(desc), "%s cell=%llu mix=%u",
-                          base_desc.c_str(),
-                          static_cast<unsigned long long>(cell_index),
-                          m);
-            spec.configDesc = desc;
-            spec.wantStatsJson = !opts.statsOutPath.empty();
-            cells.push_back(std::move(spec));
-            ++cell_index;
-        }
-    }
-
-    const double wall_start = perfNowSec();
-    const auto results = runSimSweep(cells, opts.jobs);
-    const double wall_s = perfNowSec() - wall_start;
-
-    std::printf("sweep      : %zu cells (mixes %u-%u x %u seeds), "
-                "scheme %s\n",
-                cells.size(), opts.mixLo, opts.mixHi,
-                opts.sweepSeeds, opts.spec.scheme.c_str());
-    std::size_t failed = 0;
-    for (std::size_t i = 0; i < results.size(); ++i) {
-        const auto &cell = results[i];
-        if (!cell.ok()) {
-            ++failed;
-            std::printf("cell %3zu   : %-24s FAILED: %s\n", i,
-                        cells[i].label.c_str(),
-                        cell.error.c_str());
-            continue;
-        }
-        const SimCellResult &r = *cell.value;
-        std::printf("cell %3zu   : %-24s throughput=%.6f "
-                    "performance=%.6f final=%s",
-                    i, r.label.c_str(), r.run.avgThroughput,
-                    r.run.performance, r.finalTopology.c_str());
-        if (opts.spec.scheme == "morph") {
-            std::printf(" merges=%llu splits=%llu",
-                        static_cast<unsigned long long>(
-                            r.reconfig.merges),
-                        static_cast<unsigned long long>(
-                            r.reconfig.splits));
-        }
-        std::printf("\n");
-    }
-    if (failed > 0)
-        std::printf("sweep      : %zu of %zu cells FAILED\n", failed,
-                    results.size());
-
-    if (!opts.statsOutPath.empty()) {
-        std::string doc = "[\n";
-        bool first = true;
-        for (const auto &cell : results) {
-            if (!cell.ok())
-                continue;
-            if (!first)
-                doc += ",\n";
-            first = false;
-            doc += cell.value->statsJson;
-        }
-        doc += "\n]\n";
-        // Throws IoError naming the path on an open, write or close
-        // failure, like the single-run --stats-out.
-        vfsWriteWholeFile(opts.statsOutPath, doc.data(), doc.size(),
-                          /*want_fsync=*/false);
-        // The path differs between -j runs being diffed, so this
-        // confirmation stays out of the deterministic stdout stream.
-        std::fprintf(stderr, "stats registries written to %s\n",
-                     opts.statsOutPath.c_str());
-    }
-
-    // Timing is real wall-clock and must stay out of the
-    // deterministic stdout byte stream.
-    std::fprintf(stderr,
-                 "sweep: %zu cells on %u jobs in %.2f s\n",
-                 cells.size(),
-                 opts.jobs > 0 ? opts.jobs
-                               : ThreadPool::defaultThreads(),
-                 wall_s);
-    return failed == 0 ? 0 : 1;
 }
 
 } // namespace
@@ -485,9 +289,6 @@ run(const Options &opts)
         std::printf("%s", formatTraceSummary(summary).c_str());
         return 0;
     }
-
-    if (opts.sweep)
-        return runSweep(opts);
 
     BuiltRun built = buildRun(opts.spec);
     Workload *workload = built.workload.get();
