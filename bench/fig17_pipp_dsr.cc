@@ -47,20 +47,11 @@ main()
         };
 
         Row row{};
-        {
-            PippSystem system(hier);
-            row.pipp = normalized(system);
-        }
-        {
-            DsrSystem system(hier);
-            row.dsr = normalized(system);
-        }
-        {
-            // UCP [20] at both levels: exact way partitioning, the
-            // related-work contrast to PIPP's pseudo-partitioning.
-            UcpSystem system(hier);
-            row.ucp = normalized(system);
-        }
+        row.pipp = normalized(*makePippSystem(hier));
+        row.dsr = normalized(*makeDsrSystem(hier));
+        // UCP [20] at both levels: exact way partitioning, the
+        // related-work contrast to PIPP's pseudo-partitioning.
+        row.ucp = normalized(*makeUcpSystem(hier));
         const RunResult morph = runMorphMix(
             mix, hier, gen, sim, baseSeed() + m, MorphConfig{});
         row.morph = morph.avgThroughput / base.avgThroughput;

@@ -68,14 +68,14 @@ main(int argc, char **argv)
                     tput / base);
     }
     {
-        PippSystem sys(hier);
-        const double tput = runScheme(sys, mix, gen, sim);
+        const auto sys = makePippSystem(hier);
+        const double tput = runScheme(*sys, mix, gen, sim);
         std::printf("  %-12s %6.3f  (%.3fx)\n", "PIPP", tput,
                     tput / base);
     }
     {
-        DsrSystem sys(hier);
-        const double tput = runScheme(sys, mix, gen, sim);
+        const auto sys = makeDsrSystem(hier);
+        const double tput = runScheme(*sys, mix, gen, sim);
         std::printf("  %-12s %6.3f  (%.3fx)\n", "DSR", tput,
                     tput / base);
     }

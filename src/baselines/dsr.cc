@@ -108,61 +108,20 @@ DsrPolicy::insert(CacheLevelModel &level, CoreId core, Addr line_addr,
     return true; // no receiver available: plain eviction
 }
 
-namespace {
-
-HierarchyParams
-snoopingPrivate(HierarchyParams params)
+std::unique_ptr<StaticTopologySystem>
+makeDsrSystem(HierarchyParams params)
 {
-    // DSR's snoop fabric is not the MorphCache segmented bus: a
-    // local miss broadcasts over the existing coherence network.
-    // Charge remote (snooped) hits a fixed penalty equal to the
-    // merged-hit premium, without the segmented-bus serialization.
-    params.l2.chargeBusPenalty = false;
-    params.l3.chargeBusPenalty = false;
-    params.l2.remoteHitExtraCycles = 15;
-    params.l3.remoteHitExtraCycles = 15;
     // Like PIPP, DSR's original evaluation is not inclusion-
     // enforced; spills would otherwise trigger back-invalidations.
     params.inclusive = false;
-    return params;
-}
-
-} // namespace
-
-DsrSystem::DsrSystem(HierarchyParams params)
-    : hierarchy_(snoopingPrivate(std::move(params))),
-      l2Policy_(hierarchy_.numCores(),
-                hierarchy_.params().l2.sliceGeom.numSets()),
-      l3Policy_(hierarchy_.numCores(),
-                hierarchy_.params().l3.sliceGeom.numSets())
-{
-    // One lookup group per level so local misses snoop every other
-    // slice; insertion is kept private-with-spill by the hooks.
-    Topology topo;
-    topo.numCores = hierarchy_.numCores();
-    topo.l2 = allShared(hierarchy_.numCores());
-    topo.l3 = allShared(hierarchy_.numCores());
-    hierarchy_.reconfigure(topo);
-    hierarchy_.l2().setHooks(&l2Policy_);
-    hierarchy_.l3().setHooks(&l3Policy_);
-}
-
-AccessResult
-DsrSystem::access(const MemAccess &access, Cycle now)
-{
-    return hierarchy_.access(access, now);
-}
-
-const CoreStats &
-DsrSystem::coreStats(CoreId core) const
-{
-    return hierarchy_.coreStats(core);
-}
-
-std::uint32_t
-DsrSystem::numCores() const
-{
-    return hierarchy_.numCores();
+    const std::uint32_t cores = params.numCores;
+    auto l2 = std::make_unique<DsrPolicy>(cores,
+                                          params.l2.sliceGeom.numSets());
+    auto l3 = std::make_unique<DsrPolicy>(cores,
+                                          params.l3.sliceGeom.numSets());
+    return std::make_unique<StaticTopologySystem>(
+        std::move(params), Topology::symmetric(cores, cores, 1, 1),
+        /*charge_remote=*/true, "DSR", std::move(l2), std::move(l3));
 }
 
 } // namespace morphcache

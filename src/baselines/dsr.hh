@@ -17,6 +17,7 @@
 #define MORPHCACHE_BASELINES_DSR_HH
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "hierarchy/cache_level.hh"
@@ -56,7 +57,7 @@ class DsrPolicy : public LevelHooks
 
     /** Serialize PSEL counters + spill rotor. */
     void
-    saveState(CkptWriter &w) const
+    saveState(CkptWriter &w) const override
     {
         w.u64(psel_.size());
         for (int p : psel_)
@@ -67,7 +68,7 @@ class DsrPolicy : public LevelHooks
     }
 
     void
-    loadState(CkptReader &r)
+    loadState(CkptReader &r) override
     {
         r.expectU64("PSEL counter count", psel_.size());
         for (int &p : psel_) {
@@ -100,46 +101,16 @@ class DsrPolicy : public LevelHooks
 };
 
 /**
- * The complete DSR memory system: private per-core L2 and L3
- * slices with spill-receive capacity sharing at both levels. The
- * slices are grouped for *lookup* (a local miss snoops the other
- * slices, paying the interconnect penalty) while insertion stays
- * private-with-spill, which is exactly the DSR operating model.
+ * The DSR memory system: private per-core L2 and L3 slices with
+ * spill-receive capacity sharing at both levels, non-inclusive. The
+ * slices form one group per level for *lookup* (a local miss snoops
+ * the other slices) while insertion stays private-with-spill, which
+ * is exactly the DSR operating model. DSR's snoop fabric is the
+ * coherence network, not the MorphCache bus, so a snooped hit pays
+ * the fixed remote premium.
  */
-class DsrSystem : public MemorySystem
-{
-  public:
-    explicit DsrSystem(HierarchyParams params);
-
-    AccessResult access(const MemAccess &access, Cycle now) override;
-    const CoreStats &coreStats(CoreId core) const override;
-    std::uint32_t numCores() const override;
-    std::string name() const override { return "DSR"; }
-
-    void
-    saveState(CkptWriter &w) const override
-    {
-        hierarchy_.saveState(w);
-        l2Policy_.saveState(w);
-        l3Policy_.saveState(w);
-    }
-
-    void
-    loadState(CkptReader &r) override
-    {
-        hierarchy_.loadState(r);
-        l2Policy_.loadState(r);
-        l3Policy_.loadState(r);
-    }
-
-    /** L2 policy (tests). */
-    DsrPolicy &l2Policy() { return l2Policy_; }
-
-  private:
-    Hierarchy hierarchy_;
-    DsrPolicy l2Policy_;
-    DsrPolicy l3Policy_;
-};
+std::unique_ptr<StaticTopologySystem>
+makeDsrSystem(HierarchyParams params);
 
 } // namespace morphcache
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/logging.hh"
+#include "sim/memory_system.hh"
 #include "stats/metrics.hh"
 
 namespace morphcache {
@@ -46,15 +47,10 @@ runIdealOffline(HierarchyParams params,
                 Workload &workload, const SimParams &sim)
 {
     MC_ASSERT(!candidates.empty());
-    // The oracle chooses among *static* topologies and uses the
-    // static latency model: fixed remote-hit premium, no
-    // segmented-bus serialization.
-    params.l2.chargeBusPenalty = false;
-    params.l3.chargeBusPenalty = false;
-    params.l2.remoteHitExtraCycles = 15;
-    params.l3.remoteHitExtraCycles = 15;
-
-    Hierarchy hierarchy(params);
+    // The oracle chooses among *static* topologies, so it pays their
+    // latencies.
+    Hierarchy hierarchy(
+        staticLatencyModel(std::move(params), /*charge_remote=*/true));
     hierarchy.reconfigure(candidates.front());
 
     const std::uint32_t cores = workload.numCores();

@@ -36,9 +36,9 @@ struct IdealOfflineResult
 /**
  * Run the ideal offline scheme.
  *
- * @param params Hierarchy parameters (static-latency mode: no bus
- *        penalty, matching the static configurations it chooses
- *        among).
+ * @param params Hierarchy parameters; their latencies follow
+ *        staticLatencyModel() with the remote premium, matching the
+ *        static configurations it chooses among.
  * @param candidates Candidate static topologies (the paper uses
  *        the five static configurations of Section 5).
  * @param workload Workload (consumed; advanced like a normal run).

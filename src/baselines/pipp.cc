@@ -183,67 +183,31 @@ PippPolicy::allocation(CoreId core) const
 
 namespace {
 
-HierarchyParams
-sharedNoBusPenalty(HierarchyParams params)
-{
-    params.l2.chargeBusPenalty = false;
-    params.l3.chargeBusPenalty = false;
-    // PIPP was proposed for non-inclusive shared LLCs; inclusion
-    // back-invalidation would punish its near-LRU insertions twice.
-    params.inclusive = false;
-    return params;
-}
+/** The paper's single-step promotion probability. */
+constexpr double pippPromotionProb = 0.75;
+/** Seed of the L2's promotion coin; the L3's is seeded apart. */
+constexpr std::uint64_t pippSeed = 0x9199;
 
 } // namespace
 
-PippSystem::PippSystem(HierarchyParams params, double promotion_prob,
-                       std::uint64_t seed)
-    : hierarchy_(sharedNoBusPenalty(std::move(params))),
-      l2Policy_(hierarchy_.numCores(),
-                hierarchy_.params().l2.sliceGeom.numSets(),
-                hierarchy_.params().l2.sliceGeom.assoc *
-                    hierarchy_.numCores(),
-                promotion_prob, seed),
-      l3Policy_(hierarchy_.numCores(),
-                hierarchy_.params().l3.sliceGeom.numSets(),
-                hierarchy_.params().l3.sliceGeom.assoc *
-                    hierarchy_.numCores(),
-                promotion_prob, seed ^ 0x3333)
+std::unique_ptr<StaticTopologySystem>
+makePippSystem(HierarchyParams params)
 {
-    // PIPP partitions a single shared cache at each level: the
-    // (16:1:1) topology in the paper's notation.
-    Topology topo;
-    topo.numCores = hierarchy_.numCores();
-    topo.l2 = allShared(hierarchy_.numCores());
-    topo.l3 = allShared(hierarchy_.numCores());
-    hierarchy_.reconfigure(topo);
-    hierarchy_.l2().setHooks(&l2Policy_);
-    hierarchy_.l3().setHooks(&l3Policy_);
-}
-
-AccessResult
-PippSystem::access(const MemAccess &access, Cycle now)
-{
-    return hierarchy_.access(access, now);
-}
-
-void
-PippSystem::epochBoundary()
-{
-    l2Policy_.epochBoundary();
-    l3Policy_.epochBoundary();
-}
-
-const CoreStats &
-PippSystem::coreStats(CoreId core) const
-{
-    return hierarchy_.coreStats(core);
-}
-
-std::uint32_t
-PippSystem::numCores() const
-{
-    return hierarchy_.numCores();
+    // PIPP was proposed for non-inclusive shared LLCs; inclusion
+    // back-invalidation would punish its near-LRU insertions twice.
+    params.inclusive = false;
+    const std::uint32_t cores = params.numCores;
+    const auto policy = [cores](const LevelParams &level,
+                                std::uint64_t seed) {
+        return std::make_unique<PippPolicy>(
+            cores, level.sliceGeom.numSets(),
+            level.sliceGeom.assoc * cores, pippPromotionProb, seed);
+    };
+    std::unique_ptr<PippPolicy> l2 = policy(params.l2, pippSeed);
+    std::unique_ptr<PippPolicy> l3 = policy(params.l3, pippSeed ^ 0x3333);
+    return std::make_unique<StaticTopologySystem>(
+        std::move(params), Topology::symmetric(cores, cores, 1, 1),
+        /*charge_remote=*/false, "PIPP", std::move(l2), std::move(l3));
 }
 
 } // namespace morphcache

@@ -18,6 +18,7 @@
 #define MORPHCACHE_BASELINES_PIPP_HH
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/rng.hh"
@@ -137,15 +138,15 @@ class PippPolicy : public LevelHooks
     /** Stack inserts and promotions read the level's recency order. */
     bool wantsRecencyOrder() const override { return true; }
 
-    /** Recompute allocations from the monitors (epoch boundary). */
-    void epochBoundary();
+    /** Recompute allocations from the monitors. */
+    void epochBoundary() override;
 
     /** Current allocation of one core (tests). */
     std::uint32_t allocation(CoreId core) const;
 
     /** Serialize promotion coin + monitors + allocations. */
     void
-    saveState(CkptWriter &w) const
+    saveState(CkptWriter &w) const override
     {
         rng_.saveState(w);
         w.u64(monitors_.size());
@@ -155,7 +156,7 @@ class PippPolicy : public LevelHooks
     }
 
     void
-    loadState(CkptReader &r)
+    loadState(CkptReader &r) override
     {
         rng_.loadState(r);
         r.expectU64("UMON monitor count", monitors_.size());
@@ -179,53 +180,13 @@ class PippPolicy : public LevelHooks
 };
 
 /**
- * The complete PIPP memory system: all-shared L2 and L3 (16:1:1)
- * managed by PIPP at both levels.
+ * The PIPP memory system: the all-shared (16:1:1) topology,
+ * non-inclusive, with PIPP managing both the L2 and the L3. PIPP is
+ * evaluated as a conventional shared-cache design with the fixed
+ * static latencies of Section 4: no remote premium.
  */
-class PippSystem : public MemorySystem
-{
-  public:
-    /**
-     * @param params Hierarchy parameters (bus penalty forced off:
-     *        PIPP is evaluated as a conventional shared-cache
-     *        design with the fixed static latencies of Section 4).
-     * @param promotion_prob Promotion probability.
-     * @param seed Deterministic seed.
-     */
-    explicit PippSystem(HierarchyParams params,
-                        double promotion_prob = 0.75,
-                        std::uint64_t seed = 0x9199);
-
-    AccessResult access(const MemAccess &access, Cycle now) override;
-    void epochBoundary() override;
-    const CoreStats &coreStats(CoreId core) const override;
-    std::uint32_t numCores() const override;
-    std::string name() const override { return "PIPP"; }
-
-    void
-    saveState(CkptWriter &w) const override
-    {
-        hierarchy_.saveState(w);
-        l2Policy_.saveState(w);
-        l3Policy_.saveState(w);
-    }
-
-    void
-    loadState(CkptReader &r) override
-    {
-        hierarchy_.loadState(r);
-        l2Policy_.loadState(r);
-        l3Policy_.loadState(r);
-    }
-
-    /** L2 policy (tests). */
-    PippPolicy &l2Policy() { return l2Policy_; }
-
-  private:
-    Hierarchy hierarchy_;
-    PippPolicy l2Policy_;
-    PippPolicy l3Policy_;
-};
+std::unique_ptr<StaticTopologySystem>
+makePippSystem(HierarchyParams params);
 
 } // namespace morphcache
 

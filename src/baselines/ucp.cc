@@ -152,64 +152,23 @@ UcpPolicy::quota(CoreId core) const
     return quota_[core];
 }
 
-namespace {
-
-HierarchyParams
-sharedUcp(HierarchyParams params)
+std::unique_ptr<StaticTopologySystem>
+makeUcpSystem(HierarchyParams params)
 {
-    params.l2.chargeBusPenalty = false;
-    params.l3.chargeBusPenalty = false;
-    // Like PIPP: evaluated as a conventional shared-cache design,
-    // non-inclusive as originally proposed.
+    // Like PIPP: a conventional shared-cache design, non-inclusive
+    // as originally proposed.
     params.inclusive = false;
-    return params;
-}
-
-} // namespace
-
-UcpSystem::UcpSystem(HierarchyParams params)
-    : hierarchy_(sharedUcp(std::move(params))),
-      l2Policy_(hierarchy_.numCores(),
-                hierarchy_.params().l2.sliceGeom.numSets(),
-                hierarchy_.numCores(),
-                hierarchy_.params().l2.sliceGeom.assoc),
-      l3Policy_(hierarchy_.numCores(),
-                hierarchy_.params().l3.sliceGeom.numSets(),
-                hierarchy_.numCores(),
-                hierarchy_.params().l3.sliceGeom.assoc)
-{
-    Topology topo;
-    topo.numCores = hierarchy_.numCores();
-    topo.l2 = allShared(hierarchy_.numCores());
-    topo.l3 = allShared(hierarchy_.numCores());
-    hierarchy_.reconfigure(topo);
-    hierarchy_.l2().setHooks(&l2Policy_);
-    hierarchy_.l3().setHooks(&l3Policy_);
-}
-
-AccessResult
-UcpSystem::access(const MemAccess &access, Cycle now)
-{
-    return hierarchy_.access(access, now);
-}
-
-void
-UcpSystem::epochBoundary()
-{
-    l2Policy_.epochBoundary();
-    l3Policy_.epochBoundary();
-}
-
-const CoreStats &
-UcpSystem::coreStats(CoreId core) const
-{
-    return hierarchy_.coreStats(core);
-}
-
-std::uint32_t
-UcpSystem::numCores() const
-{
-    return hierarchy_.numCores();
+    const std::uint32_t cores = params.numCores;
+    const auto policy = [cores](const LevelParams &level) {
+        return std::make_unique<UcpPolicy>(
+            cores, level.sliceGeom.numSets(), cores,
+            level.sliceGeom.assoc);
+    };
+    std::unique_ptr<UcpPolicy> l2 = policy(params.l2);
+    std::unique_ptr<UcpPolicy> l3 = policy(params.l3);
+    return std::make_unique<StaticTopologySystem>(
+        std::move(params), Topology::symmetric(cores, cores, 1, 1),
+        /*charge_remote=*/false, "UCP", std::move(l2), std::move(l3));
 }
 
 } // namespace morphcache

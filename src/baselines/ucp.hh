@@ -17,6 +17,7 @@
 #define MORPHCACHE_BASELINES_UCP_HH
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "baselines/pipp.hh"
@@ -56,15 +57,15 @@ class UcpPolicy : public LevelHooks
     /** Victim choice walks the level's recency order. */
     bool wantsRecencyOrder() const override { return true; }
 
-    /** Recompute quotas from the monitors (epoch boundary). */
-    void epochBoundary();
+    /** Recompute quotas from the monitors. */
+    void epochBoundary() override;
 
     /** Current quota of one core. */
     std::uint32_t quota(CoreId core) const;
 
     /** Serialize monitors + quotas + line-ownership sidecar. */
     void
-    saveState(CkptWriter &w) const
+    saveState(CkptWriter &w) const override
     {
         w.u64(monitors_.size());
         for (const UtilityMonitor &monitor : monitors_)
@@ -76,7 +77,7 @@ class UcpPolicy : public LevelHooks
     }
 
     void
-    loadState(CkptReader &r)
+    loadState(CkptReader &r) override
     {
         r.expectU64("UCP monitor count", monitors_.size());
         for (UtilityMonitor &monitor : monitors_)
@@ -128,44 +129,13 @@ class UcpPolicy : public LevelHooks
 };
 
 /**
- * The complete UCP memory system: all-shared L2 and L3 with exact
- * way partitioning at both levels.
+ * The UCP memory system: the all-shared (16:1:1) topology,
+ * non-inclusive, with exact way partitioning at both the L2 and the
+ * L3 and the fixed static latencies of Section 4 (no remote
+ * premium), like PIPP.
  */
-class UcpSystem : public MemorySystem
-{
-  public:
-    explicit UcpSystem(HierarchyParams params);
-
-    AccessResult access(const MemAccess &access, Cycle now) override;
-    void epochBoundary() override;
-    const CoreStats &coreStats(CoreId core) const override;
-    std::uint32_t numCores() const override;
-    std::string name() const override { return "UCP"; }
-
-    void
-    saveState(CkptWriter &w) const override
-    {
-        hierarchy_.saveState(w);
-        l2Policy_.saveState(w);
-        l3Policy_.saveState(w);
-    }
-
-    void
-    loadState(CkptReader &r) override
-    {
-        hierarchy_.loadState(r);
-        l2Policy_.loadState(r);
-        l3Policy_.loadState(r);
-    }
-
-    /** L2 policy (tests). */
-    UcpPolicy &l2Policy() { return l2Policy_; }
-
-  private:
-    Hierarchy hierarchy_;
-    UcpPolicy l2Policy_;
-    UcpPolicy l3Policy_;
-};
+std::unique_ptr<StaticTopologySystem>
+makeUcpSystem(HierarchyParams params);
 
 } // namespace morphcache
 

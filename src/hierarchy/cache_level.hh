@@ -143,6 +143,8 @@ class CacheLevelModel;
  * override these callbacks and drive the level through its policy
  * primitives (insertAtStackPosition, promoteByOne, fillAt,
  * insertIntoSlice); PIPP and UCP also read its recency order.
+ * The system that owns a policy (StaticTopologySystem) calls its
+ * epoch and checkpoint callbacks.
  */
 class LevelHooks
 {
@@ -197,6 +199,13 @@ class LevelHooks
      * only for hooks that ask for it.
      */
     virtual bool wantsRecencyOrder() const { return false; }
+
+    /** Called after every epoch (monitor decay, reallocation). */
+    virtual void epochBoundary() {}
+
+    /** Serialize/restore the policy's mutable state. */
+    virtual void saveState(CkptWriter &w) const { (void)w; }
+    virtual void loadState(CkptReader &r) { (void)r; }
 };
 
 /**

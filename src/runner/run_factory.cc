@@ -1,12 +1,16 @@
 #include "runner/run_factory.hh"
 
+#include <array>
 #include <cstdio>
+#include <optional>
+#include <string_view>
 
 #include "baselines/dsr.hh"
 #include "baselines/pipp.hh"
 #include "baselines/ucp.hh"
 #include "check/invariant.hh"
 #include "common/error.hh"
+#include "common/numparse.hh"
 #include "sim/config.hh"
 #include "workload/trace.hh"
 
@@ -26,9 +30,12 @@ makeWorkload(const RunSpec &spec, const GeneratorParams &gen,
     const std::string arg = spec.workload.substr(colon + 1);
 
     if (kind == "mix") {
-        char name[16];
-        std::snprintf(name, sizeof(name), "MIX %02d",
-                      std::atoi(arg.c_str()));
+        const std::optional<std::uint32_t> index =
+            parseNumber<std::uint32_t>(arg);
+        if (!index)
+            throw ConfigError("bad mix workload '" + spec.workload + "'");
+        char name[24];
+        std::snprintf(name, sizeof(name), "MIX %02u", *index);
         MixSpec mix = mixByName(name);
         if (spec.cores < mix.benchmarks.size())
             mix.benchmarks.resize(spec.cores);
@@ -52,6 +59,38 @@ makeWorkload(const RunSpec &spec, const GeneratorParams &gen,
 }
 
 /**
+ * The (x:y:z) of a "static:X:Y:Z" scheme: exactly three decimal
+ * numbers whose product is the core count, so no two spellings
+ * (say "static:2:2:1" and "static:2:2:1junk") name one simulation
+ * under two config hashes.
+ */
+std::array<std::uint32_t, 3>
+parseStaticTriple(const std::string &scheme, std::uint32_t cores)
+{
+    std::array<std::uint32_t, 3> xyz{};
+    std::string_view rest = std::string_view(scheme).substr(
+        std::string_view("static:").size());
+    for (std::uint32_t &value : xyz) {
+        const bool last = &value == &xyz.back();
+        const std::size_t end = last ? rest.size() : rest.find(':');
+        const std::optional<std::uint32_t> parsed =
+            end == std::string_view::npos
+                ? std::nullopt
+                : parseNumber<std::uint32_t>(rest.substr(0, end));
+        if (!parsed)
+            throw ConfigError("bad static scheme '" + scheme + "'");
+        value = *parsed;
+        rest.remove_prefix(last ? end : end + 1);
+    }
+    if (std::uint64_t{xyz[0]} * xyz[1] * xyz[2] != cores) {
+        throw ConfigError("static scheme '" + scheme +
+                          "' does not describe a " +
+                          std::to_string(cores) + "-core topology");
+    }
+    return xyz;
+}
+
+/**
  * The memory system for a scheme name; `morph_config` applies to the
  * morph scheme only.
  */
@@ -63,17 +102,13 @@ makeSchemeSystem(const std::string &scheme,
     if (scheme == "morph")
         return std::make_unique<MorphCacheSystem>(hier, morph_config);
     if (scheme == "pipp")
-        return std::make_unique<PippSystem>(hier);
+        return makePippSystem(hier);
     if (scheme == "dsr")
-        return std::make_unique<DsrSystem>(hier);
+        return makeDsrSystem(hier);
     if (scheme == "ucp")
-        return std::make_unique<UcpSystem>(hier);
+        return makeUcpSystem(hier);
     if (scheme.rfind("static:", 0) == 0) {
-        unsigned x = 0, y = 0, z = 0;
-        if (std::sscanf(scheme.c_str(), "static:%u:%u:%u", &x, &y,
-                        &z) != 3) {
-            throw ConfigError("bad static scheme '" + scheme + "'");
-        }
+        const auto [x, y, z] = parseStaticTriple(scheme, cores);
         return std::make_unique<StaticTopologySystem>(
             hier, Topology::symmetric(cores, x, y, z));
     }

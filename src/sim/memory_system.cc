@@ -15,13 +15,11 @@ withBusPenalty(HierarchyParams params, bool charge)
     return params;
 }
 
+} // namespace
+
 HierarchyParams
 staticLatencyModel(HierarchyParams params, bool charge_remote)
 {
-    // A static shared topology is served by a fixed interconnect
-    // (crossbar / NUCA fabric): remote slices cost the same extra
-    // wire latency a merged MorphCache slice does, but there is no
-    // segmented-bus serialization to pay.
     params.l2.chargeBusPenalty = false;
     params.l3.chargeBusPenalty = false;
     params.l2.remoteHitExtraCycles = charge_remote ? 15 : 0;
@@ -29,20 +27,33 @@ staticLatencyModel(HierarchyParams params, bool charge_remote)
     return params;
 }
 
-} // namespace
-
-StaticTopologySystem::StaticTopologySystem(HierarchyParams params,
-                                           const Topology &topology,
-                                           bool charge_bus)
-    : hierarchy_(staticLatencyModel(std::move(params), charge_bus))
+StaticTopologySystem::StaticTopologySystem(
+    HierarchyParams params, const Topology &topology,
+    bool charge_remote, std::string name,
+    std::unique_ptr<LevelHooks> l2_policy,
+    std::unique_ptr<LevelHooks> l3_policy)
+    : l2Policy_(std::move(l2_policy)), l3Policy_(std::move(l3_policy)),
+      hierarchy_(staticLatencyModel(std::move(params), charge_remote)),
+      name_(name.empty() ? topology.name() : std::move(name))
 {
     hierarchy_.reconfigure(topology);
+    hierarchy_.l2().setHooks(l2Policy_.get());
+    hierarchy_.l3().setHooks(l3Policy_.get());
 }
 
 AccessResult
 StaticTopologySystem::access(const MemAccess &access, Cycle now)
 {
     return hierarchy_.access(access, now);
+}
+
+void
+StaticTopologySystem::epochBoundary()
+{
+    if (l2Policy_)
+        l2Policy_->epochBoundary();
+    if (l3Policy_)
+        l3Policy_->epochBoundary();
 }
 
 const CoreStats &
@@ -60,13 +71,33 @@ StaticTopologySystem::numCores() const
 std::string
 StaticTopologySystem::name() const
 {
-    return hierarchy_.topology().name();
+    return name_;
 }
 
 void
 StaticTopologySystem::registerStats(StatsRegistry &registry)
 {
     hierarchy_.registerStats(registry);
+}
+
+void
+StaticTopologySystem::saveState(CkptWriter &w) const
+{
+    hierarchy_.saveState(w);
+    if (l2Policy_)
+        l2Policy_->saveState(w);
+    if (l3Policy_)
+        l3Policy_->saveState(w);
+}
+
+void
+StaticTopologySystem::loadState(CkptReader &r)
+{
+    hierarchy_.loadState(r);
+    if (l2Policy_)
+        l2Policy_->loadState(r);
+    if (l3Policy_)
+        l3Policy_->loadState(r);
 }
 
 MorphCacheSystem::MorphCacheSystem(HierarchyParams params,

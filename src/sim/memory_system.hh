@@ -2,8 +2,9 @@
  * @file
  * The memory-system abstraction the simulator drives, plus the two
  * standard concrete systems: a fixed (static) topology and a
- * MorphCache-managed hierarchy. The PIPP and DSR baselines
- * implement the same interface in src/baselines.
+ * MorphCache-managed hierarchy. The PIPP, UCP and DSR baselines are
+ * fixed topologies with level policies attached; their factories
+ * live in src/baselines.
  */
 
 #ifndef MORPHCACHE_SIM_MEMORY_SYSTEM_HH
@@ -80,15 +81,25 @@ class MemorySystem
 };
 
 /**
- * A fixed cache topology (the paper's static baselines).
+ * The fixed-interconnect latency rule of every static design (the
+ * static topologies, PIPP, UCP, DSR and the ideal offline oracle).
+ * A crossbar / NUCA fabric serves remote slices, so there is no
+ * segmented-bus serialization to pay. With `charge_remote`, a
+ * remote-slice hit costs the same +15-cycle wire premium a merged
+ * MorphCache slice does; without it, the paper's flat 10/30-cycle
+ * latencies at any sharing degree (Section 4).
+ */
+HierarchyParams staticLatencyModel(HierarchyParams params,
+                                   bool charge_remote);
+
+/**
+ * A fixed cache topology: the paper's static baselines, and with
+ * level policies attached, the PIPP, UCP and DSR baselines.
  *
- * By default remote-slice traffic pays the same segmented-bus
- * latencies a MorphCache merged group pays: the wires are the same
- * whether the sharing is static or dynamic. The paper instead
- * grants static configurations flat 10/30-cycle latencies at any
- * sharing degree (Section 4); pass charge_bus=false to reproduce
- * that idealization — the two assumptions are compared by the
- * latency-model ablation bench.
+ * Remote-slice traffic follows staticLatencyModel(): never the
+ * segmented bus, and by default the remote premium. Passing
+ * charge_remote=false grants the paper's flat latencies instead;
+ * the latency-model ablation bench compares the two.
  */
 class StaticTopologySystem : public MemorySystem
 {
@@ -96,33 +107,44 @@ class StaticTopologySystem : public MemorySystem
     /**
      * @param params Hierarchy parameters.
      * @param topology Topology to hold for the whole run.
-     * @param charge_bus Charge segmented-bus latency on remote
-     *        traffic (default) or grant the paper's flat latencies.
+     * @param charge_remote Charge remote-slice hits the fixed
+     *        premium (default) or grant the paper's flat latencies.
+     * @param name Display name; empty names the system after its
+     *        topology.
+     * @param l2_policy,l3_policy Owned level policies (null: the
+     *        default LRU behaviour, with no hook calls on the
+     *        access path).
      */
     StaticTopologySystem(HierarchyParams params,
                          const Topology &topology,
-                         bool charge_bus = true);
+                         bool charge_remote = true,
+                         std::string name = {},
+                         std::unique_ptr<LevelHooks> l2_policy = {},
+                         std::unique_ptr<LevelHooks> l3_policy = {});
 
     AccessResult access(const MemAccess &access, Cycle now) override;
+    void epochBoundary() override;
     const CoreStats &coreStats(CoreId core) const override;
     std::uint32_t numCores() const override;
     std::string name() const override;
     void registerStats(StatsRegistry &registry) override;
-    void saveState(CkptWriter &w) const override
-    {
-        hierarchy_.saveState(w);
-    }
-    void loadState(CkptReader &r) override
-    {
-        hierarchy_.loadState(r);
-    }
+    void saveState(CkptWriter &w) const override;
+    void loadState(CkptReader &r) override;
 
     /** Underlying hierarchy (stats, tests). */
     Hierarchy &hierarchy() { return hierarchy_; }
     const Hierarchy &hierarchy() const { return hierarchy_; }
 
+    /** L2 policy, or null (tests). */
+    const LevelHooks *l2Policy() const { return l2Policy_.get(); }
+
   private:
+    // The policies outlive the hierarchy, which holds raw pointers
+    // to them.
+    std::unique_ptr<LevelHooks> l2Policy_;
+    std::unique_ptr<LevelHooks> l3Policy_;
     Hierarchy hierarchy_;
+    std::string name_; // ckpt: derived(StaticTopologySystem)
 };
 
 /**

@@ -192,7 +192,7 @@ std::string
 StatsRegistry::jsonString() const
 {
     std::string out = "{\n  \"meta\": {\"seed\": ";
-    out += formatValue(static_cast<double>(meta_.seed));
+    out += std::to_string(meta_.seed);
     out += ", \"config\": \"";
     out += jsonEscape(meta_.configHash);
     out += "\"},\n  \"stats\": {";
@@ -240,8 +240,7 @@ StatsRegistry::jsonString() const
 std::string
 StatsRegistry::csvString() const
 {
-    std::string out = "# seed=" +
-                      formatValue(static_cast<double>(meta_.seed)) +
+    std::string out = "# seed=" + std::to_string(meta_.seed) +
                       " config=" +
                       (meta_.configHash.empty() ? "-"
                                                 : meta_.configHash) +

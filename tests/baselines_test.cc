@@ -101,20 +101,22 @@ TEST(PippSystem, RunsAndAllocates)
     gen.l3SliceLines = 1024;
     MixWorkload workload(mixByName("MIX 08"), gen, 7);
 
-    PippSystem sys(HierarchyParams::defaultParams(16));
+    const auto sys = makePippSystem(HierarchyParams::defaultParams(16));
     SimParams sim;
     sim.refsPerEpochPerCore = 1500;
     sim.epochs = 3;
     sim.warmupEpochs = 1;
-    Simulation simulation(sys, workload, sim);
+    Simulation simulation(*sys, workload, sim);
     const RunResult result = simulation.run();
     EXPECT_GT(result.avgThroughput, 0.0);
 
     // Allocations must be a valid partition of the 128 L2 ways.
+    const auto *policy = dynamic_cast<const PippPolicy *>(sys->l2Policy());
+    ASSERT_NE(policy, nullptr);
     std::uint32_t total = 0;
     for (CoreId c = 0; c < 16; ++c) {
-        EXPECT_GE(sys.l2Policy().allocation(c), 1u);
-        total += sys.l2Policy().allocation(c);
+        EXPECT_GE(policy->allocation(c), 1u);
+        total += policy->allocation(c);
     }
     EXPECT_EQ(total, 128u);
 }
@@ -157,7 +159,7 @@ TEST(DsrSystem, SpillsFromHotToCold)
     // Core 0 streams over a large footprint; cores 1-3 idle. DSR
     // should learn to spill and use the idle slices.
     HierarchyParams hier = testHier(4);
-    DsrSystem sys(hier);
+    const auto sys = makeDsrSystem(hier);
 
     GeneratorParams gen;
     gen.l2SliceLines = 256;
@@ -168,9 +170,11 @@ TEST(DsrSystem, SpillsFromHotToCold)
     for (int e = 0; e < 6; ++e) {
         hot.beginEpoch(static_cast<EpochId>(e));
         for (int i = 0; i < 4000; ++i)
-            sys.access(hot.next(0), 0);
+            sys->access(hot.next(0), 0);
     }
-    EXPECT_GT(sys.l2Policy().numSpills(), 0u);
+    const auto *policy = dynamic_cast<const DsrPolicy *>(sys->l2Policy());
+    ASSERT_NE(policy, nullptr);
+    EXPECT_GT(policy->numSpills(), 0u);
 }
 
 TEST(IdealOffline, PicksBestTopologyPerEpoch)

@@ -9,12 +9,12 @@
  *    as a small 4-core cell and the full stats JSON is compared
  *    byte-for-byte against a committed fixture generated before the
  *    struct-of-arrays refactor (regenerate deliberately with
- *    MC_UPDATE_GOLDEN=1); the baselines register no stats, so their
- *    cells are also rendered through every CoreStats field and the
- *    per-epoch IPCs and misses; 16-core cells (ucp/pipp/dsr, ucp/pipp,
- *    morph and all-shared static at paper scale, PARSEC under morph)
- *    pin the 16-slice group paths the same way, through every
- *    CoreStats field as well, since the baselines register no stats;
+ *    MC_UPDATE_GOLDEN=1); the baseline cells are also rendered
+ *    through every CoreStats field and the per-epoch IPCs and
+ *    misses; 16-core cells
+ *    (ucp/pipp/dsr, ucp/pipp, morph and all-shared static at paper
+ *    scale, PARSEC under morph) pin the 16-slice group paths through
+ *    every CoreStats field and every registered stat;
  *    the modes a RunSpec cannot select (arbitrary-size and
  *    non-neighbor groups, a 2 x 8 tiled system, the ideal offline
  *    oracle) are built directly and rendered the same way;
@@ -93,16 +93,18 @@ fixturePath(const std::string &scheme, int mix, const char *prefix = "")
 
 /**
  * Render everything a finished cell simulated: every core's
- * CoreStats (the baselines register no stats, so this is what pins
- * them), every recorded epoch's IPCs and misses, every registered
- * stat, and the topology chosen per epoch when the scheme reports
- * one. `system` is null for runs with no MemorySystem (the ideal
- * offline oracle). Doubles print round-trip exact.
+ * CoreStats, every recorded epoch's IPCs and misses, every
+ * registered stat (unless `with_stats` is false, for a cell whose
+ * stats JSON has its own fixture), and the topology chosen per
+ * epoch when the scheme reports one. `system` is null for runs with
+ * no MemorySystem (the ideal offline oracle). Doubles print
+ * round-trip exact.
  */
 std::string
 renderCell(const std::string &name, const RunResult &result,
            MemorySystem *system,
-           const std::vector<std::string> &topologies = {})
+           const std::vector<std::string> &topologies = {},
+           bool with_stats = true)
 {
     std::ostringstream out;
     char num[32];
@@ -144,7 +146,7 @@ renderCell(const std::string &name, const RunResult &result,
         << ",\n  \"performance\": " << f64(result.performance)
         << ",\n  \"stats\": {";
     StatsRegistry registry;
-    if (system)
+    if (system && with_stats)
         system->registerStats(registry);
     const std::vector<std::string> names = registry.names();
     for (std::size_t i = 0; i < names.size(); ++i) {
@@ -161,9 +163,9 @@ struct GoldenCell
     /** The cell's stats registry JSON. */
     std::string statsJson;
     /**
-     * renderCell() of the run when the scheme registers no stats
-     * (the baselines), so what they simulate is pinned too; empty
-     * otherwise.
+     * renderCell() of the run for a baseline scheme (ucp, pipp,
+     * dsr), so every CoreStats field and per-epoch result is pinned
+     * too; empty otherwise.
      */
     std::string rendered;
 };
@@ -195,10 +197,10 @@ runGoldenCell(const std::string &scheme, int mix)
 
     GoldenCell cell;
     cell.statsJson = registry.jsonString();
-    if (registry.names().empty()) {
+    if (scheme == "ucp" || scheme == "pipp" || scheme == "dsr") {
         cell.rendered = renderCell(
             "golden " + scheme + " " + spec.workload, result,
-            built.system.get());
+            built.system.get(), {}, /*with_stats=*/false);
     }
     return cell;
 }

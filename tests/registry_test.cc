@@ -154,6 +154,24 @@ TEST(Registry, CsvStampedAndShaped)
                    "1,3\n");
 }
 
+TEST(Registry, SeedAbove2To63PrintsExactly)
+{
+    // A campaign cell's sweepCellSeed uses all 64 bits; its stats
+    // files must name it exactly, or they cannot be traced to it.
+    StatsRegistry registry;
+    StatsMeta meta;
+    meta.seed = 13679457532755275413ULL;
+    meta.configHash = "ff00";
+    registry.setMeta(meta);
+
+    EXPECT_NE(registry.jsonString().find(
+                  "{\"seed\": 13679457532755275413, "),
+              std::string::npos);
+    EXPECT_EQ(registry.csvString().rfind(
+                  "# seed=13679457532755275413 config=ff00\n", 0),
+              0u);
+}
+
 TEST(Registry, CsvWithoutSnapshotsEmitsFinalRow)
 {
     StatsRegistry registry;

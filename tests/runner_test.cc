@@ -3,8 +3,9 @@
  * Tests for the in-process runner pieces: parallelMap (index order,
  * every cell runs, a throwing cell fails only itself, lowest-index
  * failure rethrown, the jobs == 0 rule), cell seed derivation, and
- * buildRun's typed rejection of zero cores before the workload is
- * built.
+ * buildRun: its typed rejection of zero cores before the workload is
+ * built and of malformed mix and static specs, and the system each
+ * scheme name builds.
  */
 
 #include <gtest/gtest.h>
@@ -18,6 +19,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/error.hh"
@@ -131,6 +133,43 @@ TEST(RunFactory, ZeroCoresIsAConfigErrorBeforeTheWorkloadIsBuilt)
     RunSpec spec;
     spec.cores = 0;
     EXPECT_THROW(buildRun(spec), ConfigError);
+}
+
+TEST(RunFactory, MalformedMixOrStaticSpecIsAConfigError)
+{
+    // Each of these once ran some other spelling's simulation under
+    // its own config hash, or failed naming the wrong mix.
+    for (const char *workload : {"mix:1x", "mix:abc", "mix:", "mix:-1",
+                                 "mix: 1", "mix:1.0"}) {
+        RunSpec spec;
+        spec.cores = 4;
+        spec.workload = workload;
+        EXPECT_THROW(buildRun(spec), ConfigError) << workload;
+    }
+    for (const char *scheme :
+         {"static:2:2:1junk", "static:2:2:1:9", "static:2:2",
+          "static:2::1", "static:-2:2:1", "static:2:2:x", "static:",
+          "static:2:2:2", "static:0:4:1", "static:2147483650:2:1"}) {
+        RunSpec spec;
+        spec.cores = 4;
+        spec.scheme = scheme;
+        EXPECT_THROW(buildRun(spec), ConfigError) << scheme;
+    }
+}
+
+TEST(RunFactory, WellFormedSpecsBuildTheNamedSystem)
+{
+    const std::pair<const char *, const char *> schemes[] = {
+        {"static:2:2:1", "(2:2:1)"}, {"static:4:1:1", "(4:1:1)"},
+        {"morph", "MorphCache"},     {"pipp", "PIPP"},
+        {"ucp", "UCP"},              {"dsr", "DSR"}};
+    for (const auto &[scheme, name] : schemes) {
+        RunSpec spec;
+        spec.cores = 4;
+        spec.workload = "mix:12";
+        spec.scheme = scheme;
+        EXPECT_EQ(buildRun(spec).system->name(), name) << scheme;
+    }
 }
 
 } // namespace

@@ -101,11 +101,11 @@ TEST(StaticSystem, ChargesBusOnRemoteHitsByDefault)
 
 TEST(StaticSystem, FlatLatencyModeMatchesPaperAssumption)
 {
-    // charge_bus=false reproduces Section 4's idealization: fixed
+    // charge_remote=false reproduces Section 4's idealization: fixed
     // local latency at any sharing degree.
     StaticTopologySystem sys(testHier(),
                              Topology::symmetric(4, 4, 1, 1),
-                             /*charge_bus=*/false);
+                             /*charge_remote=*/false);
     sys.access(MemAccess{0, 0x8000, AccessType::Read}, 0);
     const auto result =
         sys.access(MemAccess{3, 0x8000, AccessType::Read}, 1000);

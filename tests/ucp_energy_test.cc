@@ -31,18 +31,20 @@ TEST(Ucp, QuotasPartitionAllWays)
     gen.l3SliceLines = 1024;
     MixWorkload workload(mixByName("MIX 08"), gen, 7);
 
-    UcpSystem system(HierarchyParams::defaultParams(16));
+    const auto system = makeUcpSystem(HierarchyParams::defaultParams(16));
     SimParams sim;
     sim.refsPerEpochPerCore = 1500;
     sim.epochs = 3;
     sim.warmupEpochs = 1;
-    Simulation simulation(system, workload, sim);
+    Simulation simulation(*system, workload, sim);
     EXPECT_GT(simulation.run().avgThroughput, 0.0);
 
+    const auto *policy = dynamic_cast<const UcpPolicy *>(system->l2Policy());
+    ASSERT_NE(policy, nullptr);
     std::uint32_t total = 0;
     for (CoreId c = 0; c < 16; ++c) {
-        EXPECT_GE(system.l2Policy().quota(c), 1u);
-        total += system.l2Policy().quota(c);
+        EXPECT_GE(policy->quota(c), 1u);
+        total += policy->quota(c);
     }
     EXPECT_EQ(total, 128u);
 }

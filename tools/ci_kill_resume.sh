@@ -37,8 +37,11 @@ fi
 grep -q "/dev/full" "$work/full.err"
 
 # A spec no cell can run fails init, which then writes no manifest,
-# instead of leaving a campaign whose every cell fails or aborts.
-for bad in "--scheme bogus" "--cores 0"; do
+# instead of leaving a campaign whose every cell fails or aborts. A
+# malformed static triple must not run as some other spelling's
+# topology under its own config hash.
+for bad in "--scheme bogus" "--cores 0" \
+    "--cores 4 --scheme static:2:2:1junk"; do
     if $camp init --manifest "$work/bad.jsonl" $bad 2> /dev/null; then
         echo "init $bad exited 0" >&2
         exit 1
@@ -115,3 +118,14 @@ echo "single-run kill-resume: byte-identical"
 "$builddir"/tools/mc_ckpt --verify "$work/run.ckpt" > /dev/null \
     || { echo "mc_ckpt --verify failed" >&2; exit 1; }
 echo "mc_ckpt --verify: ok"
+
+# A baseline is a fixed topology with level policies: its restored
+# hierarchy must pass the same invariant replay.
+$sim --workload mix:3 --cores 8 --epochs 2 --refs 4000 --seed 7 \
+    --scheme pipp --checkpoint "$work/pipp.ckpt" > /dev/null
+"$builddir"/tools/mc_ckpt --verify "$work/pipp.ckpt" \
+    > "$work/pipp.verify" \
+    || { echo "mc_ckpt --verify failed on pipp" >&2; exit 1; }
+grep -qx "invariants : ok" "$work/pipp.verify" \
+    || { echo "pipp checkpoint invariants not ok" >&2; exit 1; }
+echo "mc_ckpt --verify pipp: invariants ok"

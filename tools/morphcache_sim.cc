@@ -140,7 +140,7 @@ usage(const char *argv0)
 {
     std::fprintf(stderr,
                  "usage: %s [--workload mix:N|parsec:NAME|trace:FILE]"
-                 " [--scheme morph|static:X:Y:Z|pipp|dsr]\n"
+                 " [--scheme morph|static:X:Y:Z|pipp|dsr|ucp]\n"
                  "          [--cores N] [--epochs N] [--refs N] "
                  "[--seed N] [--paper-scale] [--csv FILE]\n"
                  "          [--record FILE]\n"
