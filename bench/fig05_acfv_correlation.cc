@@ -51,12 +51,11 @@ main()
             SoloWorkload workload(profileByName("hmmer"), gen,
                                   baseSeed());
 
-            CoreModelParams core;
             std::vector<double> cycles(1, 0.0), instrs(1, 0.0);
             std::vector<double> estimated, oracle;
             for (std::uint32_t e = 0; e < epochs; ++e) {
                 workload.beginEpoch(e);
-                runEpochAccesses(hierarchy, workload, core,
+                runEpochAccesses(hierarchy, workload,
                                  sim.refsPerEpochPerCore, cycles,
                                  instrs);
                 estimated.push_back(

@@ -72,13 +72,11 @@ measureAcfv(const BenchmarkProfile &profile,
 {
     Hierarchy hierarchy(hier);
     SoloWorkload workload(profile, gen, baseSeed());
-    CoreModelParams core;
     std::vector<double> cycles(1, 0.0), instrs(1, 0.0);
     RunningStat l2, l3;
     for (std::uint32_t e = 0; e < epochs; ++e) {
         workload.beginEpoch(e);
-        runEpochAccesses(hierarchy, workload, core, refs, cycles,
-                         instrs);
+        runEpochAccesses(hierarchy, workload, refs, cycles, instrs);
         if (e >= 2) {
             l2.add(hierarchy.l2().utilization({0}));
             l3.add(hierarchy.l3().utilization({0}));
@@ -143,13 +141,12 @@ main()
         Hierarchy hierarchy(mt_hier);
         MultithreadedWorkload workload(profile, 16, mt_gen,
                                        baseSeed());
-        CoreModelParams core;
         std::vector<double> cycles(16, 0.0), instrs(16, 0.0);
         std::vector<RunningStat> l2_t(16), l3_t(16);
         RunningStat l2_s, l3_s;
         for (std::uint32_t e = 0; e < 16; ++e) {
             workload.beginEpoch(e);
-            runEpochAccesses(hierarchy, workload, core,
+            runEpochAccesses(hierarchy, workload,
                              sim.refsPerEpochPerCore, cycles,
                              instrs);
             if (e >= 2) {

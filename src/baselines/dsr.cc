@@ -6,14 +6,22 @@
 
 namespace morphcache {
 
-DsrPolicy::DsrPolicy(std::uint32_t num_slices, std::uint64_t num_sets,
-                     std::uint64_t leader_period)
-    : numSlices_(num_slices), numSets_(num_sets),
-      leaderPeriod_(leader_period), psel_(num_slices, 0)
+namespace {
+
+/**
+ * Leader sets recur every this many sets per slice (two leaders per
+ * period: one always-spill, one never-spill).
+ */
+constexpr std::uint64_t leaderPeriod = 64;
+
+} // namespace
+
+DsrPolicy::DsrPolicy(std::uint32_t num_slices, std::uint64_t num_sets)
+    : numSlices_(num_slices), numSets_(num_sets), psel_(num_slices, 0)
 {
     MC_ASSERT(num_slices >= 2);
-    MC_ASSERT(leader_period >= 2 * num_slices);
-    MC_ASSERT(num_sets >= leader_period);
+    MC_ASSERT(leaderPeriod >= 2 * num_slices);
+    MC_ASSERT(num_sets >= leaderPeriod);
 }
 
 DsrPolicy::SetRole
@@ -22,7 +30,7 @@ DsrPolicy::roleOf(SliceId slice, std::uint64_t set) const
     // Within every leader period, slice s owns two leader sets:
     // one pinned always-spill, one pinned never-spill. Offsetting
     // by the slice id spreads leaders across distinct sets.
-    const std::uint64_t phase = set % leaderPeriod_;
+    const std::uint64_t phase = set % leaderPeriod;
     if (phase == 2ull * slice)
         return SetRole::SpillLeader;
     if (phase == 2ull * slice + 1)

@@ -34,12 +34,8 @@ class DsrPolicy : public LevelHooks
     /**
      * @param num_slices Private slices at this level.
      * @param num_sets Sets per slice.
-     * @param leader_period Leader sets recur every this many sets
-     *        per slice (two leaders per period: one always-spill,
-     *        one never-spill).
      */
-    DsrPolicy(std::uint32_t num_slices, std::uint64_t num_sets,
-              std::uint64_t leader_period = 64);
+    DsrPolicy(std::uint32_t num_slices, std::uint64_t num_sets);
 
     void miss(CacheLevelModel &level, CoreId core,
               Addr line_addr) override;
@@ -91,7 +87,6 @@ class DsrPolicy : public LevelHooks
 
     std::uint32_t numSlices_;  // ckpt: derived(DsrPolicy)
     std::uint64_t numSets_;    // ckpt: derived(DsrPolicy)
-    std::uint64_t leaderPeriod_; // ckpt: derived(DsrPolicy)
     /** Saturating per-slice selectors; >0 favours not spilling. */
     std::vector<int> psel_;
     std::uint32_t rotor_ = 0;

@@ -113,10 +113,9 @@ ClassificationOracle::advance(std::vector<char> &script) const
 
 OracleLevelSignals::OracleLevelSignals(ClassificationOracle &oracle,
                                        bool is_l3,
-                                       const MsatConfig &msat,
-                                       double split_high_factor)
+                                       const MsatConfig &msat)
     : oracle_(oracle), isL3_(is_l3),
-      hot_(msat.high * std::max(1.0, split_high_factor) + 1.0),
+      hot_(msat.high * splitHighFactor + 1.0),
       cold_(msat.low - 1.0), mid_((msat.low + msat.high) / 2.0)
 {
 }
@@ -338,11 +337,8 @@ TopologyModelChecker::propose(const Topology &from,
                               ClassificationOracle &oracle,
                               bool splits_blocked) const
 {
-    const double factor = controller_.config().splitHighFactor;
-    const OracleLevelSignals l2_signals(oracle, false, config_.msat,
-                                        factor);
-    const OracleLevelSignals l3_signals(oracle, true, config_.msatL3,
-                                        factor);
+    const OracleLevelSignals l2_signals(oracle, false, config_.msat);
+    const OracleLevelSignals l3_signals(oracle, true, config_.msatL3);
     DecisionInputs in;
     in.l2 = &l2_signals;
     in.l3 = &l3_signals;

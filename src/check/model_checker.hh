@@ -158,8 +158,7 @@ class OracleLevelSignals final : public LevelSignals
 {
   public:
     OracleLevelSignals(ClassificationOracle &oracle, bool is_l3,
-                       const MsatConfig &msat,
-                       double split_high_factor);
+                       const MsatConfig &msat);
 
     MergeSignals
     mergeSignals(const std::vector<SliceId> &a,
@@ -206,7 +205,7 @@ struct ModelCheckConfig
     /** L2 MSAT driving the explored decisions. */
     MsatConfig msat;
     /** L3 MSAT. */
-    MsatConfig msatL3{0.26, 0.20};
+    MsatConfig msatL3 = defaultMsatL3;
     /** Stop after discovering this many states (0 = unlimited). */
     std::uint64_t maxStates = 0;
     /** Concrete line-conservation samples to run (0 = none). */

@@ -16,16 +16,13 @@ CacheLevelModel::CacheLevelModel(const LevelParams &params)
 {
     MC_ASSERT(params_.numSlices > 0);
     MC_ASSERT(params_.sliceGeom.valid());
-    acfvGranularity_ = params_.acfvGranularityLines;
-    if (acfvGranularity_ == 0) {
-        // The paper hashes the *tag*: all lines of one set-span
-        // (numSets consecutive lines) share a footprint unit. This
-        // is what keeps sequential streams — whose resident window
-        // spans few tags — from inflating the footprint estimate,
-        // while scattered reuse-heavy footprints set many bits.
-        acfvGranularity_ = static_cast<std::uint32_t>(
-            params_.sliceGeom.numSets());
-    }
+    // The paper hashes the *tag*: all lines of one set-span
+    // (numSets consecutive lines) share a footprint unit. This is
+    // what keeps sequential streams — whose resident window spans
+    // few tags — from inflating the footprint estimate, while
+    // scattered reuse-heavy footprints set many bits.
+    acfvGranularity_ =
+        static_cast<std::uint32_t>(params_.sliceGeom.numSets());
     MC_ASSERT(isPowerOf2(acfvGranularity_));
     acfvGranShift_ = exactLog2(acfvGranularity_);
     numSets_ = params_.sliceGeom.numSets();
@@ -53,8 +50,9 @@ CacheLevelModel::configure(const Partition &partition)
 
     // Physical-span latency stretch (Section 5.5): a group whose
     // members are not adjacent must ride a physical segment spanning
-    // every slice between its extremes; it pays extra cycles
-    // proportional to the stretch beyond its own size.
+    // every slice between its extremes; it pays these extra cycles
+    // per tile of stretch beyond its own size.
+    constexpr Cycle spanPenaltyCyclesPerTile = 2;
     spanExtraCycles_.assign(params_.numSlices, 0);
     groupSpanTiles_.assign(partition_.size(), 1);
     std::vector<std::uint32_t> bus_group(params_.numSlices, 0);
@@ -69,8 +67,7 @@ CacheLevelModel::configure(const Partition &partition)
         groupSpanTiles_[g] = span;
         const auto size =
             static_cast<std::uint32_t>(partition_[g].size());
-        const Cycle extra =
-            Cycle{span - size} * params_.spanPenaltyCyclesPerTile;
+        const Cycle extra = Cycle{span - size} * spanPenaltyCyclesPerTile;
         for (SliceId s : partition_[g])
             spanExtraCycles_[s] = extra;
     }

@@ -51,7 +51,7 @@ struct LevelParams
      */
     bool chargeBusPenalty = true;
     /** Segmented-bus timing. */
-    BusParams bus;
+    BusParams bus{};
     /**
      * Fixed extra cycles on a remote-slice hit, independent of the
      * segmented-bus model. Used by the DSR baseline, whose snoop
@@ -59,13 +59,6 @@ struct LevelParams
      * not free either.
      */
     Cycle remoteHitExtraCycles = 0;
-    /**
-     * Extra CPU cycles per tile of physical span beyond the group
-     * size, modelling the Section 5.5 observation that groups built
-     * from distant slices pay the latency of the full physical
-     * segment they ride on.
-     */
-    std::uint32_t spanPenaltyCyclesPerTile = 2;
     /** ACFV length in bits. */
     std::uint32_t acfvBits = 128;
     /**
@@ -76,15 +69,6 @@ struct LevelParams
      * families are compared against it in the Figure 5 bench.
      */
     HashKind acfvHash = HashKind::Fibonacci;
-    /**
-     * Lines per footprint unit hashed into the ACFV. The paper
-     * hashes the *tag*: all numSets consecutive lines share one
-     * footprint unit, which is what keeps sequential streams (a
-     * few tags resident at a time) from inflating the estimate
-     * while dispersed reuse-heavy footprints set many bits. 0
-     * (auto) selects exactly that: the slice's set count.
-     */
-    std::uint32_t acfvGranularityLines = 0;
     /** Track exact per-core-per-slice footprints (oracle ACF). */
     bool trackOracle = false;
 };
@@ -430,7 +414,7 @@ class CacheLevelModel
     /** Epoch boundary: reset all ACFVs (and oracle sets). */
     void resetFootprints();
 
-    /** Footprint unit (lines) actually in use. */
+    /** Footprint unit in lines: the slice's set count (the tag). */
     std::uint32_t acfvGranularity() const { return acfvGranularity_; }
 
     /**

@@ -10,6 +10,15 @@ namespace morphcache {
 
 namespace {
 
+/** Private L1 hit latency (Table 3: 3 cycles). */
+constexpr Cycle l1Latency = 3;
+
+/**
+ * Latency of a cache-to-cache transfer from another sharing group
+ * (coherence mode only).
+ */
+constexpr Cycle otherGroupLatency = 60;
+
 /** Validate one slice geometry, naming the level in any error. */
 void
 validateGeometry(const char *level, const CacheGeometry &geom)
@@ -51,20 +60,8 @@ HierarchyParams::defaultParams(std::uint32_t num_cores)
 {
     HierarchyParams params;
     params.numCores = num_cores;
-    params.l1Geom = CacheGeometry{32 * 1024, 4, 64};
-    params.l1Latency = 3;
-
-    params.l2.name = "L2";
     params.l2.numSlices = num_cores;
-    params.l2.sliceGeom = CacheGeometry{256 * 1024, 8, 64};
-    params.l2.localHitLatency = 10;
-
-    params.l3.name = "L3";
     params.l3.numSlices = num_cores;
-    params.l3.sliceGeom = CacheGeometry{1024 * 1024, 16, 64};
-    params.l3.localHitLatency = 30;
-
-    params.memLatency = 300;
     return params;
 }
 
@@ -94,8 +91,8 @@ HierarchyParams::validate() const
             "line size must match across L1/L2/L3; inclusion and "
             "back-invalidation track whole lines");
     }
-    if (l1Latency == 0 || l2.localHitLatency == 0 ||
-        l3.localHitLatency == 0 || memLatency == 0) {
+    if (l2.localHitLatency == 0 || l3.localHitLatency == 0 ||
+        memLatency == 0) {
         throw ConfigError("hit/memory latencies must be nonzero");
     }
 }
@@ -213,7 +210,7 @@ Hierarchy::access(const MemAccess &access, Cycle now)
     const Addr line = access.addr >> lineShift_;
     const bool is_write = access.type == AccessType::Write;
     AccessResult result;
-    result.latency = params_.l1Latency;
+    result.latency = l1Latency;
 
     // ---- L1 -----------------------------------------------------
     const CacheSlice l1 = l1s_.slice(access.core);
@@ -260,7 +257,7 @@ Hierarchy::access(const MemAccess &access, Cycle now)
             // Cache-to-cache transfer from a sibling group; copies
             // stay valid for reads and are invalidated below for
             // writes.
-            result.latency += params_.otherGroupLatency;
+            result.latency += otherGroupLatency;
             result.servedBy = ServedBy::OtherGroup;
             ++stats.otherGroupTransfers;
             fillL3(access.core, line, false);

@@ -71,24 +71,24 @@ struct CoreStats
     std::uint64_t misses() const { return memAccesses; }
 };
 
-/** Configuration of the whole hierarchy. */
+/**
+ * Configuration of the whole hierarchy; the member initializers are
+ * Table 3 at 16 cores. The L1 hit and cache-to-cache transfer
+ * latencies are constants in hierarchy.cc.
+ */
 struct HierarchyParams
 {
     std::uint32_t numCores = 16;
-    /** Private L1 (Table 3: 32 KB, 4-way, 64 B, 3 cycles). */
+    /** Private L1 (Table 3: 32 KB, 4-way, 64 B). */
     CacheGeometry l1Geom{32 * 1024, 4, 64};
-    Cycle l1Latency = 3;
     /** L2 level (Table 3: 16 x 256 KB 8-way, 10/25 cycles). */
-    LevelParams l2;
+    LevelParams l2{.sliceGeom = {256 * 1024, 8, 64}};
     /** L3 level (Table 3: 16 x 1 MB 16-way, 30/45 cycles). */
-    LevelParams l3;
+    LevelParams l3{.name = "L3",
+                   .sliceGeom = {1024 * 1024, 16, 64},
+                   .localHitLatency = 30};
     /** Off-chip latency (Table 3: 300 cycles). */
     Cycle memLatency = 300;
-    /**
-     * Latency of a cache-to-cache transfer from another sharing
-     * group (coherence mode only).
-     */
-    Cycle otherGroupLatency = 60;
     /**
      * Model a shared address space: writes invalidate copies held
      * by other cores/groups, and L3-group misses snoop the other
@@ -104,7 +104,7 @@ struct HierarchyParams
      */
     bool inclusive = true;
 
-    /** Table 3 defaults for a given core count. */
+    /** Table 3 for a given core count (one slice per core). */
     static HierarchyParams defaultParams(std::uint32_t num_cores = 16);
 
     /**

@@ -91,7 +91,7 @@ SegmentedBusSim::advanceTo(Cycle cpu_cycle)
     std::vector<BusCompletion> out;
     while (nextBusEdge_ <= cpu_cycle) {
         busCycle(nextBusEdge_, out);
-        nextBusEdge_ += params_.cpuCyclesPerBusCycle;
+        nextBusEdge_ += cpuCyclesPerBusCycle;
     }
     return out;
 }

@@ -22,27 +22,10 @@
 
 namespace morphcache {
 
-/** Technology/floorplan parameters (paper Table 1 + Figure 12). */
-struct TechParams
-{
-    /** Wire delay in ns per mm (Cacti 6.5, 45 nm). */
-    double wireDelayNsPerMm = 0.038;
-    /** Synthesized area of one 2-input arbiter cell in um^2. */
-    double arbiterAreaUm2 = 22.93;
-    /** Logic delay through one arbiter level on the request path. */
-    double requestLogicNsPerLevel = 0.1225;
-    /** Total logic delay on the grant path (grant decode + BusAcq). */
-    double grantLogicNs = 0.32;
-    /** Core clock in GHz (Section 3.2 assumes a 5 GHz core). */
-    double coreClockGhz = 5.0;
-    /** Bus clock in GHz (conservatively derated from the maximum). */
-    double busClockGhz = 1.0;
-
-    /** Tile pitch along a column of cores (Figure 12), mm. */
-    double tilePitchMm = 2.5;
-    /** Horizontal distance between the two core columns, mm. */
-    double columnSeparationMm = 7.5;
-};
+/** Core clock in GHz (Section 3.2 assumes a 5 GHz core). */
+inline constexpr double coreClockGhz = 5.0;
+/** Bus clock in GHz (conservatively derated from the maximum). */
+inline constexpr double busClockGhz = 1.0;
 
 /** Derived area/delay figures for one arbiter tree. */
 struct ArbiterTreeFigures
@@ -74,13 +57,12 @@ struct TransactionFigures
 
 /**
  * Computes the Table 2 figures for the L2 and L3 arbiter trees of a
- * 16-core MorphCache floorplan.
+ * 16-core MorphCache floorplan, from the Table 1 and Figure 12
+ * constants in delay_model.cc.
  */
 class ArbiterDelayModel
 {
   public:
-    explicit ArbiterDelayModel(const TechParams &tech = TechParams{});
-
     /**
      * Figures for one side's L2 tree: 8 slices in one column, a
      * 3-level tree of 7 arbiters (Table 2, left column).
@@ -95,19 +77,6 @@ class ArbiterDelayModel
 
     /** End-to-end transaction cost (3 bus cycles, 15/10 CPU cycles). */
     TransactionFigures transaction() const;
-
-    /** Technology parameters in use. */
-    const TechParams &tech() const { return tech_; }
-
-  private:
-    /**
-     * Worst-case leaf-to-root wire length of an H-tree over
-     * `leaves` slices placed along a column with the configured
-     * pitch, optionally crossing between columns at the top level.
-     */
-    double treeWireMm(std::uint32_t leaves, bool crosses_columns) const;
-
-    TechParams tech_;
 };
 
 } // namespace morphcache

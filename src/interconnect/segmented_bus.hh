@@ -31,16 +31,19 @@
 #include "common/bitops.hh"
 #include "common/serial.hh"
 #include "common/types.hh"
+#include "interconnect/delay_model.hh"
 
 namespace morphcache {
+
+/** CPU cycles per bus cycle (5 GHz core / 1 GHz bus). */
+inline constexpr std::uint32_t cpuCyclesPerBusCycle =
+    static_cast<std::uint32_t>(coreClockGhz / busClockGhz);
 
 /** Timing parameters of the segmented bus. */
 struct BusParams
 {
     /** Bus cycles per transaction: request + grant + data. */
     std::uint32_t busCyclesPerTxn = 3;
-    /** CPU cycles per bus cycle (5 GHz core / 1 GHz bus). */
-    std::uint32_t cpuCyclesPerBusCycle = 5;
     /**
      * Footnote-2 optimization: overlap arbitration with the previous
      * transaction's data transfer, reducing the effective occupancy
@@ -51,13 +54,9 @@ struct BusParams
      * Split-transaction operation (the footnote-2 observation taken
      * to its conclusion): arbitration of the next transaction
      * overlaps earlier phases, so a transaction *occupies* the
-     * segment for only its data phase while still experiencing the
-     * full request-grant-data latency. Occupancy in bus cycles.
-     */
-    std::uint32_t occupancyBusCycles = 1;
-    /**
-     * Account occupancy with the split-transaction model (default)
-     * or serialize whole transactions (the conservative
+     * segment for only its one-bus-cycle data phase while still
+     * experiencing the full request-grant-data latency. False
+     * serializes whole transactions (the conservative
      * non-pipelined reading).
      */
     bool splitTransaction = true;
@@ -77,7 +76,7 @@ struct BusParams
         if (occupancyCpuCyclesOverride > 0)
             return occupancyCpuCyclesOverride;
         if (splitTransaction)
-            return occupancyBusCycles * cpuCyclesPerBusCycle;
+            return cpuCyclesPerBusCycle;
         return txnCpuCycles();
     }
 

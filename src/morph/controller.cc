@@ -12,6 +12,19 @@
 
 namespace morphcache {
 
+namespace {
+
+/**
+ * Sharing-overlap threshold for condition (ii). The overlap
+ * statistic is the *lift over chance* of the common ACFV 1s (see
+ * CacheLevelModel::overlap); unrelated footprints read near zero,
+ * address-space sharing reads 0.15-0.4 depending on per-epoch
+ * coverage of the shared region.
+ */
+constexpr double sharingOverlapThreshold = 0.12;
+
+} // namespace
+
 MorphController::MorphController(const MorphConfig &config,
                                  std::uint32_t num_cores)
     : config_(config), numCores_(num_cores), msatNow_(config.msat),
@@ -77,7 +90,7 @@ MorphController::evaluateMerge(const LevelSignals &level,
     if (!eval.desirable && config_.sharedAddressSpace &&
         eval.utilA > l && eval.utilB > l) {
         eval.overlap = level.overlap(a, b);
-        if (eval.overlap >= config_.sharingOverlapThreshold) {
+        if (eval.overlap >= sharingOverlapThreshold) {
             eval.desirable = true;
             eval.condition = 2;
         }
@@ -108,12 +121,12 @@ MorphController::evaluateSplit(const LevelSignals &level,
     // Both halves hot: the merge no longer buys capacity sharing;
     // it only costs merged-access latency and interference — unless
     // the halves genuinely share data (Section 2.3 / Figure 6).
-    const double split_bar = msat.high * config_.splitHighFactor;
+    const double split_bar = msat.high * splitHighFactor;
     if (eval.utilFirst > split_bar && eval.utilSecond > split_bar) {
         eval.desirable = true;
         if (config_.sharedAddressSpace) {
             eval.overlap = level.overlap(first, second);
-            if (eval.overlap >= config_.sharingOverlapThreshold)
+            if (eval.overlap >= sharingOverlapThreshold)
                 eval.desirable = false;
         }
     }
@@ -207,7 +220,7 @@ MorphController::traceSplit(const char *level,
         .f64("utilFirst", event.split.utilFirst)
         .f64("utilSecond", event.split.utilSecond)
         .f64("overlap", event.split.overlap)
-        .f64("splitBar", msat.high * config_.splitHighFactor);
+        .f64("splitBar", msat.high * splitHighFactor);
     tracer_->emit(ev);
 }
 
@@ -603,6 +616,15 @@ MorphController::doL3Splits(const DecisionInputs &in,
 void
 MorphController::throttleMsat(const Hierarchy &hierarchy)
 {
+    // MSAT adjustment per throttle step, the per-core miss increase
+    // tolerated before throttling up, and the L2 throttle clamps.
+    constexpr double qosStep = 0.05;
+    constexpr double qosMissTolerance = 0.05;
+    constexpr double msatHighMax = 0.95;
+    constexpr double msatHighMin = 0.40;
+    constexpr double msatLowMax = 0.45;
+    constexpr double msatLowMin = 0.05;
+
     std::vector<std::uint64_t> epoch_misses(numCores_, 0);
     for (std::uint32_t c = 0; c < numCores_; ++c) {
         const std::uint64_t cumulative =
@@ -619,26 +641,22 @@ MorphController::throttleMsat(const Hierarchy &hierarchy)
                 static_cast<double>(prevEpochMisses_[c]);
             const double after =
                 static_cast<double>(epoch_misses[c]);
-            if (after >
-                before * (1.0 + config_.qosMissTolerance) + 16.0) {
+            if (after > before * (1.0 + qosMissTolerance) + 16.0) {
                 worse = true;
                 break;
             }
         }
-        const double step =
-            worse ? config_.qosStep : -config_.qosStep;
+        const double step = worse ? qosStep : -qosStep;
         // Throttle up (worse): drift toward a private
         // configuration; throttle down: merge more aggressively.
-        msatNow_.high = std::clamp(msatNow_.high + step,
-                                   config_.msatHighMin,
-                                   config_.msatHighMax);
-        msatNow_.low = std::clamp(msatNow_.low - step,
-                                  config_.msatLowMin,
-                                  config_.msatLowMax);
+        msatNow_.high = std::clamp(msatNow_.high + step, msatHighMin,
+                                   msatHighMax);
+        msatNow_.low = std::clamp(msatNow_.low - step, msatLowMin,
+                                  msatLowMax);
         msatL3Now_.high = std::clamp(msatL3Now_.high + step,
-                                     0.15, config_.msatHighMax);
+                                     0.15, msatHighMax);
         msatL3Now_.low = std::clamp(msatL3Now_.low - step, 0.03,
-                                    config_.msatLowMax);
+                                    msatLowMax);
         if (msatNow_.low > msatNow_.high - 0.05)
             msatNow_.low = msatNow_.high - 0.05;
         if (msatL3Now_.low > msatL3Now_.high - 0.05)

@@ -49,29 +49,34 @@ enum class ConflictPolicy : std::uint8_t {
     SplitAggressive,
 };
 
+/**
+ * Default MSAT of the L3 level. The paper tuned one (60, 30) pair
+ * "for reasonable aggressiveness" against its estimator; in this
+ * model the L3 estimate reads systematically lower than the L2 one
+ * (swept last-level working sets leave a thinner reuse trail), so
+ * the same aggressiveness corresponds to a lower threshold pair.
+ * The MSAT-sensitivity bench sweeps it.
+ */
+inline constexpr MsatConfig defaultMsatL3{0.26, 0.20};
+
+/**
+ * Merge-aggressive hysteresis in the thresholds themselves: a group
+ * only splits when both halves exceed high * this factor. With the
+ * factor at 1, any pair of mid-hot halves dissolves immediately and
+ * capacity sharing never persists; the paper's merge-aggressive
+ * default "favors a merge" whenever the two interpretations conflict
+ * (Section 2.4).
+ */
+inline constexpr double splitHighFactor = 1.3;
+
 /** Controller configuration. */
 struct MorphConfig
 {
     /** MSAT for the L2 level: the paper's (60, 30) on 128 bits. */
     MsatConfig msat;
-    /**
-     * MSAT for the L3 level. The paper tuned one (60, 30) pair "for
-     * reasonable aggressiveness" against its estimator; in this
-     * model the L3 estimate reads systematically lower than the L2
-     * one (swept last-level working sets leave a thinner reuse
-     * trail), so the same aggressiveness corresponds to a lower
-     * threshold pair. The MSAT-sensitivity bench sweeps this.
-     */
-    MsatConfig msatL3{0.26, 0.20};
+    /** MSAT for the L3 level (see defaultMsatL3). */
+    MsatConfig msatL3 = defaultMsatL3;
     ConflictPolicy conflict = ConflictPolicy::MergeAggressive;
-    /**
-     * Sharing-overlap threshold for condition (ii). The overlap
-     * statistic is the *lift over chance* of the common ACFV 1s
-     * (see CacheLevelModel::overlap); unrelated footprints read
-     * near zero, address-space sharing reads 0.15-0.4 depending on
-     * per-epoch coverage of the shared region.
-     */
-    double sharingOverlapThreshold = 0.12;
     /** Threads share one address space (multithreaded workload). */
     bool sharedAddressSpace = false;
 
@@ -82,25 +87,6 @@ struct MorphConfig
      * bench isolates its effect.
      */
     bool qosThrottling = true;
-    /** MSAT adjustment per throttle step. */
-    double qosStep = 0.05;
-    /** Per-core miss increase tolerated before throttling up. */
-    double qosMissTolerance = 0.05;
-    /** Throttle clamps. */
-    double msatHighMax = 0.95;
-    double msatHighMin = 0.40;
-    double msatLowMax = 0.45;
-    double msatLowMin = 0.05;
-
-    /**
-     * Merge-aggressive hysteresis in the thresholds themselves: a
-     * group only splits when both halves exceed high * this
-     * factor. With the factor at 1, any pair of mid-hot halves
-     * dissolves immediately and capacity sharing never persists;
-     * the paper's merge-aggressive default "favors a merge"
-     * whenever the two interpretations conflict (Section 2.4).
-     */
-    double splitHighFactor = 1.3;
 
     /**
      * Condition-(i) churn guard: the under-utilized merge partner

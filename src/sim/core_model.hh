@@ -20,29 +20,27 @@
 
 namespace morphcache {
 
-/** Core timing parameters. */
-struct CoreModelParams
-{
-    /** Superscalar issue width (Table 3: 4). */
-    double issueWidth = 4.0;
-    /**
-     * Instructions per memory reference (incl. the reference).
-     * Spaces references out in time the way real instruction
-     * streams do; this is what keeps a merged group's segmented
-     * bus below saturation at realistic miss rates.
-     */
-    double instrPerAccess = 10.0;
-    /** MLP: effective overlap of memory stalls. */
-    double overlapFactor = 2.0;
+/** Superscalar issue width (Table 3: 4). */
+inline constexpr double issueWidth = 4.0;
 
-    /** Cycles one reference adds to its core's clock. */
-    double
-    cyclesForAccess(Cycle latency) const
-    {
-        return instrPerAccess / issueWidth +
-               static_cast<double>(latency) / overlapFactor;
-    }
-};
+/**
+ * Instructions per memory reference (incl. the reference). Spaces
+ * references out in time the way real instruction streams do; this
+ * is what keeps a merged group's segmented bus below saturation at
+ * realistic miss rates.
+ */
+inline constexpr double instrPerAccess = 10.0;
+
+/** MLP: effective overlap of memory stalls. */
+inline constexpr double overlapFactor = 2.0;
+
+/** Cycles one reference adds to its core's clock. */
+inline double
+cyclesForAccess(Cycle latency)
+{
+    return instrPerAccess / issueWidth +
+           static_cast<double>(latency) / overlapFactor;
+}
 
 } // namespace morphcache
 

@@ -26,26 +26,6 @@
 
 namespace morphcache {
 
-/** Per-event energies in picojoules. */
-struct EnergyParams
-{
-    /** L1 hit access. */
-    double l1AccessPj = 10.0;
-    /** Probe + read of one L2 slice. */
-    double l2SliceAccessPj = 35.0;
-    /** Probe + read of one L3 slice. */
-    double l3SliceAccessPj = 90.0;
-    /** Off-chip DRAM access. */
-    double memAccessPj = 2000.0;
-    /**
-     * Bus transaction energy per tile of segment span: switched
-     * capacitance scales with the wire length actually driven.
-     */
-    double busPerTilePj = 6.0;
-    /** Static/arbitration overhead per bus transaction. */
-    double busBasePj = 4.0;
-};
-
 /** Accumulated energy breakdown in picojoules. */
 struct EnergyBreakdown
 {
@@ -72,10 +52,10 @@ struct EnergyBreakdown
  * segment's physical span. For static topologies the same
  * accounting applies — a fixed shared cache still probes its banks
  * and drives its interconnect — which is exactly the comparison
- * the paper's remark is about.
+ * the paper's remark is about. The per-event energies are the
+ * constants in energy.cc.
  */
-EnergyBreakdown accountEnergy(const Hierarchy &hierarchy,
-                              const EnergyParams &params = {});
+EnergyBreakdown accountEnergy(const Hierarchy &hierarchy);
 
 } // namespace morphcache
 

@@ -64,7 +64,7 @@ Simulation::runEpochInto(EpochId epoch, EpochMetrics &metrics)
     workload_.beginEpoch(epoch);
     {
         ScopedPhaseTimer timer(ProfPhase::RefProcessing);
-        runEpochAccesses(system_, workload_, params_.core,
+        runEpochAccesses(system_, workload_,
                          params_.refsPerEpochPerCore, cycles_,
                          instrs_);
     }

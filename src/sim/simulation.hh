@@ -50,7 +50,6 @@ struct RunResult
 /** Simulation configuration. */
 struct SimParams
 {
-    CoreModelParams core;
     /** References each core issues per epoch. */
     std::uint64_t refsPerEpochPerCore = 24000;
     /** Recorded epochs. */
@@ -93,9 +92,6 @@ class Simulation
 
     /** Recorded epochs completed so far. */
     std::uint64_t recordedEpochs() const { return recordedCount_; }
-
-    /** Id the next epoch (warmup or recorded) will get. */
-    EpochId nextEpoch() const { return nextEpoch_; }
 
     /**
      * Serialize/restore run progress: core clocks, epoch cursor,
@@ -189,7 +185,6 @@ class Simulation
 template <typename System>
 void
 runEpochAccesses(System &system, Workload &workload,
-                 const CoreModelParams &core_params,
                  std::uint64_t refs_per_core,
                  std::vector<double> &cycles,
                  std::vector<double> &instrs)
@@ -201,8 +196,8 @@ runEpochAccesses(System &system, Workload &workload,
                 workload.next(static_cast<CoreId>(c));
             const AccessResult result = system.access(
                 access, static_cast<Cycle>(cycles[c]));
-            cycles[c] += core_params.cyclesForAccess(result.latency);
-            instrs[c] += core_params.instrPerAccess;
+            cycles[c] += cyclesForAccess(result.latency);
+            instrs[c] += instrPerAccess;
         }
     }
 }

@@ -19,13 +19,22 @@ clampFraction(double f)
 
 /**
  * Invert a capacity-clipped ACF observation into true demand (in
- * capacity units): ACF = 1 - exp(-demand/capacity).
+ * capacity units) through the uniform-reuse residency curve
+ * ACF = 1 - exp(-demand/capacity): a benchmark showing a 0.73
+ * footprint in a private slice really wants ~1.3 slices. This is
+ * what makes capacity sharing (and its absence) matter.
  */
 double
-demandFromAcf(double acf, bool invert)
+demandFromAcf(double acf)
 {
-    return invert ? -std::log(1.0 - acf) : acf;
+    return -std::log(1.0 - acf);
 }
+
+/** Per-epoch forward drift of the working sets (fraction). */
+constexpr double driftFraction = 0.06;
+
+/** Recency ring length (L1 locality). */
+constexpr std::uint32_t recentRing = 48;
 
 /** Private line-address region of a stream. */
 Addr
@@ -76,10 +85,9 @@ CoreRefGenerator::CoreRefGenerator(const BenchmarkProfile &profile,
       rng_(seed ^ (0x9e3779b97f4a7c15ULL * (core + 1))),
       spatialOffset_(spatial_offset),
       privateBase_(privateRegionBase(core)),
-      ring_(params.recentRing, privateRegionBase(core)),
-      ringShared_(params.recentRing, false)
+      ring_(recentRing, privateRegionBase(core)),
+      ringShared_(recentRing, false)
 {
-    MC_ASSERT(params_.recentRing > 0);
     beginEpoch(0);
 }
 
@@ -94,16 +102,18 @@ CoreRefGenerator::beginEpoch(EpochId epoch)
 {
     // Per-epoch footprint fractions: Table 4 mean + AR(1) temporal
     // noise (+ the per-thread spatial offset for multithreaded
-    // apps), scaled down during persistent low-footprint phases.
+    // apps), scaled down during persistent low-footprint phases:
+    // the low phase's footprint multiplier and the noise's
+    // autocorrelation.
+    constexpr double lowPhaseScale = 0.35;
+    constexpr double noiseAr1 = 0.6;
     inLowPhase_ = inLowPhase_
                       ? rng_.chance(params_.lowPhaseStayProb)
                       : rng_.chance(params_.lowPhaseEnterProb);
-    const double phase = inLowPhase_ ? params_.lowPhaseScale : 1.0;
-    const double rho = params_.noiseAr1;
-    const double fresh = std::sqrt(
-        std::max(0.0, 1.0 - rho * rho));
-    noise2_ = rho * noise2_ + fresh * rng_.gaussian();
-    noise3_ = rho * noise3_ + fresh * rng_.gaussian();
+    const double phase = inLowPhase_ ? lowPhaseScale : 1.0;
+    const double fresh = std::sqrt(1.0 - noiseAr1 * noiseAr1);
+    noise2_ = noiseAr1 * noise2_ + fresh * rng_.gaussian();
+    noise3_ = noiseAr1 * noise3_ + fresh * rng_.gaussian();
     const double f2 = clampFraction(
         phase * (profile_.l2Acf + profile_.l2SigmaT * noise2_ +
                  spatialOffset_));
@@ -111,10 +121,8 @@ CoreRefGenerator::beginEpoch(EpochId epoch)
         phase * (profile_.l3Acf + profile_.l3SigmaT * noise3_ +
                  spatialOffset_));
 
-    const double d2 = params_.demandScale *
-                      demandFromAcf(f2, params_.invertAcfDemand);
-    const double d3 = params_.demandScale *
-                      demandFromAcf(f3, params_.invertAcfDemand);
+    const double d2 = demandScale * demandFromAcf(f2);
+    const double d3 = demandScale * demandFromAcf(f3);
 
     // Hot set: anchored to the L2 scale.
     WorkingSet hot = layoutWorkingSet(
@@ -124,7 +132,7 @@ CoreRefGenerator::beginEpoch(EpochId epoch)
     // Slow forward drift creates fresh (compulsory-miss) lines and
     // the phase behaviour behind Figure 2(a).
     const auto drift = static_cast<Addr>(
-        params_.driftFraction * static_cast<double>(hot.spanLines()));
+        driftFraction * static_cast<double>(hot.spanLines()));
     hot.base = privateBase_ + drift * epoch;
     hot_ = hot;
 
@@ -161,10 +169,19 @@ CoreRefGenerator::beginEpoch(EpochId epoch)
 Addr
 CoreRefGenerator::drawLine()
 {
+    // Streaming share for PARSEC (unclassified) benchmarks.
+    constexpr double parsecStreamFraction = 0.05;
+    // Loop-style reuse concentration: this leading fraction of the
+    // hot set receives innerHotShare of the hot draws, giving the
+    // short reuse distances real inner loops produce (without it,
+    // uniform reuse is a pathological worst case for any
+    // recency-based policy).
+    constexpr double innerHotFraction = 0.25;
+    constexpr double innerHotShare = 0.55;
     const double stream_frac =
         profile_.cls >= 0
             ? params_.streamFractionByClass[profile_.cls]
-            : params_.parsecStreamFraction;
+            : parsecStreamFraction;
     const double r = rng_.uniform();
     lastShared_ = false;
     if (r < stream_frac)
@@ -175,7 +192,7 @@ CoreRefGenerator::drawLine()
         lastShared_ = shared_.fraction > 0.0 &&
                       rng_.chance(shared_.fraction);
         const WorkingSet &hot = lastShared_ ? shared_.hot : hot_;
-        if (rng_.chance(params_.innerHotShare)) {
+        if (rng_.chance(innerHotShare)) {
             // The inner tier is additionally capped at a fraction
             // of one L2 slice: a program's innermost loops fit its
             // local cache whatever the total footprint is.
@@ -185,7 +202,7 @@ CoreRefGenerator::drawLine()
                                  params_.l2SliceLines)));
             const auto inner = std::clamp<std::uint64_t>(
                 static_cast<std::uint64_t>(
-                    params_.innerHotFraction *
+                    innerHotFraction *
                     static_cast<double>(hot.lines())),
                 1, cap);
             return hot.lineAt(rng_.below(inner));
@@ -229,11 +246,18 @@ CoreRefGenerator::next()
         if (++ringNext_ >= ring_.size())
             ringNext_ = 0;
     }
+    // Write rates of private and of address-space-shared data.
+    // Shared working sets are read-mostly in real multithreaded
+    // programs; uniform write rates would make shared lines
+    // ping-pong under write-invalidate and erase the ACFV sharing
+    // evidence the condition-(ii) merge test depends on.
+    constexpr double writeFraction = 0.25;
+    constexpr double sharedWriteFraction = 0.04;
     MemAccess access;
     access.core = core_;
     access.addr = line << 6; // 64-byte lines
-    const double write_frac = shared ? params_.sharedWriteFraction
-                                     : params_.writeFraction;
+    const double write_frac =
+        shared ? sharedWriteFraction : writeFraction;
     access.type = rng_.chance(write_frac) ? AccessType::Write
                                           : AccessType::Read;
     return access;
@@ -318,15 +342,14 @@ MultithreadedWorkload::refreshSharedRegion(EpochId epoch)
     const double f3 = clampFraction(profile_.l3Acf +
                                     profile_.l3SigmaT *
                                         appRng_.gaussian());
-    const double d2 = demandFromAcf(f2, params_.invertAcfDemand);
-    const double d3 = demandFromAcf(f3, params_.invertAcfDemand);
+    const double d2 = demandFromAcf(f2);
+    const double d3 = demandFromAcf(f3);
 
     shared_.hot = CoreRefGenerator::layoutWorkingSet(
         Addr{1} << 52, d2, f2, params_.l2SliceLines,
         params_.l2CoverageFactor, params_.acfvBits);
     const auto drift = static_cast<Addr>(
-        params_.driftFraction *
-        static_cast<double>(shared_.hot.spanLines()));
+        driftFraction * static_cast<double>(shared_.hot.spanLines()));
     shared_.hot.base += drift * epoch;
 
     shared_.mid = CoreRefGenerator::layoutWorkingSet(

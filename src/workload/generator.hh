@@ -44,7 +44,21 @@
 
 namespace morphcache {
 
-/** Tunables of the reference generator. */
+/**
+ * Demand pressure multiplier applied to the inverted footprint
+ * demands. Above 1, the aggregate demand of a 16-application mix
+ * exceeds the total cache capacity, which is the regime the paper's
+ * mixes operate in (reference-input SPEC footprints dwarf on-chip
+ * caches) and the one where topology choices matter.
+ */
+inline constexpr double demandScale = 1.25;
+
+/**
+ * Tunables of the reference generator. The calibrated model
+ * constants that no configuration varies (phase scale, AR(1) noise,
+ * inner hot tier, write rates, drift, recency ring, PARSEC stream
+ * share) live beside the code that reads them in generator.cc.
+ */
 struct GeneratorParams
 {
     /** Lines in one L2 slice (footprint scale anchor). */
@@ -73,45 +87,11 @@ struct GeneratorParams
      * reconfiguration intervals — persistence is what makes a
      * reactive scheme like MorphCache (which acts one epoch after
      * observing) profitable. Modelled as a two-state Markov chain
-     * with the given entry/stay probabilities and footprint
-     * multiplier, plus AR(1)-correlated sigma_t noise.
+     * with these entry/stay probabilities, a footprint multiplier
+     * for the low phase, and AR(1)-correlated sigma_t noise.
      */
     double lowPhaseEnterProb = 0.08;
     double lowPhaseStayProb = 0.70;
-    double lowPhaseScale = 0.35;
-    /** Autocorrelation of the per-epoch footprint noise. */
-    double noiseAr1 = 0.6;
-    /**
-     * Loop-style reuse concentration: this leading fraction of the
-     * hot set receives `innerHotShare` of the hot draws, giving the
-     * short reuse distances real inner loops produce (without it,
-     * uniform reuse is a pathological worst case for any
-     * recency-based policy).
-     */
-    double innerHotFraction = 0.25;
-    double innerHotShare = 0.55;
-    /**
-     * Demand pressure multiplier applied to the inverted footprint
-     * demands. Above 1, the aggregate demand of a 16-application
-     * mix exceeds the total cache capacity, which is the regime the
-     * paper's mixes operate in (reference-input SPEC footprints dwarf
-     * on-chip caches) and the one where topology choices matter.
-     */
-    double demandScale = 1.25;
-    /** Fraction of writes to private data. */
-    double writeFraction = 0.25;
-    /**
-     * Fraction of writes to address-space-shared data. Shared
-     * working sets are read-mostly in real multithreaded programs;
-     * uniform write rates would make shared lines ping-pong under
-     * write-invalidate and erase the ACFV sharing evidence the
-     * condition-(ii) merge test depends on.
-     */
-    double sharedWriteFraction = 0.04;
-    /** Per-epoch forward drift of the working sets (fraction). */
-    double driftFraction = 0.06;
-    /** Recency ring length (L1 locality). */
-    std::uint32_t recentRing = 48;
     /**
      * Streaming (no-reuse) share of the working draws per paper
      * class. Class 0 (low active footprint at both levels) hosts
@@ -120,16 +100,6 @@ struct GeneratorParams
      * stream little.
      */
     double streamFractionByClass[4] = {0.30, 0.08, 0.05, 0.03};
-    /** Streaming share for PARSEC (unclassified) benchmarks. */
-    double parsecStreamFraction = 0.05;
-    /**
-     * Treat Table 4 ACFs as capacity-clipped observations and
-     * invert them through the uniform-reuse residency curve
-     * ACF = 1 - exp(-demand/capacity): a benchmark showing a 0.73
-     * footprint in a private slice really wants ~1.3 slices. This
-     * is what makes capacity sharing (and its absence) matter.
-     */
-    bool invertAcfDemand = true;
 };
 
 /**

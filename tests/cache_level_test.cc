@@ -241,9 +241,7 @@ TEST(CacheLevel, InvalidateOutsideGroupSparesOwnCopy)
 
 TEST(CacheLevel, SpanPenaltyForNonNeighborGroups)
 {
-    LevelParams params = smallLevel();
-    params.spanPenaltyCyclesPerTile = 2;
-    CacheLevelModel level(params);
+    CacheLevelModel level(smallLevel());
     level.insert(0, 0x100, false);
     // Group {0,3} spans 4 tiles with only 2 members: 2 extra tiles.
     level.configure({{0, 3}, {1}, {2}});

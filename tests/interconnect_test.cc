@@ -157,17 +157,15 @@ TEST(SegmentedBus, ShortPipelinedTxnCyclesDoNotWrap)
     BusParams params;
     params.pipelined = true;
     params.busCyclesPerTxn = 1;
-    EXPECT_EQ(params.txnCpuCycles(), params.cpuCyclesPerBusCycle);
-    EXPECT_EQ(params.requestCpuCycles(),
-              params.cpuCyclesPerBusCycle);
+    EXPECT_EQ(params.txnCpuCycles(), cpuCyclesPerBusCycle);
+    EXPECT_EQ(params.requestCpuCycles(), cpuCyclesPerBusCycle);
 
     // Degenerate 0-cycle configs clamp to one bus cycle too.
     params.busCyclesPerTxn = 0;
-    EXPECT_EQ(params.txnCpuCycles(), params.cpuCyclesPerBusCycle);
+    EXPECT_EQ(params.txnCpuCycles(), cpuCyclesPerBusCycle);
     params.pipelined = false;
-    EXPECT_EQ(params.txnCpuCycles(), params.cpuCyclesPerBusCycle);
-    EXPECT_EQ(params.requestCpuCycles(),
-              params.cpuCyclesPerBusCycle);
+    EXPECT_EQ(params.txnCpuCycles(), cpuCyclesPerBusCycle);
+    EXPECT_EQ(params.requestCpuCycles(), cpuCyclesPerBusCycle);
 
     // The paper's default 3-cycle transaction is unchanged.
     EXPECT_EQ(BusParams{}.txnCpuCycles(), 15u);

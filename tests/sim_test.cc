@@ -75,9 +75,8 @@ class FourMix : public Workload
 
 TEST(CoreModel, CyclesForAccess)
 {
-    CoreModelParams params;
     // 10 instructions at width 4 + latency 10 / overlap 2.
-    EXPECT_DOUBLE_EQ(params.cyclesForAccess(10), 2.5 + 5.0);
+    EXPECT_DOUBLE_EQ(cyclesForAccess(10), 2.5 + 5.0);
 }
 
 TEST(StaticSystem, ReportsTopologyName)

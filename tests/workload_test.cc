@@ -160,7 +160,7 @@ TEST(Generator, HotSetSizedByProfile)
         sum += static_cast<double>(gen.hotLines());
     }
     const double expected =
-        params.demandScale * -std::log(1.0 - 0.73) * 512;
+        demandScale * -std::log(1.0 - 0.73) * 512;
     EXPECT_NEAR(sum / epochs, expected, expected * 0.15);
 }
 
