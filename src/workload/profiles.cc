@@ -1,6 +1,6 @@
 #include "workload/profiles.hh"
 
-#include "common/logging.hh"
+#include "common/error.hh"
 
 namespace morphcache {
 
@@ -170,7 +170,7 @@ profileByName(const std::string &name)
         if (name == profile.name)
             return profile;
     }
-    fatal("unknown benchmark '%s'", name.c_str());
+    throw ConfigError("unknown benchmark '" + name + "'");
 }
 
 const std::vector<MixSpec> &
@@ -187,7 +187,7 @@ mixByName(const std::string &name)
         if (name == mix.name)
             return mix;
     }
-    fatal("unknown mix '%s'", name.c_str());
+    throw ConfigError("unknown mix '" + name + "'");
 }
 
 } // namespace morphcache

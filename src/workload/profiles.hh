@@ -62,7 +62,10 @@ const std::vector<BenchmarkProfile> &specProfiles();
 /** All 12 PARSEC rows of Table 4. */
 const std::vector<BenchmarkProfile> &parsecProfiles();
 
-/** Find a profile by name anywhere in the database (fatal if absent). */
+/**
+ * Find a profile by name anywhere in the database; throws
+ * ConfigError if absent.
+ */
 const BenchmarkProfile &profileByName(const std::string &name);
 
 /** One multiprogrammed workload mix (Table 5). */
@@ -78,7 +81,7 @@ struct MixSpec
 /** The 12 SPEC mixes of Table 5. */
 const std::vector<MixSpec> &mixSpecs();
 
-/** Find a mix by name ("MIX 01".."MIX 12"); fatal if absent. */
+/** Find a mix by name ("MIX 01".."MIX 12"); throws ConfigError if absent. */
 const MixSpec &mixByName(const std::string &name);
 
 } // namespace morphcache
