@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "baselines/dsr.hh"
 #include "baselines/ideal_offline.hh"
 #include "baselines/pipp.hh"
@@ -208,6 +210,66 @@ TEST(IdealOffline, PicksBestTopologyPerEpoch)
     Simulation fixed_sim(fixed, workload2, sim);
     const double fixed_tput = fixed_sim.run().avgThroughput;
     EXPECT_GE(ideal.run.avgThroughput, 0.98 * fixed_tput);
+}
+
+TEST(IdealOffline, RecordsEachEpochsMemoryMisses)
+{
+    GeneratorParams gen;
+    gen.l2SliceLines = 256;
+    gen.l3SliceLines = 1024;
+    const std::vector<Topology> candidates = {
+        Topology::symmetric(16, 16, 1, 1),
+        Topology::symmetric(16, 1, 1, 16),
+        Topology::symmetric(16, 4, 4, 1),
+    };
+    SimParams sim;
+    sim.refsPerEpochPerCore = 1200;
+    sim.epochs = 3;
+    sim.warmupEpochs = 1;
+    const HierarchyParams params = HierarchyParams::defaultParams(16);
+    MixWorkload workload(mixByName("MIX 09"), gen, 7);
+    const IdealOfflineResult ideal =
+        runIdealOffline(params, candidates, workload, sim);
+    ASSERT_EQ(ideal.run.epochs.size(), 3u);
+
+    // Replay the committed path on a fresh hierarchy: warmup on the
+    // first candidate, then each recorded epoch on the topology the
+    // oracle chose. Its probes ran on copies, so the replay sees the
+    // same streams, and each core's memory-access delta per epoch
+    // is the miss count the oracle must have recorded.
+    Hierarchy hierarchy(staticLatencyModel(params, /*charge_remote=*/true));
+    hierarchy.reconfigure(candidates.front());
+    MixWorkload replay(mixByName("MIX 09"), gen, 7);
+    std::vector<double> cycles(16, 0.0), instrs(16, 0.0);
+    EpochId epoch = 0;
+    for (; epoch < sim.warmupEpochs; ++epoch) {
+        replay.beginEpoch(epoch);
+        runEpochAccesses(hierarchy, replay, sim.refsPerEpochPerCore,
+                         cycles, instrs);
+    }
+    std::uint64_t recorded = 0;
+    for (std::uint32_t e = 0; e < sim.epochs; ++e, ++epoch) {
+        const auto chosen = std::find_if(
+            candidates.begin(), candidates.end(),
+            [&](const Topology &t) {
+                return t.name() == ideal.chosenTopology[e];
+            });
+        ASSERT_NE(chosen, candidates.end());
+        hierarchy.reconfigure(*chosen);
+        std::vector<std::uint64_t> before(16);
+        for (CoreId c = 0; c < 16; ++c)
+            before[c] = hierarchy.coreStats(c).memAccesses;
+        replay.beginEpoch(epoch);
+        runEpochAccesses(hierarchy, replay, sim.refsPerEpochPerCore,
+                         cycles, instrs);
+        for (CoreId c = 0; c < 16; ++c) {
+            EXPECT_EQ(ideal.run.epochs[e].misses[c],
+                      hierarchy.coreStats(c).memAccesses - before[c])
+                << "epoch " << e << " core " << c;
+            recorded += ideal.run.epochs[e].misses[c];
+        }
+    }
+    EXPECT_GT(recorded, 0u);
 }
 
 } // namespace
