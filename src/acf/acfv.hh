@@ -103,9 +103,6 @@ class Acfv
                static_cast<double>(numBits_);
     }
 
-    /** Hash family in use. */
-    HashKind hashKind() const { return kind_; }
-
     /** Bit value at index i (for tests). */
     bool test(std::uint32_t i) const;
 

@@ -85,13 +85,6 @@ ArbiterTree::configure(const std::vector<std::uint32_t> &group_of)
     }
 }
 
-bool
-ArbiterTree::nodeEnabled(std::uint32_t node) const
-{
-    MC_ASSERT(node >= 1 && node < numLeaves_);
-    return enabled_[node];
-}
-
 void
 ArbiterTree::reset()
 {

@@ -57,9 +57,6 @@ class RoundRobinArbiter2
      */
     Grants arbitrate(bool req0, bool req1, bool granted, bool fwdreq);
 
-    /** Which input won the last grant (for tests). */
-    bool lastGnt() const { return lastGnt_; }
-
     /** Reset the round-robin state. */
     void reset() { lastGnt_ = false; }
 
@@ -109,9 +106,6 @@ class ArbiterTree
      * @return grant[i] per slice; at most one grant per segment.
      */
     std::vector<bool> arbitrate(const std::vector<bool> &requests);
-
-    /** Whether internal node `node` joins its subtrees. */
-    bool nodeEnabled(std::uint32_t node) const;
 
     /** Reset all round-robin state. */
     void reset();

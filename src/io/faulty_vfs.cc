@@ -27,13 +27,6 @@ FaultyVfs::armedFaults() const
     return forced_.size();
 }
 
-void
-FaultyVfs::setFaultsEnabled(bool enabled)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    faultsEnabled_ = enabled;
-}
-
 std::uint64_t
 FaultyVfs::opCount() const
 {
@@ -110,7 +103,7 @@ FaultyVfs::gate(VfsOp op, const std::string &path, std::size_t n,
         ++faults_;
         return -static_cast<long>(code);
     }
-    if (!faultsEnabled_ || faults_ >= plan_.maxFaults)
+    if (faults_ >= plan_.maxFaults)
         return 0;
     if (splitMix64(rngState_) % 1000 >= plan_.faultPermille)
         return 0;

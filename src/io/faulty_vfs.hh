@@ -90,10 +90,6 @@ class FaultyVfs final : public Vfs
     /** Forced faults queued and not yet consumed. */
     std::size_t armedFaults() const;
 
-    /** Master switch for the *random* schedule (forced faults and
-     * an already-tripped crash point stay in effect). */
-    void setFaultsEnabled(bool enabled);
-
     /** Telemetry. */
     std::uint64_t opCount() const;
     std::uint64_t faultCount() const;
@@ -128,7 +124,6 @@ class FaultyVfs final : public Vfs
     std::uint64_t faults_ = 0;
     std::uint64_t sleeps_ = 0;
     bool crashed_ = false;
-    bool faultsEnabled_ = true;
     std::deque<Forced> forced_;
     std::map<int, std::string> fdPath_;
 };
