@@ -16,6 +16,8 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -23,9 +25,11 @@
 #include "common/error.hh"
 #include "common/rng.hh"
 #include "common/serial.hh"
+#include "common/textfmt.hh"
 #include "runner/run_factory.hh"
 #include "stats/registry.hh"
 #include "stats/tracing.hh"
+#include "workload/trace.hh"
 
 namespace morphcache {
 namespace {
@@ -458,6 +462,178 @@ TEST(Ckpt, InspectReportsHeaderAndSections)
     EXPECT_EQ(info.sections[4].first, "REGY");
     EXPECT_EQ(info.sections[5].first, "TRCE");
     std::remove(path.c_str());
+}
+
+// ---------------------------------------------------------------
+// Pinned checkpoint bytes
+// ---------------------------------------------------------------
+
+/** A checkpointed run: a fixture label and the spec it runs. */
+struct CkptCell
+{
+    std::string label;
+    RunSpec spec;
+};
+
+/**
+ * Every scheme on mix:3, morph on a multithreaded workload, and
+ * morph under the recover policy with every fault class injected,
+ * so the SYST section carries the checker, robustness (violations,
+ * a quarantine) and injector state.
+ */
+std::vector<CkptCell>
+pinnedCells()
+{
+    std::vector<CkptCell> cells;
+    for (const char *scheme :
+         {"morph", "static:4:4:1", "ucp", "pipp", "dsr"})
+        cells.push_back({std::string(scheme) + "/mix:3",
+                         smallSpec(scheme)});
+    CkptCell parsec{"morph/parsec:canneal", smallSpec("morph")};
+    parsec.spec.workload = "parsec:canneal";
+    cells.push_back(parsec);
+    CkptCell faulty{"morph-recover-faults/mix:3", smallSpec("morph")};
+    faulty.spec.checkPolicy = "recover";
+    faulty.spec.faults.acfvFlipsPerEpoch = 4;
+    faulty.spec.faults.classificationFlipChance = 0.05;
+    faulty.spec.faults.illegalTopologyChance = 0.5;
+    faulty.spec.faults.busDropChance = 0.01;
+    faulty.spec.faults.busDelayChance = 0.01;
+    cells.push_back(faulty);
+    return cells;
+}
+
+/**
+ * A trace: workload replaying two recorded epochs of mix:3. Its SPEC
+ * names the trace file's temporary path, so only its workload state
+ * is pinned.
+ */
+RunSpec
+traceSpec()
+{
+    const std::string path = tmpPath("ckpt_pinned.mctrace");
+    BuiltRun source = buildRun(smallSpec("morph"));
+    writeTrace(recordTrace(*source.workload, 2, 500), path);
+    RunSpec spec = smallSpec("morph");
+    spec.workload = "trace:" + path;
+    return spec;
+}
+
+/** Two warmup epochs and one recorded epoch, then a checkpoint. */
+std::vector<std::uint8_t>
+checkpointAfterThreeEpochs(LiveRun &run, const RunSpec &spec,
+                           const std::string &path)
+{
+    for (int i = 0; i < 3; ++i)
+        run.simulation->stepEpoch();
+    writeCheckpoint(path, spec, run.state());
+    return readFileBytes(path);
+}
+
+/**
+ * One fixture line per section of a checkpoint file: label, tag,
+ * body length and the body's fnv1a64.
+ */
+std::string
+sectionDigests(const std::string &label,
+               const std::vector<std::uint8_t> &bytes)
+{
+    std::ostringstream out;
+    CkptReader r(label, bytes.data(), bytes.size() - 8);
+    r.skip(4 + 4 + 8 + 8 + 8); // magic, version, hash, seed, epochs
+    while (r.remaining() > 0) {
+        char tag[4];
+        r.raw(tag, 4);
+        const std::uint64_t len = r.u64();
+        const std::uint8_t *body = bytes.data() + r.offset();
+        r.skip(static_cast<std::size_t>(len));
+        out << label << ' ' << std::string(tag, 4) << ' ' << len
+            << ' ' << hex64(fnv1a64(body, len)) << '\n';
+    }
+    return out.str();
+}
+
+std::string
+workloadDigest(const std::string &label, const Workload &workload)
+{
+    CkptWriter w;
+    workload.saveState(w);
+    std::ostringstream out;
+    out << label << " WKLD " << w.buffer().size() << ' '
+        << hex64(fnv1a64(w.buffer().data(), w.buffer().size()))
+        << '\n';
+    return out.str();
+}
+
+/**
+ * The checkpoint format is pinned byte for byte: every section of
+ * every cell must keep its length and digest. MC_UPDATE_GOLDEN=1
+ * rewrites the fixture.
+ */
+TEST(Ckpt, BytesMatchFixture)
+{
+    std::string text;
+    const std::string path = tmpPath("pinned.ckpt");
+    for (const CkptCell &cell : pinnedCells()) {
+        LiveRun run(cell.spec);
+        text += sectionDigests(
+            cell.label, checkpointAfterThreeEpochs(run, cell.spec, path));
+    }
+    {
+        const RunSpec spec = traceSpec();
+        LiveRun run(spec);
+        for (int i = 0; i < 3; ++i)
+            run.simulation->stepEpoch();
+        text += workloadDigest("morph/trace", *run.built.workload);
+    }
+    std::remove(path.c_str());
+    std::remove((path + ".prev").c_str());
+
+    const std::string fixture =
+        std::string(MC_SOURCE_DIR) + "/tests/golden/ckpt_digests.txt";
+    if (std::getenv("MC_UPDATE_GOLDEN") != nullptr) {
+        std::ofstream out(fixture, std::ios::binary);
+        ASSERT_TRUE(out.good()) << fixture;
+        out << text;
+        return;
+    }
+    std::ifstream in(fixture, std::ios::binary);
+    std::ostringstream golden;
+    golden << in.rdbuf();
+    ASSERT_FALSE(golden.str().empty())
+        << "missing fixture " << fixture
+        << " (regenerate with MC_UPDATE_GOLDEN=1)";
+    EXPECT_EQ(text, golden.str())
+        << "checkpoint bytes diverged from " << fixture;
+}
+
+/**
+ * A restored run saves exactly the bytes it was restored from: every
+ * field a save writes, a load reads back into the same place.
+ */
+TEST(Ckpt, RestoreThenSaveIsByteIdentical)
+{
+    std::vector<CkptCell> cells = pinnedCells();
+    cells.push_back({"morph/trace", traceSpec()});
+    const std::string first = tmpPath("restore_first.ckpt");
+    const std::string second = tmpPath("restore_second.ckpt");
+    for (const CkptCell &cell : cells) {
+        SCOPED_TRACE(cell.label);
+        std::vector<std::uint8_t> saved;
+        {
+            LiveRun run(cell.spec);
+            saved = checkpointAfterThreeEpochs(run, cell.spec, first);
+        }
+        LiveRun restored(cell.spec);
+        readCheckpoint(first, cell.spec, restored.state());
+        writeCheckpoint(second, cell.spec, restored.state());
+        EXPECT_TRUE(readFileBytes(second) == saved)
+            << "re-saved checkpoint differs from the one restored";
+    }
+    for (const std::string &path : {first, second}) {
+        std::remove(path.c_str());
+        std::remove((path + ".prev").c_str());
+    }
 }
 
 } // namespace
