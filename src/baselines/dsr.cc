@@ -1,7 +1,9 @@
 #include "baselines/dsr.hh"
 
 #include <algorithm>
+#include <string>
 
+#include "common/error.hh"
 #include "common/logging.hh"
 
 namespace morphcache {
@@ -123,6 +125,13 @@ makeDsrSystem(HierarchyParams params)
     // enforced; spills would otherwise trigger back-invalidations.
     params.inclusive = false;
     const std::uint32_t cores = params.numCores;
+    if (2ull * cores > leaderPeriod) {
+        throw ConfigError("DSR supports at most " +
+                          std::to_string(leaderPeriod / 2) +
+                          " cores (two leader sets per slice in a " +
+                          std::to_string(leaderPeriod) +
+                          "-set period), not " + std::to_string(cores));
+    }
     auto l2 = std::make_unique<DsrPolicy>(cores,
                                           params.l2.sliceGeom.numSets());
     auto l3 = std::make_unique<DsrPolicy>(cores,

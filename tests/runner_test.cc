@@ -170,6 +170,26 @@ TEST(RunFactory, UnknownMixOrBenchmarkIsAConfigError)
     }
 }
 
+TEST(RunFactory, DsrAbove32CoresIsAConfigError)
+{
+    // DSR's 64-set leader period holds two leader sets for at most
+    // 32 slices; a wider spec must fail typed, not abort.
+    RunSpec spec;
+    spec.workload = "mix:1";
+    spec.scheme = "dsr";
+    spec.cores = 32;
+    EXPECT_NO_THROW(buildRun(spec));
+    spec.cores = 64;
+    try {
+        buildRun(spec);
+        FAIL() << "64-core DSR built";
+    } catch (const ConfigError &err) {
+        EXPECT_NE(std::string(err.what()).find("32 cores"),
+                  std::string::npos)
+            << err.what();
+    }
+}
+
 TEST(RunFactory, WellFormedSpecsBuildTheNamedSystem)
 {
     const std::pair<const char *, const char *> schemes[] = {
