@@ -77,7 +77,7 @@ SegmentedBusSim::busCycle(Cycle cpu_now,
         const std::uint32_t seg = groupOf_[s];
         MC_ASSERT(segmentBusy_[seg] == 0);
         MC_ASSERT(!inFlight_[seg].active);
-        segmentBusy_[seg] = params_.busCyclesPerTxn;
+        segmentBusy_[seg] = busCyclesPerTxn;
         inFlight_[seg].active = true;
         inFlight_[seg].slice = static_cast<SliceId>(s);
         inFlight_[seg].requestedAt = pending_[s].front();

@@ -103,7 +103,7 @@ TransactionFigures
 ArbiterDelayModel::transaction() const
 {
     TransactionFigures fig;
-    fig.busCycles = 3; // request + grant + data (Section 3.2)
+    fig.busCycles = busCyclesPerTxn;
     const double ratio = coreClockGhz / busClockGhz;
     fig.cpuCycles =
         static_cast<std::uint32_t>(fig.busCycles * ratio + 0.5);

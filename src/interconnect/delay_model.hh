@@ -26,6 +26,8 @@ namespace morphcache {
 inline constexpr double coreClockGhz = 5.0;
 /** Bus clock in GHz (conservatively derated from the maximum). */
 inline constexpr double busClockGhz = 1.0;
+/** Bus cycles of one transaction: request + grant + data. */
+inline constexpr std::uint32_t busCyclesPerTxn = 3;
 
 /** Derived area/delay figures for one arbiter tree. */
 struct ArbiterTreeFigures

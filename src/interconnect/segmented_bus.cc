@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <unordered_map>
 
+#include "common/bitops.hh"
 #include "common/logging.hh"
 
 namespace morphcache {
