@@ -9,7 +9,7 @@ set -eu
 builddir="${1:-build-sanitize}"
 
 cmake -B "$builddir" -S . -DMORPHCACHE_SANITIZE=ON
-cmake --build "$builddir" -j
+cmake --build "$builddir" -j "$(nproc)"
 ctest --test-dir "$builddir" --output-on-failure -j "$(nproc)"
 
 # ThreadSanitizer pass over everything that runs cells on threads:
@@ -18,6 +18,6 @@ ctest --test-dir "$builddir" --output-on-failure -j "$(nproc)"
 # must be race-free under oversubscription.
 tsandir="${builddir}-tsan"
 cmake -B "$tsandir" -S . -DMORPHCACHE_TSAN=ON
-cmake --build "$tsandir" -j --target mc_tests
+cmake --build "$tsandir" -j "$(nproc)" --target mc_tests
 "$tsandir"/tests/mc_tests \
     --gtest_filter='ParallelMap.*:SweepSeed.*:Executor.*:Campaign.*'

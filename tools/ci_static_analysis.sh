@@ -49,7 +49,7 @@ done
 # leg. Configure before the analyzers so they see a fresh database.
 echo "== build (MORPHCACHE_DEV_WARNINGS=ON) =="
 cmake -B "$builddir" -S . -DMORPHCACHE_DEV_WARNINGS=ON
-cmake --build "$builddir" -j
+cmake --build "$builddir" -j "$(nproc)"
 
 if command -v clang-tidy >/dev/null 2>&1; then
     echo "== clang-tidy =="
