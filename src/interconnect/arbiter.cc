@@ -35,7 +35,6 @@ RoundRobinArbiter2::arbitrate(bool req0, bool req1, bool granted,
 
 ArbiterTree::ArbiterTree(std::uint32_t num_leaves)
     : numLeaves_(num_leaves),
-      levels_(exactLog2(num_leaves)),
       nodes_(num_leaves),     // index 1..num_leaves-1 used
       enabled_(num_leaves, true)
 {

@@ -86,9 +86,6 @@ class ArbiterTree
     /** Number of internal arbiter nodes (numLeaves - 1). */
     std::uint32_t numArbiters() const { return numLeaves_ - 1; }
 
-    /** Number of arbiter levels (log2 of leaves). */
-    std::uint32_t numLevels() const { return levels_; }
-
     /**
      * Configure segmentation from a partition of the leaves into
      * contiguous aligned power-of-two groups.
@@ -112,7 +109,6 @@ class ArbiterTree
 
   private:
     std::uint32_t numLeaves_;
-    std::uint32_t levels_;
     /** Heap-ordered arbiters; index 1..numLeaves_-1. */
     std::vector<RoundRobinArbiter2> nodes_;
     /** enabled_[n]: node n joins its two subtrees (switch closed). */
