@@ -56,39 +56,23 @@ class UtilityMonitor
     void decay();
 
     /** Serialize ATD stacks + hit counters. */
-    void
-    saveState(CkptWriter &w) const
-    {
-        w.u64(stacks_.size());
-        for (const std::vector<Addr> &stack : stacks_)
-            w.u64Vec(stack);
-        w.u64Vec(hits_);
-    }
-
-    void
-    loadState(CkptReader &r)
-    {
-        r.expectU64("UMON stack count", stacks_.size());
-        for (std::vector<Addr> &stack : stacks_) {
-            const std::vector<Addr> loaded = r.u64Vec();
-            if (loaded.size() > totalWays_)
-                r.fail("UMON stack depth " +
-                       std::to_string(loaded.size()) +
-                       " exceeds group ways");
-            // Copy into the existing buffer rather than adopting
-            // `loaded`: the stacks are reserved to totalWays_ + 1
-            // at construction and must keep that capacity so the
-            // post-resume hot path stays allocation-free.
-            stack.clear();
-            stack.insert(stack.end(), loaded.begin(), loaded.end());
-        }
-        std::vector<std::uint64_t> hits = r.u64Vec();
-        if (hits.size() != hits_.size())
-            r.fail("UMON hit-counter size mismatch");
-        hits_ = std::move(hits);
-    }
+    void saveState(CkptWriter &w) const { checkpointFields(w, *this); }
+    void loadState(CkptReader &r) { checkpointFields(r, *this); }
 
   private:
+    template <class Ar, class Self>
+    static void
+    checkpointFields(Ar &ar, Self &self)
+    {
+        ar.expectU64("UMON stack count", self.stacks_.size());
+        // Loading fills each stack in place, so the capacity of
+        // totalWays_ + 1 reserved at construction survives and the
+        // post-resume hot path stays allocation-free.
+        for (auto &stack : self.stacks_)
+            ar.vecAtMost("UMON stack depth", stack, self.totalWays_);
+        ar.fixedVec("UMON hit-counter size", self.hits_);
+    }
+
     std::uint64_t numSets_;     // ckpt: derived(UtilityMonitor)
     std::uint32_t totalWays_;   // ckpt: derived(UtilityMonitor)
     std::uint32_t sampleShift_; // ckpt: derived(UtilityMonitor)
@@ -148,27 +132,23 @@ class PippPolicy : public LevelHooks
     void
     saveState(CkptWriter &w) const override
     {
-        rng_.saveState(w);
-        w.u64(monitors_.size());
-        for (const UtilityMonitor &monitor : monitors_)
-            monitor.saveState(w);
-        w.u32Vec(alloc_);
+        checkpointFields(w, *this);
     }
 
-    void
-    loadState(CkptReader &r) override
-    {
-        rng_.loadState(r);
-        r.expectU64("UMON monitor count", monitors_.size());
-        for (UtilityMonitor &monitor : monitors_)
-            monitor.loadState(r);
-        std::vector<std::uint32_t> alloc = r.u32Vec();
-        if (alloc.size() != alloc_.size())
-            r.fail("PIPP allocation size mismatch");
-        alloc_ = std::move(alloc);
-    }
+    void loadState(CkptReader &r) override { checkpointFields(r, *this); }
 
   private:
+    template <class Ar, class Self>
+    static void
+    checkpointFields(Ar &ar, Self &self)
+    {
+        ar.nested(self.rng_);
+        ar.expectU64("UMON monitor count", self.monitors_.size());
+        for (auto &monitor : self.monitors_)
+            ar.nested(monitor);
+        ar.fixedVec("PIPP allocation size", self.alloc_);
+    }
+
     std::uint32_t totalWays_;  // ckpt: derived(PippPolicy)
     double promotionProb_;     // ckpt: derived(PippPolicy)
     Rng rng_;

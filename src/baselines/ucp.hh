@@ -67,37 +67,38 @@ class UcpPolicy : public LevelHooks
     void
     saveState(CkptWriter &w) const override
     {
-        w.u64(monitors_.size());
-        for (const UtilityMonitor &monitor : monitors_)
-            monitor.saveState(w);
-        w.u32Vec(quota_);
-        w.u64(owner_.size());
-        for (CoreId owner : owner_)
-            w.u32(owner);
+        checkpointFields(w, *this);
     }
 
     void
     loadState(CkptReader &r) override
     {
-        r.expectU64("UCP monitor count", monitors_.size());
-        for (UtilityMonitor &monitor : monitors_)
-            monitor.loadState(r);
-        std::vector<std::uint32_t> quota = r.u32Vec();
-        if (quota.size() != quota_.size())
-            r.fail("UCP quota size mismatch");
-        quota_ = std::move(quota);
-        r.expectU64("UCP owner-table size", owner_.size());
-        for (CoreId &owner : owner_) {
-            const std::uint32_t v = r.u32();
-            if (v >= numCores_ && v != invalidCore)
-                r.fail("UCP line owner " + std::to_string(v) +
-                       " out of range");
-            owner = static_cast<CoreId>(v);
-        }
+        checkpointFields(r, *this);
         rebuildOwnedCounts();
     }
 
   private:
+    template <class Ar, class Self>
+    static void
+    checkpointFields(Ar &ar, Self &self)
+    {
+        ar.expectU64("UCP monitor count", self.monitors_.size());
+        for (auto &monitor : self.monitors_)
+            ar.nested(monitor);
+        ar.fixedVec("UCP quota size", self.quota_);
+        ar.expectU64("UCP owner-table size", self.owner_.size());
+        for (auto &owner : self.owner_) {
+            std::uint32_t v = owner;
+            ar.u32(v);
+            if constexpr (Ar::loading) {
+                if (v >= self.numCores_ && v != invalidCore)
+                    ar.fail("UCP line owner " + std::to_string(v) +
+                            " out of range");
+                owner = static_cast<CoreId>(v);
+            }
+        }
+    }
+
     /** Sidecar index of (slice, set, way). */
     std::size_t ownerIndex(SliceId slice, std::uint64_t set,
                            std::uint32_t way) const;

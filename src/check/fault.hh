@@ -127,33 +127,25 @@ class FaultInjector : public BusFaultHook
     const FaultConfig &config() const { return config_; }
 
     /** Serialize PRNG streams + counters (config is immutable). */
-    void
-    saveState(CkptWriter &w) const
-    {
-        epochRng_.saveState(w);
-        busRng_.saveState(w);
-        w.u64(stats_.acfvBitFlips);
-        w.u64(stats_.classificationFlips);
-        w.u64(stats_.illegalTopologies);
-        w.u64(stats_.busDrops);
-        w.u64(stats_.busDelays);
-        w.u64(stats_.busFaultCycles);
-    }
-
-    void
-    loadState(CkptReader &r)
-    {
-        epochRng_.loadState(r);
-        busRng_.loadState(r);
-        stats_.acfvBitFlips = r.u64();
-        stats_.classificationFlips = r.u64();
-        stats_.illegalTopologies = r.u64();
-        stats_.busDrops = r.u64();
-        stats_.busDelays = r.u64();
-        stats_.busFaultCycles = r.u64();
-    }
+    void saveState(CkptWriter &w) const { checkpointFields(w, *this); }
+    void loadState(CkptReader &r) { checkpointFields(r, *this); }
 
   private:
+    template <class Ar, class Self>
+    static void
+    checkpointFields(Ar &ar, Self &self)
+    {
+        ar.nested(self.epochRng_);
+        ar.nested(self.busRng_);
+        auto &stats = self.stats_;
+        ar.u64(stats.acfvBitFlips);
+        ar.u64(stats.classificationFlips);
+        ar.u64(stats.illegalTopologies);
+        ar.u64(stats.busDrops);
+        ar.u64(stats.busDelays);
+        ar.u64(stats.busFaultCycles);
+    }
+
     FaultConfig config_; // ckpt: derived(FaultInjector)
     /** Epoch-granularity fault stream. */
     Rng epochRng_;

@@ -175,25 +175,20 @@ class InvariantChecker
     const CheckStats &stats() const { return stats_; }
 
     /** Serialize activity counters (policy is construction-time). */
-    void
-    saveState(CkptWriter &w) const
-    {
-        w.u64(stats_.checksRun);
-        w.u64(stats_.violations);
-        for (std::uint64_t count : stats_.byKind)
-            w.u64(count);
-    }
-
-    void
-    loadState(CkptReader &r)
-    {
-        stats_.checksRun = r.u64();
-        stats_.violations = r.u64();
-        for (std::uint64_t &count : stats_.byKind)
-            count = r.u64();
-    }
+    void saveState(CkptWriter &w) const { checkpointFields(w, *this); }
+    void loadState(CkptReader &r) { checkpointFields(r, *this); }
 
   private:
+    template <class Ar, class Self>
+    static void
+    checkpointFields(Ar &ar, Self &self)
+    {
+        ar.u64(self.stats_.checksRun);
+        ar.u64(self.stats_.violations);
+        for (auto &count : self.stats_.byKind)
+            ar.u64(count);
+    }
+
     CheckPolicy policy_; // ckpt: derived(InvariantChecker)
     CheckStats stats_;
 };

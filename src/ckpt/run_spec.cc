@@ -33,51 +33,45 @@ specHash(const RunSpec &spec)
     return fnv1a64(desc.data(), desc.size());
 }
 
+namespace {
+
+template <class Ar, class Spec>
+void
+specFields(Ar &ar, Spec &spec)
+{
+    ar.str(spec.workload);
+    ar.str(spec.scheme);
+    ar.u32(spec.cores);
+    ar.u32(spec.epochs);
+    ar.u64(spec.refs);
+    ar.u64(spec.seed);
+    ar.b(spec.paperScale);
+    ar.str(spec.checkPolicy);
+    ar.u32(spec.quarantine);
+    auto &faults = spec.faults;
+    ar.u64(faults.seed);
+    ar.u32(faults.acfvFlipsPerEpoch);
+    ar.f64(faults.classificationFlipChance);
+    ar.f64(faults.illegalTopologyChance);
+    ar.f64(faults.busDropChance);
+    ar.u64(faults.busDropPenaltyCycles);
+    ar.f64(faults.busDelayChance);
+    ar.u64(faults.busDelayCycles);
+}
+
+} // namespace
+
 void
 saveSpec(CkptWriter &w, const RunSpec &spec)
 {
-    w.str(spec.workload);
-    w.str(spec.scheme);
-    w.u32(spec.cores);
-    w.u32(spec.epochs);
-    w.u64(spec.refs);
-    w.u64(spec.seed);
-    w.b(spec.paperScale);
-    w.str(spec.checkPolicy);
-    w.u32(spec.quarantine);
-    w.u64(spec.faults.seed);
-    w.u32(spec.faults.acfvFlipsPerEpoch);
-    w.f64(spec.faults.classificationFlipChance);
-    w.f64(spec.faults.illegalTopologyChance);
-    w.f64(spec.faults.busDropChance);
-    w.u64(spec.faults.busDropPenaltyCycles);
-    w.f64(spec.faults.busDelayChance);
-    w.u64(spec.faults.busDelayCycles);
+    specFields(w, spec);
 }
 
 RunSpec
 loadSpec(CkptReader &r)
 {
     RunSpec spec;
-    spec.workload = r.str();
-    spec.scheme = r.str();
-    spec.cores = r.u32();
-    spec.epochs = r.u32();
-    spec.refs = r.u64();
-    spec.seed = r.u64();
-    spec.paperScale = r.b();
-    spec.checkPolicy = r.str();
-    spec.quarantine = r.u32();
-    spec.faults.seed = r.u64();
-    spec.faults.acfvFlipsPerEpoch = r.u32();
-    spec.faults.classificationFlipChance = r.f64();
-    spec.faults.illegalTopologyChance = r.f64();
-    spec.faults.busDropChance = r.f64();
-    spec.faults.busDropPenaltyCycles =
-        static_cast<std::uint32_t>(r.u64());
-    spec.faults.busDelayChance = r.f64();
-    spec.faults.busDelayCycles =
-        static_cast<std::uint32_t>(r.u64());
+    specFields(r, spec);
     return spec;
 }
 

@@ -126,25 +126,20 @@ class Rng
     double gaussian();
 
     /** Serialize the full stream state (checkpoint/restore). */
-    void
-    saveState(CkptWriter &w) const
-    {
-        for (std::uint64_t word : state_)
-            w.u64(word);
-        w.b(haveSpare_);
-        w.f64(spare_);
-    }
-
-    void
-    loadState(CkptReader &r)
-    {
-        for (auto &word : state_)
-            word = r.u64();
-        haveSpare_ = r.b();
-        spare_ = r.f64();
-    }
+    void saveState(CkptWriter &w) const { checkpointFields(w, *this); }
+    void loadState(CkptReader &r) { checkpointFields(r, *this); }
 
   private:
+    template <class Ar, class Self>
+    static void
+    checkpointFields(Ar &ar, Self &self)
+    {
+        for (auto &word : self.state_)
+            ar.u64(word);
+        ar.b(self.haveSpare_);
+        ar.f64(self.spare_);
+    }
+
     static std::uint64_t
     rotl(std::uint64_t x, int k)
     {

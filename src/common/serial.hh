@@ -3,12 +3,12 @@
  * Checkpoint serialization primitives.
  *
  * CkptWriter/CkptReader implement the byte-level encoding shared by
- * every component's saveState()/loadState(): little-endian fixed
- * width integers, doubles as their IEEE-754 bit pattern (bit-exact
- * round-trips, no text formatting), strings and vectors as a u64
- * count followed by elements. The writer accumulates into memory so
- * the checkpoint file can be checksummed and written atomically in
- * one shot; the reader is bounds-checked on every access and throws
+ * every component's checkpoint walk (see CkptWriter): little-endian
+ * fixed width integers, doubles as their IEEE-754 bit pattern
+ * (bit-exact round-trips, no text formatting), strings and vectors
+ * as a u64 count followed by elements. The writer accumulates into
+ * memory so the checkpoint file can be checksummed and written
+ * atomically in one shot; the reader is bounds-checked on every access and throws
  * a typed CkptError carrying the file name and byte offset (same
  * pattern as TraceReader in src/workload/trace.cc).
  *
@@ -30,6 +30,7 @@
 #define MORPHCACHE_COMMON_SERIAL_HH
 
 #include <bit>
+#include <concepts>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -53,10 +54,36 @@ fnv1a64(const void *data, std::size_t size,
     return hash;
 }
 
-/** Buffered little-endian checkpoint encoder. */
+/**
+ * Buffered little-endian checkpoint encoder.
+ *
+ * CkptWriter and CkptReader offer the same field verbs, each taking
+ * the field by reference, so a class writes its checkpoint format
+ * once: one private walk that saveState() and loadState() both call,
+ *
+ *     template <class Ar, class Self>
+ *     static void
+ *     checkpointFields(Ar &ar, Self &self)
+ *     {
+ *         ar.fixedVec("bucket count", self.counts_);
+ *         ar.u64(self.total_);
+ *         ar.nested(self.rng_);
+ *     }
+ *
+ * with Self a const object when saving. u32/u64 name the on-disk
+ * width whatever the field's type. Each reader verb runs its checks
+ * before it assigns the field, and a fixed-length vector keeps its
+ * size, so a failed load leaves every expected count intact for the
+ * next one (restoreCheckpointChain reloads `.prev` into the same
+ * objects). Load-only work, such as rebuilding derived tables, stays
+ * in loadState() around the walk or under `if constexpr
+ * (Ar::loading)`.
+ */
 class CkptWriter
 {
   public:
+    static constexpr bool loading = false;
+
     void
     u8(std::uint8_t v)
     {
@@ -96,28 +123,43 @@ class CkptWriter
         buf_.insert(buf_.end(), p, p + size);
     }
 
+    /** Counted vectors: a u64 length, then the elements. */
+    void u64Vec(const std::vector<std::uint64_t> &v) { vec(v); }
+    void u32Vec(const std::vector<std::uint32_t> &v) { vec(v); }
+    void f64Vec(const std::vector<double> &v) { vec(v); }
+
+    /**
+     * A counted vector whose length the reader requires to be
+     * v.size() (or `n`) on load.
+     */
+    template <class T>
     void
-    u64Vec(const std::vector<std::uint64_t> &v)
+    fixedVec(const char *, const std::vector<T> &v, std::size_t = 0)
     {
-        u64(v.size());
-        for (std::uint64_t x : v)
-            u64(x);
+        vec(v);
     }
 
+    /** A counted vector the reader caps at `max_len` elements. */
+    template <class T>
     void
-    u32Vec(const std::vector<std::uint32_t> &v)
+    vecAtMost(const char *, const std::vector<T> &v, std::uint64_t)
     {
-        u64(v.size());
-        for (std::uint32_t x : v)
-            u32(x);
+        vec(v);
     }
 
+    /** A u64 the reader caps at `max`. */
+    void u64AtMost(const char *, std::uint64_t v, std::uint64_t) { u64(v); }
+
+    /** A structural constant the reader must find again. */
+    void expectU64(const char *, std::uint64_t v) { u64(v); }
+    void expectB(const char *, bool v) { b(v); }
+
+    /** A member object's own checkpoint. */
+    template <class T, class... Args>
     void
-    f64Vec(const std::vector<double> &v)
+    nested(const T &object, const Args &...args)
     {
-        u64(v.size());
-        for (double x : v)
-            f64(x);
+        object.saveState(*this, args...);
     }
 
     /**
@@ -147,6 +189,19 @@ class CkptWriter
     const std::vector<std::uint8_t> &buffer() const { return buf_; }
 
   private:
+    template <class T>
+    void
+    vec(const std::vector<T> &v)
+    {
+        u64(v.size());
+        for (const T &x : v)
+            put(x);
+    }
+
+    void put(std::uint64_t x) { u64(x); }
+    void put(std::uint32_t x) { u32(x); }
+    void put(double x) { f64(x); }
+
     std::vector<std::uint8_t> buf_;
 };
 
@@ -154,6 +209,8 @@ class CkptWriter
 class CkptReader
 {
   public:
+    static constexpr bool loading = true;
+
     /**
      * @param name File name (or other provenance) for error
      *        messages; the reader does not own or open any file.
@@ -231,48 +288,58 @@ class CkptReader
         return s;
     }
 
-    std::vector<std::uint64_t>
-    u64Vec()
-    {
-        const std::uint64_t n = countedLen(8, "u64 vector");
-        std::vector<std::uint64_t> v;
-        v.reserve(static_cast<std::size_t>(n));
-        for (std::uint64_t i = 0; i < n; ++i)
-            v.push_back(u64());
-        return v;
-    }
+    /** Field verbs: the CkptWriter ones, filling the field. */
+    void u8(std::uint8_t &v) { v = u8(); }
 
-    std::vector<std::uint32_t>
-    u32Vec()
-    {
-        const std::uint64_t n = countedLen(4, "u32 vector");
-        std::vector<std::uint32_t> v;
-        v.reserve(static_cast<std::size_t>(n));
-        for (std::uint64_t i = 0; i < n; ++i)
-            v.push_back(u32());
-        return v;
-    }
-
-    std::vector<double>
-    f64Vec()
-    {
-        const std::uint64_t n = countedLen(8, "f64 vector");
-        std::vector<double> v;
-        v.reserve(static_cast<std::size_t>(n));
-        for (std::uint64_t i = 0; i < n; ++i)
-            v.push_back(f64());
-        return v;
-    }
-
-    /** Read n raw bytes into out. */
+    template <std::unsigned_integral T>
     void
-    raw(void *out, std::size_t n)
+    u32(T &v)
     {
-        need(n, "raw bytes");
-        auto *p = static_cast<std::uint8_t *>(out);
-        for (std::size_t i = 0; i < n; ++i)
-            p[i] = data_[offset_ + i];
-        offset_ += n;
+        v = static_cast<T>(u32());
+    }
+
+    template <std::unsigned_integral T>
+    void
+    u64(T &v)
+    {
+        v = static_cast<T>(u64());
+    }
+
+    void f64(double &v) { v = f64(); }
+    void b(bool &v) { v = b(); }
+    void str(std::string &s) { s = str(); }
+
+    void u64Vec(std::vector<std::uint64_t> &v) { vec(v, u64()); }
+    void u32Vec(std::vector<std::uint32_t> &v) { vec(v, u64()); }
+    void f64Vec(std::vector<double> &v) { vec(v, u64()); }
+
+    template <class T>
+    void
+    fixedVec(const char *what, std::vector<T> &v)
+    {
+        fixedVec(what, v, v.size());
+    }
+
+    template <class T>
+    void
+    fixedVec(const char *what, std::vector<T> &v, std::size_t n)
+    {
+        expectU64(what, n);
+        vec(v, n);
+    }
+
+    template <class T>
+    void
+    vecAtMost(const char *what, std::vector<T> &v, std::uint64_t max_len)
+    {
+        vec(v, atMost(what, max_len));
+    }
+
+    template <std::unsigned_integral T>
+    void
+    u64AtMost(const char *what, T &v, std::uint64_t max)
+    {
+        v = static_cast<T>(atMost(what, max));
     }
 
     /**
@@ -289,6 +356,32 @@ class CkptReader
             fail(std::string(what) + " mismatch: expected " +
                  std::to_string(expected) + ", found " +
                  std::to_string(found));
+    }
+
+    void
+    expectB(const char *what, bool expected)
+    {
+        if (b() != expected)
+            fail(std::string(what) + " mismatch: expected " +
+                 (expected ? "true" : "false"));
+    }
+
+    template <class T, class... Args>
+    void
+    nested(T &object, const Args &...args)
+    {
+        object.loadState(*this, args...);
+    }
+
+    /** Read n raw bytes into out. */
+    void
+    raw(void *out, std::size_t n)
+    {
+        need(n, "raw bytes");
+        auto *p = static_cast<std::uint8_t *>(out);
+        for (std::size_t i = 0; i < n; ++i)
+            p[i] = data_[offset_ + i];
+        offset_ += n;
     }
 
     std::size_t offset() const { return offset_; }
@@ -311,16 +404,35 @@ class CkptReader
             fail(std::string("truncated reading ") + what);
     }
 
-    /** Validate a counted-array header against remaining bytes. */
     std::uint64_t
-    countedLen(std::uint64_t elemSize, const char *what)
+    atMost(const char *what, std::uint64_t max)
     {
-        const std::uint64_t n = u64();
-        if (n > (size_ - offset_) / elemSize)
-            fail(std::string(what) + " length " + std::to_string(n) +
-                 " exceeds remaining bytes");
-        return n;
+        const std::uint64_t v = u64();
+        if (v > max)
+            fail(std::string(what) + " " + std::to_string(v) +
+                 " exceeds " + std::to_string(max));
+        return v;
     }
+
+    /**
+     * Fill `v` with the `n` elements that follow, after checking
+     * they fit in the remaining bytes; reuses v's storage.
+     */
+    template <class T>
+    void
+    vec(std::vector<T> &v, std::uint64_t n)
+    {
+        if (n > remaining() / sizeof(T))
+            fail("vector length " + std::to_string(n) +
+                 " exceeds remaining bytes");
+        v.resize(static_cast<std::size_t>(n));
+        for (T &x : v)
+            get(x);
+    }
+
+    void get(std::uint64_t &x) { x = u64(); }
+    void get(std::uint32_t &x) { x = u32(); }
+    void get(double &x) { x = f64(); }
 
     std::string name_;
     const std::uint8_t *data_;

@@ -880,114 +880,53 @@ CacheLevelModel::registerStats(StatsRegistry &registry,
     }
 }
 
+template <class Ar, class Self>
+void
+CacheLevelModel::checkpointFields(Ar &ar, Self &self)
+{
+    ar.fixedVec("group rotor size", self.groupRotor_);
+    for (std::uint32_t s = 0; s < self.params_.numSlices; ++s)
+        ar.nested(self.store_, static_cast<SliceId>(s));
+    ar.expectU64("ACFV bank size", self.acfvs_.size());
+    for (auto &vec : self.acfvs_)
+        ar.nested(vec);
+    ar.expectU64("oracle bank size", self.oracles_.size());
+    for (auto &oracle : self.oracles_)
+        ar.nested(oracle);
+    ar.fixedVec("slice fill counter size", self.sliceFills_);
+    ar.u64(self.stamp_);
+    auto &stats = self.stats_;
+    ar.u64(stats.localHits);
+    ar.u64(stats.remoteHits);
+    ar.u64(stats.misses);
+    ar.u64(stats.fills);
+    ar.u64(stats.evictions);
+    ar.u64(stats.lazyInvalidations);
+    ar.u64(stats.coherenceInvalidations);
+    ar.u64(stats.inclusionInvalidations);
+    ar.u64(stats.sliceProbes);
+    ar.u64(stats.busEvents);
+    ar.u64(stats.busSpanTiles);
+    ar.nested(self.bus_);
+}
+
 void
 CacheLevelModel::saveState(CkptWriter &w) const
 {
-    w.u64(partition_.size());
-    for (const auto &group : partition_) {
-        w.u64(group.size());
-        for (SliceId s : group)
-            w.u32(s);
-    }
-    w.u32Vec(groupRotor_);
-    for (std::uint32_t s = 0; s < params_.numSlices; ++s)
-        store_.saveState(w, static_cast<SliceId>(s));
-    w.u64(acfvs_.size());
-    for (const Acfv &vec : acfvs_)
-        vec.saveState(w);
-    w.u64(oracles_.size());
-    for (const OracleAcf &oracle : oracles_)
-        oracle.saveState(w);
-    w.u64Vec(sliceFills_);
-    w.u64(stamp_);
-    w.u64(stats_.localHits);
-    w.u64(stats_.remoteHits);
-    w.u64(stats_.misses);
-    w.u64(stats_.fills);
-    w.u64(stats_.evictions);
-    w.u64(stats_.lazyInvalidations);
-    w.u64(stats_.coherenceInvalidations);
-    w.u64(stats_.inclusionInvalidations);
-    w.u64(stats_.sliceProbes);
-    w.u64(stats_.busEvents);
-    w.u64(stats_.busSpanTiles);
-    bus_.saveState(w);
+    checkpointPartition(w, partition_, params_.numSlices);
+    checkpointFields(w, *this);
 }
 
 void
 CacheLevelModel::loadState(CkptReader &r)
 {
-    const std::uint64_t numGroups = r.u64();
-    if (numGroups == 0 || numGroups > params_.numSlices)
-        r.fail("partition group count " + std::to_string(numGroups) +
-               " invalid for " + std::to_string(params_.numSlices) +
-               " slices");
-    Partition partition(static_cast<std::size_t>(numGroups));
-    for (auto &group : partition) {
-        const std::uint64_t size = r.u64();
-        if (size == 0 || size > params_.numSlices)
-            r.fail("partition group size " + std::to_string(size) +
-                   " invalid");
-        group.reserve(static_cast<std::size_t>(size));
-        for (std::uint64_t i = 0; i < size; ++i) {
-            const std::uint32_t s = r.u32();
-            if (s >= params_.numSlices)
-                r.fail("slice id " + std::to_string(s) +
-                       " out of range");
-            group.push_back(static_cast<SliceId>(s));
-        }
-    }
-    // Pre-validate exact coverage with a typed error: configure()'s
-    // validatePartition() terminates the process on violation, which
-    // is the right response to an internal bug but not to a bad
-    // checkpoint byte stream.
-    std::vector<bool> seen(params_.numSlices, false);
-    for (const auto &group : partition) {
-        for (SliceId s : group) {
-            if (seen[s])
-                r.fail("slice " + std::to_string(s) +
-                       " appears in two partition groups");
-            seen[s] = true;
-        }
-    }
-    for (std::uint32_t s = 0; s < params_.numSlices; ++s) {
-        if (!seen[s])
-            r.fail("slice " + std::to_string(s) +
-                   " missing from partition");
-    }
     // configure() rebuilds every derived table, resetting
-    // groupRotor_ and the bus occupancy — which the reads below
-    // then restore.
+    // groupRotor_ and the bus occupancy, which the walk then
+    // restores.
+    Partition partition;
+    checkpointPartition(r, partition, params_.numSlices);
     configure(partition);
-    std::vector<std::uint32_t> rotor = r.u32Vec();
-    if (rotor.size() != groupRotor_.size())
-        r.fail("group rotor size mismatch");
-    groupRotor_ = std::move(rotor);
-    for (std::uint32_t s = 0; s < params_.numSlices; ++s)
-        store_.loadState(r, static_cast<SliceId>(s));
-    r.expectU64("ACFV bank size", acfvs_.size());
-    for (Acfv &vec : acfvs_)
-        vec.loadState(r);
-    r.expectU64("oracle bank size", oracles_.size());
-    for (OracleAcf &oracle : oracles_)
-        oracle.loadState(r);
-    std::vector<std::uint64_t> fills = r.u64Vec();
-    if (fills.size() != sliceFills_.size())
-        r.fail("slice fill counter size mismatch");
-    sliceFills_ = std::move(fills);
-    stamp_ = r.u64();
-    stats_.localHits = r.u64();
-    stats_.remoteHits = r.u64();
-    stats_.misses = r.u64();
-    stats_.fills = r.u64();
-    stats_.evictions = r.u64();
-    stats_.lazyInvalidations = r.u64();
-    stats_.coherenceInvalidations = r.u64();
-    stats_.inclusionInvalidations = r.u64();
-    stats_.sliceProbes = r.u64();
-    stats_.busEvents = r.u64();
-    stats_.busSpanTiles = r.u64();
-    bus_.loadState(r);
+    checkpointFields(r, *this);
     if (recency_)
         rebuildRecencyIndex();
 }

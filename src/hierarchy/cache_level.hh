@@ -429,6 +429,10 @@ class CacheLevelModel
     void loadState(CkptReader &r);
 
   private:
+    /** Everything after the partition, in checkpoint order. */
+    template <class Ar, class Self>
+    static void checkpointFields(Ar &ar, Self &self);
+
     std::uint64_t nextStamp() { return ++stamp_; }
 
     /**

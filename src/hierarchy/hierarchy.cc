@@ -426,101 +426,47 @@ Hierarchy::registerStats(StatsRegistry &registry) const
     l3_.registerStats(registry, "hier.l3", "bus.l3");
 }
 
-namespace {
-
+template <class Ar, class Self>
 void
-savePartition(CkptWriter &w, const Partition &partition)
+Hierarchy::checkpointFields(Ar &ar, Self &self)
 {
-    w.u64(partition.size());
-    for (const auto &group : partition) {
-        w.u64(group.size());
-        for (SliceId s : group)
-            w.u32(s);
+    // The topology is installed directly: the levels replay
+    // configure() on their own saved partitions, and reconfigure()
+    // must not run here, since it migrates lines and
+    // back-invalidates against contents about to be overwritten.
+    const std::uint32_t cores = self.params_.numCores;
+    checkpointPartition(ar, self.topology_.l2, cores);
+    checkpointPartition(ar, self.topology_.l3, cores);
+    ar.expectU64("L1 slice count", cores);
+    for (std::uint32_t c = 0; c < cores; ++c)
+        ar.nested(self.l1s_, static_cast<SliceId>(c));
+    ar.nested(self.l2_);
+    ar.nested(self.l3_);
+    for (auto &stats : self.coreStats_) {
+        ar.u64(stats.accesses);
+        ar.u64(stats.l1Hits);
+        ar.u64(stats.l2LocalHits);
+        ar.u64(stats.l2RemoteHits);
+        ar.u64(stats.l3LocalHits);
+        ar.u64(stats.l3RemoteHits);
+        ar.u64(stats.otherGroupTransfers);
+        ar.u64(stats.memAccesses);
+        ar.u64(stats.writebacks);
+        ar.u64(stats.totalLatency);
     }
+    ar.u64(self.l1Stamp_);
 }
-
-Partition
-loadPartition(CkptReader &r, std::uint32_t num_slices)
-{
-    const std::uint64_t numGroups = r.u64();
-    if (numGroups == 0 || numGroups > num_slices)
-        r.fail("topology group count " + std::to_string(numGroups) +
-               " invalid");
-    Partition partition(static_cast<std::size_t>(numGroups));
-    for (auto &group : partition) {
-        const std::uint64_t size = r.u64();
-        if (size == 0 || size > num_slices)
-            r.fail("topology group size " + std::to_string(size) +
-                   " invalid");
-        group.reserve(static_cast<std::size_t>(size));
-        for (std::uint64_t i = 0; i < size; ++i) {
-            const std::uint32_t s = r.u32();
-            if (s >= num_slices)
-                r.fail("topology slice id " + std::to_string(s) +
-                       " out of range");
-            group.push_back(static_cast<SliceId>(s));
-        }
-    }
-    return partition;
-}
-
-} // namespace
 
 void
 Hierarchy::saveState(CkptWriter &w) const
 {
-    savePartition(w, topology_.l2);
-    savePartition(w, topology_.l3);
-    w.u64(params_.numCores);
-    for (std::uint32_t c = 0; c < params_.numCores; ++c)
-        l1s_.saveState(w, static_cast<SliceId>(c));
-    l2_.saveState(w);
-    l3_.saveState(w);
-    for (const CoreStats &stats : coreStats_) {
-        w.u64(stats.accesses);
-        w.u64(stats.l1Hits);
-        w.u64(stats.l2LocalHits);
-        w.u64(stats.l2RemoteHits);
-        w.u64(stats.l3LocalHits);
-        w.u64(stats.l3RemoteHits);
-        w.u64(stats.otherGroupTransfers);
-        w.u64(stats.memAccesses);
-        w.u64(stats.writebacks);
-        w.u64(stats.totalLatency);
-    }
-    w.u64(l1Stamp_);
+    checkpointFields(w, *this);
 }
 
 void
 Hierarchy::loadState(CkptReader &r)
 {
-    // Install the topology directly: the levels' loadState replays
-    // configure() on their own saved partitions; reconfigure() must
-    // not run here — it migrates lines and back-invalidates against
-    // the stale contents about to be overwritten.
-    Topology topology;
-    topology.numCores = params_.numCores;
-    topology.l2 = loadPartition(r, params_.numCores);
-    topology.l3 = loadPartition(r, params_.numCores);
-    topology_ = std::move(topology);
-    r.expectU64("L1 slice count", params_.numCores);
-    for (std::uint32_t c = 0; c < params_.numCores; ++c)
-        l1s_.loadState(r, static_cast<SliceId>(c));
-    l2_.loadState(r);
-    l3_.loadState(r);
-    for (CoreStats &stats : coreStats_) {
-        stats.accesses = r.u64();
-        stats.l1Hits = r.u64();
-        stats.l2LocalHits = r.u64();
-        stats.l2RemoteHits = r.u64();
-        stats.l3LocalHits = r.u64();
-        stats.l3RemoteHits = r.u64();
-        stats.otherGroupTransfers = r.u64();
-        stats.memAccesses = r.u64();
-        stats.writebacks = r.u64();
-        stats.totalLatency = r.u64();
-    }
-    l1Stamp_ = r.u64();
+    checkpointFields(r, *this);
 }
 
 } // namespace morphcache

@@ -188,6 +188,9 @@ class Hierarchy
     void loadState(CkptReader &r);
 
   private:
+    template <class Ar, class Self>
+    static void checkpointFields(Ar &ar, Self &self);
+
     /** Install a line into the L1, handling the L1 victim. */
     void fillL1(CoreId core, Addr line_addr, bool dirty);
 

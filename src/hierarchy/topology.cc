@@ -99,6 +99,57 @@ groupOfSlice(const Partition &partition, std::uint32_t num_slices)
     return group_of;
 }
 
+void
+checkpointPartition(CkptWriter &w, const Partition &partition,
+                    std::uint32_t)
+{
+    w.u64(partition.size());
+    for (const auto &group : partition) {
+        w.u64(group.size());
+        for (SliceId s : group)
+            w.u32(s);
+    }
+}
+
+void
+checkpointPartition(CkptReader &r, Partition &partition,
+                    std::uint32_t num_slices)
+{
+    // A typed error, not validatePartition()'s fatal(): a bad
+    // checkpoint byte stream is not an internal bug.
+    const std::uint64_t numGroups = r.u64();
+    if (numGroups == 0 || numGroups > num_slices)
+        r.fail("partition group count " + std::to_string(numGroups) +
+               " invalid for " + std::to_string(num_slices) +
+               " slices");
+    Partition loaded(static_cast<std::size_t>(numGroups));
+    std::vector<bool> seen(num_slices, false);
+    for (auto &group : loaded) {
+        const std::uint64_t size = r.u64();
+        if (size == 0 || size > num_slices)
+            r.fail("partition group size " + std::to_string(size) +
+                   " invalid");
+        group.reserve(static_cast<std::size_t>(size));
+        for (std::uint64_t i = 0; i < size; ++i) {
+            const std::uint32_t s = r.u32();
+            if (s >= num_slices)
+                r.fail("slice id " + std::to_string(s) +
+                       " out of range");
+            if (seen[s])
+                r.fail("slice " + std::to_string(s) +
+                       " appears in two partition groups");
+            seen[s] = true;
+            group.push_back(static_cast<SliceId>(s));
+        }
+    }
+    for (std::uint32_t s = 0; s < num_slices; ++s) {
+        if (!seen[s])
+            r.fail("slice " + std::to_string(s) +
+                   " missing from partition");
+    }
+    partition = std::move(loaded);
+}
+
 Topology
 Topology::allPrivateTopology(std::uint32_t num_cores)
 {

@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "common/serial.hh"
 #include "common/types.hh"
 
 namespace morphcache {
@@ -59,6 +60,17 @@ void validatePartition(const Partition &partition,
 /** group_of[slice] lookup table for a partition. */
 std::vector<std::uint32_t> groupOfSlice(const Partition &partition,
                                         std::uint32_t num_slices);
+
+/**
+ * Checkpoint a partition of `num_slices` slices: a u64 group count,
+ * then each group's u64 size and u32 slice ids. The load checks
+ * every count and id, and that the groups cover each slice exactly
+ * once, with a typed CkptError before it assigns `partition`.
+ */
+void checkpointPartition(CkptWriter &w, const Partition &partition,
+                         std::uint32_t num_slices);
+void checkpointPartition(CkptReader &r, Partition &partition,
+                         std::uint32_t num_slices);
 
 /**
  * Two-level cache topology over `numCores` cores with one L2 and

@@ -56,10 +56,17 @@ class PlruTree
     std::uint64_t bits() const { return bits_; }
 
     /** Serialize direction bits; geometry is construction-time. */
-    void saveState(CkptWriter &w) const { w.u64(bits_); }
-    void loadState(CkptReader &r) { bits_ = r.u64(); }
+    void saveState(CkptWriter &w) const { checkpointFields(w, *this); }
+    void loadState(CkptReader &r) { checkpointFields(r, *this); }
 
   private:
+    template <class Ar, class Self>
+    static void
+    checkpointFields(Ar &ar, Self &self)
+    {
+        ar.u64(self.bits_);
+    }
+
     std::uint32_t assoc_;  // ckpt: derived(PlruTree)
     std::uint32_t levels_; // ckpt: derived(PlruTree)
     /** Heap-ordered direction bits; node 1 is the root. */
@@ -78,23 +85,19 @@ class PlruState
     PlruTree &tree(std::uint64_t set);
     const PlruTree &tree(std::uint64_t set) const;
 
-    void
-    saveState(CkptWriter &w) const
-    {
-        w.u64(trees_.size());
-        for (const PlruTree &t : trees_)
-            t.saveState(w);
-    }
-
-    void
-    loadState(CkptReader &r)
-    {
-        r.expectU64("PLRU tree count", trees_.size());
-        for (PlruTree &t : trees_)
-            t.loadState(r);
-    }
+    void saveState(CkptWriter &w) const { checkpointFields(w, *this); }
+    void loadState(CkptReader &r) { checkpointFields(r, *this); }
 
   private:
+    template <class Ar, class Self>
+    static void
+    checkpointFields(Ar &ar, Self &self)
+    {
+        ar.expectU64("PLRU tree count", self.trees_.size());
+        for (auto &tree : self.trees_)
+            ar.nested(tree);
+    }
+
     std::vector<PlruTree> trees_;
 };
 

@@ -41,50 +41,55 @@ SliceStore::SliceStore(std::uint32_t num_slices,
     MC_ASSERT(num_slices > 0);
 }
 
+template <class Ar, class Self>
+void
+SliceStore::checkpointFields(Ar &ar, Self &self, SliceId slice)
+{
+    const std::uint32_t assoc = self.assoc_;
+    ar.expectU64("slice line count", self.numSets_ * assoc);
+    for (std::uint64_t set = 0; set < self.numSets_; ++set) {
+        const std::size_t row = set * self.numSlices_ + slice;
+        for (std::uint32_t way = 0; way < assoc; ++way) {
+            const std::size_t idx = row * assoc + way;
+            ar.u64(self.tags_[idx]);
+            // Valid, dirty and reused: bits 0-2 of one byte.
+            auto &valid = self.validBits_[row];
+            auto &dirty = self.dirtyBits_[row];
+            auto &reused = self.reusedBits_[row];
+            auto flags = static_cast<std::uint8_t>(
+                ((valid >> way) & 1) | (((dirty >> way) & 1) << 1) |
+                (((reused >> way) & 1) << 2));
+            ar.u8(flags);
+            if constexpr (Ar::loading) {
+                if (flags > 7)
+                    ar.fail("cache-line flags byte is " +
+                            std::to_string(flags) + ", expected <= 7");
+                const std::uint64_t bit = std::uint64_t{1} << way;
+                valid = (flags & 1) ? valid | bit : valid & ~bit;
+                dirty = (flags & 2) ? dirty | bit : dirty & ~bit;
+                reused = (flags & 4) ? reused | bit : reused & ~bit;
+            }
+            ar.u64(self.stamps_[idx]);
+        }
+    }
+    ar.nested(self.plru_[slice]);
+}
+
 void
 SliceStore::saveState(CkptWriter &w, SliceId slice) const
 {
-    w.u64(numSets_ * assoc_);
-    for (std::uint64_t set = 0; set < numSets_; ++set) {
-        const std::size_t row = set * numSlices_ + slice;
-        for (std::uint32_t way = 0; way < assoc_; ++way) {
-            const std::size_t idx = row * assoc_ + way;
-            w.u64(tags_[idx]);
-            w.u8(static_cast<std::uint8_t>(
-                ((validBits_[row] >> way) & 1) |
-                (((dirtyBits_[row] >> way) & 1) << 1) |
-                (((reusedBits_[row] >> way) & 1) << 2)));
-            w.u64(stamps_[idx]);
-        }
-    }
-    plru_[slice].saveState(w);
+    checkpointFields(w, *this, slice);
 }
 
 void
 SliceStore::loadState(CkptReader &r, SliceId slice)
 {
-    r.expectU64("slice line count", numSets_ * assoc_);
+    checkpointFields(r, *this, slice);
     for (std::uint64_t set = 0; set < numSets_; ++set) {
-        const std::size_t row = set * numSlices_ + slice;
-        for (std::uint32_t way = 0; way < assoc_; ++way) {
-            const std::size_t idx = row * assoc_ + way;
-            const std::uint64_t bit = std::uint64_t{1} << way;
-            tags_[idx] = r.u64();
-            fingerprints_[idx] = fingerprint(tags_[idx]);
-            const std::uint8_t flags = r.u8();
-            if (flags > 7)
-                r.fail("cache-line flags byte is " +
-                       std::to_string(flags) + ", expected <= 7");
-            validBits_[row] = (flags & 1) ? validBits_[row] | bit
-                                          : validBits_[row] & ~bit;
-            dirtyBits_[row] = (flags & 2) ? dirtyBits_[row] | bit
-                                          : dirtyBits_[row] & ~bit;
-            reusedBits_[row] = (flags & 4) ? reusedBits_[row] | bit
-                                           : reusedBits_[row] & ~bit;
-            stamps_[idx] = r.u64();
-        }
+        const std::size_t base = (set * numSlices_ + slice) * assoc_;
+        for (std::uint32_t way = 0; way < assoc_; ++way)
+            fingerprints_[base + way] = fingerprint(tags_[base + way]);
     }
-    plru_[slice].loadState(r);
 }
 
 } // namespace morphcache

@@ -93,6 +93,9 @@ class SliceStore
   private:
     template <typename Store> friend class SliceView;
 
+    template <class Ar, class Self>
+    static void checkpointFields(Ar &ar, Self &self, SliceId slice);
+
     ReplPolicy policy_;         // ckpt: derived(SliceStore)
     std::uint32_t numSlices_;   // ckpt: derived(SliceStore)
     /** Cached geometry: ways per set. */

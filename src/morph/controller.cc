@@ -1102,84 +1102,53 @@ MorphController::robustnessReport() const
                          counters);
 }
 
+template <class Ar, class Self>
+void
+MorphController::checkpointFields(Ar &ar, Self &self)
+{
+    ar.f64(self.msatNow_.high);
+    ar.f64(self.msatNow_.low);
+    ar.f64(self.msatL3Now_.high);
+    ar.f64(self.msatL3Now_.low);
+    auto &stats = self.stats_;
+    ar.u64(stats.merges);
+    ar.u64(stats.splits);
+    ar.u64(stats.mergesCondI);
+    ar.u64(stats.mergesCondII);
+    ar.u64(stats.mergesForced);
+    ar.u64(stats.splitsForced);
+    ar.u64(stats.activeEpochs);
+    ar.u64(stats.decisions);
+    ar.u64(stats.asymmetricOutcomes);
+    ar.fixedVec("L2 merge stamps size", self.l2MergeStamp_);
+    ar.fixedVec("L3 merge stamps size", self.l3MergeStamp_);
+    ar.fixedVec("miss snapshot size", self.lastMissSnapshot_);
+    ar.fixedVec("previous-epoch misses size", self.prevEpochMisses_);
+    ar.b(self.havePrevEpoch_);
+    ar.b(self.mergedLastEpoch_);
+    ar.nested(self.checker_);
+    auto &robust = self.robust_;
+    ar.u64(robust.violationEpochs);
+    ar.u64(robust.droppedTopologies);
+    ar.u64(robust.quarantines);
+    ar.u64(robust.quarantineEpochs);
+    ar.u64(robust.recoveries);
+    ar.u64(self.quarantineLeft_);
+    ar.expectB("fault-injector presence", self.ownedFaults_ != nullptr);
+    if (self.ownedFaults_)
+        ar.nested(*self.ownedFaults_);
+}
+
 void
 MorphController::saveState(CkptWriter &w) const
 {
-    w.f64(msatNow_.high);
-    w.f64(msatNow_.low);
-    w.f64(msatL3Now_.high);
-    w.f64(msatL3Now_.low);
-    w.u64(stats_.merges);
-    w.u64(stats_.splits);
-    w.u64(stats_.mergesCondI);
-    w.u64(stats_.mergesCondII);
-    w.u64(stats_.mergesForced);
-    w.u64(stats_.splitsForced);
-    w.u64(stats_.activeEpochs);
-    w.u64(stats_.decisions);
-    w.u64(stats_.asymmetricOutcomes);
-    w.u64Vec(l2MergeStamp_);
-    w.u64Vec(l3MergeStamp_);
-    w.u64Vec(lastMissSnapshot_);
-    w.u64Vec(prevEpochMisses_);
-    w.b(havePrevEpoch_);
-    w.b(mergedLastEpoch_);
-    checker_.saveState(w);
-    w.u64(robust_.violationEpochs);
-    w.u64(robust_.droppedTopologies);
-    w.u64(robust_.quarantines);
-    w.u64(robust_.quarantineEpochs);
-    w.u64(robust_.recoveries);
-    w.u64(quarantineLeft_);
-    w.b(ownedFaults_ != nullptr);
-    if (ownedFaults_)
-        ownedFaults_->saveState(w);
+    checkpointFields(w, *this);
 }
 
 void
 MorphController::loadState(CkptReader &r)
 {
-    msatNow_.high = r.f64();
-    msatNow_.low = r.f64();
-    msatL3Now_.high = r.f64();
-    msatL3Now_.low = r.f64();
-    stats_.merges = r.u64();
-    stats_.splits = r.u64();
-    stats_.mergesCondI = r.u64();
-    stats_.mergesCondII = r.u64();
-    stats_.mergesForced = r.u64();
-    stats_.splitsForced = r.u64();
-    stats_.activeEpochs = r.u64();
-    stats_.decisions = r.u64();
-    stats_.asymmetricOutcomes = r.u64();
-    const auto sizedU64Vec = [&r](std::vector<std::uint64_t> &dst,
-                                  const char *what) {
-        std::vector<std::uint64_t> v = r.u64Vec();
-        if (v.size() != dst.size())
-            r.fail(std::string(what) + " size mismatch: expected " +
-                   std::to_string(dst.size()) + ", found " +
-                   std::to_string(v.size()));
-        dst = std::move(v);
-    };
-    sizedU64Vec(l2MergeStamp_, "L2 merge stamps");
-    sizedU64Vec(l3MergeStamp_, "L3 merge stamps");
-    sizedU64Vec(lastMissSnapshot_, "miss snapshot");
-    sizedU64Vec(prevEpochMisses_, "previous-epoch misses");
-    havePrevEpoch_ = r.b();
-    mergedLastEpoch_ = r.b();
-    checker_.loadState(r);
-    robust_.violationEpochs = r.u64();
-    robust_.droppedTopologies = r.u64();
-    robust_.quarantines = r.u64();
-    robust_.quarantineEpochs = r.u64();
-    robust_.recoveries = r.u64();
-    quarantineLeft_ = static_cast<std::uint32_t>(r.u64());
-    const bool hadFaults = r.b();
-    if (hadFaults != (ownedFaults_ != nullptr))
-        r.fail("fault-injector presence mismatch: checkpoint and "
-               "configuration disagree");
-    if (ownedFaults_)
-        ownedFaults_->loadState(r);
+    checkpointFields(r, *this);
 }
 
 } // namespace morphcache

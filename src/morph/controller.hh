@@ -287,6 +287,9 @@ class MorphController
     void loadState(CkptReader &r);
 
   private:
+    template <class Ar, class Self>
+    static void checkpointFields(Ar &ar, Self &self);
+
     MergeEval evaluateMerge(const LevelSignals &level,
                             const MsatConfig &msat,
                             const std::vector<SliceId> &a,

@@ -80,24 +80,27 @@ StaticTopologySystem::registerStats(StatsRegistry &registry)
     hierarchy_.registerStats(registry);
 }
 
+template <class Ar, class Self>
+void
+StaticTopologySystem::checkpointFields(Ar &ar, Self &self)
+{
+    ar.nested(self.hierarchy_);
+    if (self.l2Policy_)
+        ar.nested(*self.l2Policy_);
+    if (self.l3Policy_)
+        ar.nested(*self.l3Policy_);
+}
+
 void
 StaticTopologySystem::saveState(CkptWriter &w) const
 {
-    hierarchy_.saveState(w);
-    if (l2Policy_)
-        l2Policy_->saveState(w);
-    if (l3Policy_)
-        l3Policy_->saveState(w);
+    checkpointFields(w, *this);
 }
 
 void
 StaticTopologySystem::loadState(CkptReader &r)
 {
-    hierarchy_.loadState(r);
-    if (l2Policy_)
-        l2Policy_->loadState(r);
-    if (l3Policy_)
-        l3Policy_->loadState(r);
+    checkpointFields(r, *this);
 }
 
 MorphCacheSystem::MorphCacheSystem(HierarchyParams params,
@@ -183,26 +186,28 @@ MorphCacheSystem::numCores() const
     return hierarchy_.numCores();
 }
 
+template <class Ar, class Self>
+void
+MorphCacheSystem::checkpointFields(Ar &ar, Self &self)
+{
+    ar.nested(self.hierarchy_);
+    ar.nested(self.controller_);
+    ar.u64(self.lastL2QueueCycles_);
+    ar.u64(self.lastL2Txns_);
+    ar.u64(self.lastL3QueueCycles_);
+    ar.u64(self.lastL3Txns_);
+}
+
 void
 MorphCacheSystem::saveState(CkptWriter &w) const
 {
-    hierarchy_.saveState(w);
-    controller_.saveState(w);
-    w.u64(lastL2QueueCycles_);
-    w.u64(lastL2Txns_);
-    w.u64(lastL3QueueCycles_);
-    w.u64(lastL3Txns_);
+    checkpointFields(w, *this);
 }
 
 void
 MorphCacheSystem::loadState(CkptReader &r)
 {
-    hierarchy_.loadState(r);
-    controller_.loadState(r);
-    lastL2QueueCycles_ = r.u64();
-    lastL2Txns_ = r.u64();
-    lastL3QueueCycles_ = r.u64();
-    lastL3Txns_ = r.u64();
+    checkpointFields(r, *this);
 }
 
 } // namespace morphcache

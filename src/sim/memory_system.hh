@@ -139,6 +139,9 @@ class StaticTopologySystem : public MemorySystem
     const LevelHooks *l2Policy() const { return l2Policy_.get(); }
 
   private:
+    template <class Ar, class Self>
+    static void checkpointFields(Ar &ar, Self &self);
+
     // The policies outlive the hierarchy, which holds raw pointers
     // to them.
     std::unique_ptr<LevelHooks> l2Policy_;
@@ -180,6 +183,9 @@ class MorphCacheSystem : public MemorySystem
     const MorphController &controller() const { return controller_; }
 
   private:
+    template <class Ar, class Self>
+    static void checkpointFields(Ar &ar, Self &self);
+
     /** Emit per-level bus-contention sample events for this epoch. */
     void traceBusSamples();
 

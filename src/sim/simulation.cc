@@ -188,60 +188,43 @@ Simulation::run()
     return finish();
 }
 
+template <class Ar, class Self>
+void
+Simulation::checkpointFields(Ar &ar, Self &self)
+{
+    ar.fixedVec("core clock count", self.cycles_);
+    ar.fixedVec("instruction counter count", self.instrs_);
+    ar.u64(self.nextEpoch_);
+    ar.b(self.warmupDone_);
+    // Captured when warmup ends; empty before.
+    const std::size_t baselines =
+        self.warmupDone_ ? self.cycles_.size() : 0;
+    ar.fixedVec("warmup baseline size", self.baselineCycles_,
+                baselines);
+    ar.fixedVec("warmup baseline size", self.baselineInstrs_,
+                baselines);
+    // Only the filled prefix of recorded_: a count, then the
+    // records.
+    ar.u64AtMost("recorded epoch count", self.recordedCount_,
+                 self.params_.epochs);
+    for (std::uint64_t e = 0; e < self.recordedCount_; ++e) {
+        auto &metrics = self.recorded_[e];
+        ar.fixedVec("recorded epoch IPC count", metrics.ipc);
+        ar.f64(metrics.throughput);
+        ar.fixedVec("recorded epoch miss count", metrics.misses);
+    }
+}
+
 void
 Simulation::saveState(CkptWriter &w) const
 {
-    w.f64Vec(cycles_);
-    w.f64Vec(instrs_);
-    w.u64(nextEpoch_);
-    w.b(warmupDone_);
-    w.f64Vec(baselineCycles_);
-    w.f64Vec(baselineInstrs_);
-    // Only the filled prefix: the byte stream matches the old
-    // grow-on-push layout exactly (count, then count records).
-    w.u64(recordedCount_);
-    for (std::uint64_t e = 0; e < recordedCount_; ++e) {
-        const EpochMetrics &metrics = recorded_[e];
-        w.f64Vec(metrics.ipc);
-        w.f64(metrics.throughput);
-        w.u64Vec(metrics.misses);
-    }
+    checkpointFields(w, *this);
 }
 
 void
 Simulation::loadState(CkptReader &r)
 {
-    const std::size_t cores = cycles_.size();
-    std::vector<double> cycles = r.f64Vec();
-    if (cycles.size() != cores)
-        r.fail("core clock count mismatch");
-    std::vector<double> instrs = r.f64Vec();
-    if (instrs.size() != cores)
-        r.fail("instruction counter count mismatch");
-    cycles_ = std::move(cycles);
-    instrs_ = std::move(instrs);
-    nextEpoch_ = static_cast<EpochId>(r.u64());
-    warmupDone_ = r.b();
-    baselineCycles_ = r.f64Vec();
-    baselineInstrs_ = r.f64Vec();
-    if (warmupDone_ && (baselineCycles_.size() != cores ||
-                        baselineInstrs_.size() != cores))
-        r.fail("warmup baseline size mismatch");
-    const std::uint64_t count = r.u64();
-    if (count > params_.epochs)
-        r.fail("checkpoint records " + std::to_string(count) +
-               " epochs but the run only has " +
-               std::to_string(params_.epochs));
-    for (std::uint64_t e = 0; e < count; ++e) {
-        EpochMetrics &metrics = recorded_[e];
-        metrics.ipc = r.f64Vec();
-        metrics.throughput = r.f64();
-        metrics.misses = r.u64Vec();
-        if (metrics.ipc.size() != cores ||
-            metrics.misses.size() != cores)
-            r.fail("recorded epoch metric size mismatch");
-    }
-    recordedCount_ = count;
+    checkpointFields(r, *this);
 }
 
 } // namespace morphcache

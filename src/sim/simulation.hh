@@ -119,6 +119,9 @@ class Simulation
     void setRegistry(StatsRegistry *registry) { registry_ = registry; }
 
   private:
+    template <class Ar, class Self>
+    static void checkpointFields(Ar &ar, Self &self);
+
     /** Stamp warmup complete and capture the metric baselines. */
     void markWarmupDone();
 

@@ -283,53 +283,38 @@ StatsRegistry::writeCsv(const std::string &path) const
     writeString(path, csvString());
 }
 
+template <class Ar, class Self>
+void
+StatsRegistry::checkpointFields(Ar &ar, Self &self)
+{
+    ar.expectU64("registered stat count", self.entries_.size());
+    for (auto &entry : self.entries_) {
+        ar.expectB("stat owned/bound kind", entry.isOwned);
+        if (entry.isOwned)
+            ar.u64(entry.owned);
+    }
+    ar.expectU64("histogram count", self.histograms_.size());
+    for (auto &entry : self.histograms_)
+        ar.nested(entry.hist);
+    ar.u64Vec(self.snapshotEpochs_);
+    // One row per snapshot epoch, one column per entry.
+    ar.expectU64("snapshot row count", self.snapshotEpochs_.size());
+    if constexpr (Ar::loading)
+        self.snapshots_.resize(self.snapshotEpochs_.size());
+    for (auto &row : self.snapshots_)
+        ar.fixedVec("snapshot row width", row, self.entries_.size());
+}
+
 void
 StatsRegistry::saveState(CkptWriter &w) const
 {
-    w.u64(entries_.size());
-    for (const Entry &entry : entries_) {
-        w.b(entry.isOwned);
-        if (entry.isOwned)
-            w.u64(entry.owned);
-    }
-    w.u64(histograms_.size());
-    for (const HistEntry &entry : histograms_)
-        entry.hist.saveState(w);
-    w.u64Vec(snapshotEpochs_);
-    w.u64(snapshots_.size());
-    for (const std::vector<double> &row : snapshots_)
-        w.f64Vec(row);
+    checkpointFields(w, *this);
 }
 
 void
 StatsRegistry::loadState(CkptReader &r)
 {
-    r.expectU64("registered stat count", entries_.size());
-    for (Entry &entry : entries_) {
-        const bool owned = r.b();
-        if (owned != entry.isOwned)
-            r.fail("stat '" + entry.name +
-                   "' owned/bound kind mismatch");
-        if (owned)
-            entry.owned = r.u64();
-    }
-    r.expectU64("histogram count", histograms_.size());
-    for (HistEntry &entry : histograms_)
-        entry.hist.loadState(r);
-    std::vector<std::uint64_t> epochs = r.u64Vec();
-    const std::uint64_t rows = r.u64();
-    if (rows != epochs.size())
-        r.fail("snapshot row count does not match epoch ids");
-    std::vector<std::vector<double>> snapshots;
-    snapshots.reserve(rows);
-    for (std::uint64_t i = 0; i < rows; ++i) {
-        std::vector<double> row = r.f64Vec();
-        if (row.size() != entries_.size())
-            r.fail("snapshot row width mismatch");
-        snapshots.push_back(std::move(row));
-    }
-    snapshotEpochs_ = std::move(epochs);
-    snapshots_ = std::move(snapshots);
+    checkpointFields(r, *this);
 }
 
 std::string

@@ -164,6 +164,9 @@ class StatsRegistry
         Histogram hist;
     };
 
+    template <class Ar, class Self>
+    static void checkpointFields(Ar &ar, Self &self);
+
     const Entry &find(const std::string &name) const;
     void checkNewName(const std::string &name) const;
     double sampleEntry(const Entry &entry) const;

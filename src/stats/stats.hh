@@ -122,24 +122,18 @@ class Histogram
     double bucketLo(std::size_t i) const;
 
     /** Serialize/restore bucket counts (shape must match). */
-    void
-    saveState(CkptWriter &w) const
-    {
-        w.u64Vec(counts_);
-        w.u64(total_);
-    }
-
-    void
-    loadState(CkptReader &r)
-    {
-        std::vector<std::uint64_t> counts = r.u64Vec();
-        if (counts.size() != counts_.size())
-            r.fail("histogram bucket count mismatch");
-        counts_ = std::move(counts);
-        total_ = r.u64();
-    }
+    void saveState(CkptWriter &w) const { checkpointFields(w, *this); }
+    void loadState(CkptReader &r) { checkpointFields(r, *this); }
 
   private:
+    template <class Ar, class Self>
+    static void
+    checkpointFields(Ar &ar, Self &self)
+    {
+        ar.fixedVec("histogram bucket count", self.counts_);
+        ar.u64(self.total_);
+    }
+
     double lo_; // ckpt: derived(Histogram)
     double hi_; // ckpt: derived(Histogram)
     std::vector<std::uint64_t> counts_;

@@ -141,23 +141,19 @@ class Tracer
      * sequence counter) so a resumed run numbers events exactly
      * where the interrupted run stopped.
      */
-    void
-    saveState(CkptWriter &w) const
-    {
-        w.u64(epoch_);
-        w.u64(time_);
-        w.u64(seq_);
-    }
-
-    void
-    loadState(CkptReader &r)
-    {
-        epoch_ = r.u64();
-        time_ = r.u64();
-        seq_ = r.u64();
-    }
+    void saveState(CkptWriter &w) const { checkpointFields(w, *this); }
+    void loadState(CkptReader &r) { checkpointFields(r, *this); }
 
   private:
+    template <class Ar, class Self>
+    static void
+    checkpointFields(Ar &ar, Self &self)
+    {
+        ar.u64(self.epoch_);
+        ar.u64(self.time_);
+        ar.u64(self.seq_);
+    }
+
     TraceSink *sink_; // ckpt: transient(wiring; reattached by owner)
     std::uint64_t epoch_ = 0;
     std::uint64_t time_ = 0;

@@ -425,121 +425,117 @@ SoloWorkload::clone() const
 
 namespace {
 
+/** A working set's geometry, checked before it is assigned. */
+template <class Ar, class Set>
 void
-saveWorkingSet(CkptWriter &w, const WorkingSet &set)
+checkpointWorkingSet(Ar &ar, Set &set)
 {
-    w.u64(set.base);
-    w.u64(set.chunkCount);
-    w.u64(set.chunkLines);
-    w.u64(set.stride);
+    WorkingSet loaded = set;
+    ar.u64(loaded.base);
+    ar.u64(loaded.chunkCount);
+    ar.u64(loaded.chunkLines);
+    ar.u64(loaded.stride);
+    if constexpr (Ar::loading) {
+        if (loaded.chunkLines == 0 || loaded.stride < loaded.chunkLines)
+            ar.fail("working-set geometry invalid (chunkLines " +
+                    std::to_string(loaded.chunkLines) + ", stride " +
+                    std::to_string(loaded.stride) + ")");
+        set = loaded;
+    }
 }
 
+template <class Ar, class Region>
 void
-loadWorkingSet(CkptReader &r, WorkingSet &set)
+checkpointSharedRegion(Ar &ar, Region &region)
 {
-    set.base = r.u64();
-    set.chunkCount = r.u64();
-    set.chunkLines = r.u64();
-    set.stride = r.u64();
-    if (set.chunkLines == 0 || set.stride < set.chunkLines)
-        r.fail("working-set geometry invalid (chunkLines " +
-               std::to_string(set.chunkLines) + ", stride " +
-               std::to_string(set.stride) + ")");
+    checkpointWorkingSet(ar, region.hot);
+    checkpointWorkingSet(ar, region.mid);
+    ar.f64(region.fraction);
 }
 
 } // namespace
 
+template <class Ar, class Self>
+void
+CoreRefGenerator::checkpointFields(Ar &ar, Self &self)
+{
+    ar.nested(self.rng_);
+    checkpointWorkingSet(ar, self.hot_);
+    checkpointWorkingSet(ar, self.mid_);
+    ar.u64(self.midPos_);
+    ar.u64(self.sharedMidPos_);
+    ar.u64(self.streamPtr_);
+    ar.b(self.inLowPhase_);
+    ar.f64(self.noise2_);
+    ar.f64(self.noise3_);
+    checkpointSharedRegion(ar, self.shared_);
+    ar.b(self.lastShared_);
+    ar.fixedVec("recency ring size", self.ring_);
+    ar.expectU64("recency ring flag count", self.ringShared_.size());
+    for (std::size_t i = 0; i < self.ringShared_.size(); ++i) {
+        bool shared = self.ringShared_[i];
+        ar.b(shared);
+        if constexpr (Ar::loading)
+            self.ringShared_[i] = shared;
+    }
+    ar.u64AtMost("recency ring cursor", self.ringNext_,
+                 self.ring_.size() - 1);
+}
+
 void
 CoreRefGenerator::saveState(CkptWriter &w) const
 {
-    rng_.saveState(w);
-    saveWorkingSet(w, hot_);
-    saveWorkingSet(w, mid_);
-    w.u64(midPos_);
-    w.u64(sharedMidPos_);
-    w.u64(streamPtr_);
-    w.b(inLowPhase_);
-    w.f64(noise2_);
-    w.f64(noise3_);
-    saveWorkingSet(w, shared_.hot);
-    saveWorkingSet(w, shared_.mid);
-    w.f64(shared_.fraction);
-    w.b(lastShared_);
-    w.u64Vec(ring_);
-    w.u64(ringShared_.size());
-    for (std::size_t i = 0; i < ringShared_.size(); ++i)
-        w.b(ringShared_[i]);
-    w.u64(ringNext_);
+    checkpointFields(w, *this);
 }
 
 void
 CoreRefGenerator::loadState(CkptReader &r)
 {
-    rng_.loadState(r);
-    loadWorkingSet(r, hot_);
-    loadWorkingSet(r, mid_);
-    midPos_ = r.u64();
-    sharedMidPos_ = r.u64();
-    streamPtr_ = r.u64();
-    inLowPhase_ = r.b();
-    noise2_ = r.f64();
-    noise3_ = r.f64();
-    loadWorkingSet(r, shared_.hot);
-    loadWorkingSet(r, shared_.mid);
-    shared_.fraction = r.f64();
-    lastShared_ = r.b();
-    std::vector<std::uint64_t> ring = r.u64Vec();
-    if (ring.size() != ring_.size())
-        r.fail("recency ring size mismatch: expected " +
-               std::to_string(ring_.size()) + ", found " +
-               std::to_string(ring.size()));
-    ring_ = std::move(ring);
-    r.expectU64("recency ring flag count", ringShared_.size());
-    for (std::size_t i = 0; i < ringShared_.size(); ++i)
-        ringShared_[i] = r.b();
-    ringNext_ = static_cast<std::uint32_t>(r.u64());
-    if (ringNext_ >= ring_.size() && !ring_.empty())
-        r.fail("recency ring cursor out of range");
+    checkpointFields(r, *this);
+}
+
+template <class Ar, class Self>
+void
+MixWorkload::checkpointFields(Ar &ar, Self &self)
+{
+    ar.expectU64("mix generator count", self.gens_.size());
+    for (auto &gen : self.gens_)
+        ar.nested(gen);
 }
 
 void
 MixWorkload::saveState(CkptWriter &w) const
 {
-    w.u64(gens_.size());
-    for (const CoreRefGenerator &gen : gens_)
-        gen.saveState(w);
+    checkpointFields(w, *this);
 }
 
 void
 MixWorkload::loadState(CkptReader &r)
 {
-    r.expectU64("mix generator count", gens_.size());
-    for (CoreRefGenerator &gen : gens_)
-        gen.loadState(r);
+    checkpointFields(r, *this);
+}
+
+template <class Ar, class Self>
+void
+MultithreadedWorkload::checkpointFields(Ar &ar, Self &self)
+{
+    ar.nested(self.appRng_);
+    checkpointSharedRegion(ar, self.shared_);
+    ar.expectU64("thread generator count", self.gens_.size());
+    for (auto &gen : self.gens_)
+        ar.nested(gen);
 }
 
 void
 MultithreadedWorkload::saveState(CkptWriter &w) const
 {
-    appRng_.saveState(w);
-    saveWorkingSet(w, shared_.hot);
-    saveWorkingSet(w, shared_.mid);
-    w.f64(shared_.fraction);
-    w.u64(gens_.size());
-    for (const CoreRefGenerator &gen : gens_)
-        gen.saveState(w);
+    checkpointFields(w, *this);
 }
 
 void
 MultithreadedWorkload::loadState(CkptReader &r)
 {
-    appRng_.loadState(r);
-    loadWorkingSet(r, shared_.hot);
-    loadWorkingSet(r, shared_.mid);
-    shared_.fraction = r.f64();
-    r.expectU64("thread generator count", gens_.size());
-    for (CoreRefGenerator &gen : gens_)
-        gen.loadState(r);
+    checkpointFields(r, *this);
 }
 
 } // namespace morphcache

@@ -248,6 +248,9 @@ class CoreRefGenerator
     void loadState(CkptReader &r);
 
   private:
+    template <class Ar, class Self>
+    static void checkpointFields(Ar &ar, Self &self);
+
     Addr drawLine();
 
     BenchmarkProfile profile_;  // ckpt: derived(CoreRefGenerator)
@@ -353,6 +356,9 @@ class MixWorkload : public Workload
     CoreRefGenerator &core(CoreId core);
 
   private:
+    template <class Ar, class Self>
+    static void checkpointFields(Ar &ar, Self &self);
+
     std::string name_; // ckpt: derived(MixWorkload)
     std::vector<CoreRefGenerator> gens_;
 };
@@ -382,6 +388,9 @@ class MultithreadedWorkload : public Workload
     CoreRefGenerator &thread(CoreId core);
 
   private:
+    template <class Ar, class Self>
+    static void checkpointFields(Ar &ar, Self &self);
+
     void refreshSharedRegion(EpochId epoch);
 
     BenchmarkProfile profile_; // ckpt: derived(MultithreadedWorkload)

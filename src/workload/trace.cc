@@ -287,34 +287,29 @@ TraceWorkload::clone() const
     return std::make_unique<TraceWorkload>(*this);
 }
 
+template <class Ar, class Self>
+void
+TraceWorkload::checkpointFields(Ar &ar, Self &self)
+{
+    ar.u64AtMost("trace epoch index", self.epoch_,
+                 self.trace_.epochs.size() - 1);
+    ar.expectU64("trace cursor count", self.cursor_.size());
+    for (std::size_t c = 0; c < self.cursor_.size(); ++c)
+        ar.u64AtMost("trace cursor", self.cursor_[c],
+                     self.trace_.epochs[self.epoch_][c].size());
+    ar.u64(self.wraps_);
+}
+
 void
 TraceWorkload::saveState(CkptWriter &w) const
 {
-    w.u64(epoch_);
-    w.u64(cursor_.size());
-    for (std::size_t cursor : cursor_)
-        w.u64(cursor);
-    w.u64(wraps_);
+    checkpointFields(w, *this);
 }
 
 void
 TraceWorkload::loadState(CkptReader &r)
 {
-    const std::uint64_t epoch = r.u64();
-    if (epoch >= trace_.epochs.size())
-        r.fail("trace epoch index " + std::to_string(epoch) +
-               " out of range (" +
-               std::to_string(trace_.epochs.size()) + " epochs)");
-    epoch_ = static_cast<std::size_t>(epoch);
-    r.expectU64("trace cursor count", cursor_.size());
-    for (std::uint32_t c = 0; c < trace_.numCores; ++c) {
-        const std::uint64_t cursor = r.u64();
-        if (cursor > trace_.epochs[epoch_][c].size())
-            r.fail("trace cursor for core " + std::to_string(c) +
-                   " out of range");
-        cursor_[c] = static_cast<std::size_t>(cursor);
-    }
-    wraps_ = r.u64();
+    checkpointFields(r, *this);
 }
 
 } // namespace morphcache

@@ -97,6 +97,9 @@ class TraceWorkload : public Workload
     void loadState(CkptReader &r) override;
 
   private:
+    template <class Ar, class Self>
+    static void checkpointFields(Ar &ar, Self &self);
+
     Trace trace_;             // ckpt: derived(TraceWorkload)
     bool sharedAddressSpace_; // ckpt: derived(TraceWorkload)
     std::size_t epoch_ = 0;
