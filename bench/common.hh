@@ -8,11 +8,15 @@
  *
  * Environment knobs:
  *   MC_PAPER_SCALE=1  run Table 3 capacities verbatim (slow)
- *   MC_EPOCHS=N       recorded epochs per run (default 12)
- *   MC_REFS=N         references per core per epoch (default 24000)
+ *   MC_EPOCHS=N       recorded epochs per run (default 12; N >= 1)
+ *   MC_REFS=N         references per core per epoch (default 24000;
+ *                     N >= 1)
  *   MC_SEED=N         base RNG seed (default 42)
  *   MC_JOBS=N         worker threads for the per-mix sweep loops
- *                     (default: all hardware threads; 1 = serial)
+ *                     (default or 0: all hardware threads; 1 = serial)
+ * The four numeric knobs parse strictly: anything but a whole
+ * unsigned decimal number that fits its field (or a 0 where N >= 1)
+ * exits with status 2 and a message naming the knob.
  */
 
 #ifndef MORPHCACHE_BENCH_COMMON_HH
@@ -27,6 +31,7 @@
 #include "baselines/dsr.hh"
 #include "baselines/ideal_offline.hh"
 #include "baselines/pipp.hh"
+#include "common/numparse.hh"
 #include "runner/sweep.hh"
 #include "sim/config.hh"
 #include "sim/simulation.hh"
@@ -35,35 +40,49 @@
 namespace morphcache {
 namespace bench {
 
-inline std::uint64_t
-envOr(const char *name, std::uint64_t fallback)
+/** Numeric knob `name` as a T, or `fallback` when unset or empty. */
+template <typename T>
+T
+envOr(const char *name, T fallback)
 {
     const char *value = std::getenv(name);
-    return value && value[0] ? std::strtoull(value, nullptr, 10)
-                             : fallback;
+    return value && value[0] ? flagNumber<T>(name, value) : fallback;
+}
+
+/** As envOr(), where 0 is a bad value too. */
+template <typename T>
+T
+envNonzero(const char *name, T fallback)
+{
+    const T value = envOr(name, fallback);
+    if (value == 0) {
+        std::fprintf(stderr, "%s must be nonzero\n", name);
+        std::exit(2);
+    }
+    return value;
 }
 
 inline SimParams
 defaultSim()
 {
     SimParams sim;
-    sim.epochs = static_cast<std::uint32_t>(envOr("MC_EPOCHS", 12));
+    sim.epochs = envNonzero<std::uint32_t>("MC_EPOCHS", 12);
     sim.warmupEpochs = 2;
-    sim.refsPerEpochPerCore = envOr("MC_REFS", 24000);
+    sim.refsPerEpochPerCore = envNonzero<std::uint64_t>("MC_REFS", 24000);
     return sim;
 }
 
 inline std::uint64_t
 baseSeed()
 {
-    return envOr("MC_SEED", 42);
+    return envOr<std::uint64_t>("MC_SEED", 42);
 }
 
 /** Bench worker-thread count (0 = all hardware threads). */
 inline unsigned
 benchJobs()
 {
-    return static_cast<unsigned>(envOr("MC_JOBS", 0));
+    return envOr<unsigned>("MC_JOBS", 0);
 }
 
 /**
@@ -76,6 +95,9 @@ template <typename Fn>
 auto
 parallelRows(std::size_t n, Fn fn)
 {
+    // The rows read MC_SEED on worker threads; parse it here first,
+    // so a bad value exits from this thread before any worker runs.
+    (void)baseSeed();
     return parallelMap(n, benchJobs(), fn);
 }
 

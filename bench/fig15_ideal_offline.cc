@@ -1,8 +1,8 @@
 /**
  * @file
  * Figure 15 — MorphCache versus the ideal offline scheme that
- * re-runs each upcoming epoch under every candidate static
- * topology from a checkpoint and commits the winner.
+ * runs each upcoming epoch under every candidate static topology
+ * on copies of the live state and commits the winner.
  *
  * Paper: MorphCache achieves ~97% of the ideal scheme's
  * throughput, and for some mixes (e.g. Mix 10) beats it outright

@@ -1,7 +1,5 @@
 #include "baselines/ideal_offline.hh"
 
-#include <algorithm>
-
 #include "common/logging.hh"
 #include "sim/memory_system.hh"
 #include "stats/metrics.hh"
@@ -10,31 +8,32 @@ namespace morphcache {
 
 namespace {
 
-/** Throughput of running one epoch on a scratch copy of the state. */
+/**
+ * Throughput of the next epoch under `topology`, run on copies of the
+ * live hierarchy and workload. The clocks start at zero: the static
+ * latency model never charges the bus, so no latency reads the clock,
+ * and every cycle increment is a multiple of 0.5, so the per-core
+ * sums equal the live clocks' deltas exactly.
+ */
 double
-probeEpochThroughput(const Hierarchy &checkpoint_h,
-                     const Workload &checkpoint_w,
-                     const std::vector<double> &cycles0,
-                     const std::vector<double> &instrs0,
+probeEpochThroughput(const Hierarchy &live, const Workload &workload,
                      const Topology &topology, EpochId epoch,
-                     const SimParams &sim)
+                     std::uint64_t refs_per_core)
 {
-    Hierarchy h = checkpoint_h; // full cache-state copy
-    const std::unique_ptr<Workload> w = checkpoint_w.clone();
-    std::vector<double> cycles = cycles0;
-    std::vector<double> instrs = instrs0;
+    MC_ASSERT(!live.l2().params().chargeBusPenalty &&
+              !live.l3().params().chargeBusPenalty);
+    Hierarchy h = live; // full cache-state copy
+    const std::unique_ptr<Workload> w = workload.clone();
+    const std::vector<double> zero(w->numCores(), 0.0);
+    std::vector<double> cycles = zero;
+    std::vector<double> instrs = zero;
 
     h.reconfigure(topology);
     w->beginEpoch(epoch);
-    runEpochAccesses(h, *w, sim.refsPerEpochPerCore, cycles, instrs);
+    runEpochAccesses(h, *w, refs_per_core, cycles, instrs);
 
     std::vector<double> ipc(cycles.size());
-    for (std::size_t c = 0; c < cycles.size(); ++c) {
-        const double dcycles = cycles[c] - cycles0[c];
-        ipc[c] = dcycles > 0.0
-                     ? (instrs[c] - instrs0[c]) / dcycles
-                     : 0.0;
-    }
+    intervalIpc(zero, zero, cycles, instrs, ipc);
     return throughput(ipc);
 }
 
@@ -48,80 +47,30 @@ runIdealOffline(HierarchyParams params,
     MC_ASSERT(!candidates.empty());
     // The oracle chooses among *static* topologies, so it pays their
     // latencies.
-    Hierarchy hierarchy(
-        staticLatencyModel(std::move(params), /*charge_remote=*/true));
-    hierarchy.reconfigure(candidates.front());
-
-    const std::uint32_t cores = workload.numCores();
-    std::vector<double> cycles(cores, 0.0);
-    std::vector<double> instrs(cores, 0.0);
-
-    EpochId epoch = 0;
-    for (std::uint32_t w = 0; w < sim.warmupEpochs; ++w) {
-        workload.beginEpoch(epoch);
-        runEpochAccesses(hierarchy, workload, sim.refsPerEpochPerCore,
-                         cycles, instrs);
-        ++epoch;
-    }
+    StaticTopologySystem system(std::move(params), candidates.front());
+    Simulation simulation(system, workload, sim);
 
     IdealOfflineResult result;
-    const std::vector<double> run_cycles0 = cycles;
-    const std::vector<double> run_instrs0 = instrs;
-
-    for (std::uint32_t e = 0; e < sim.epochs; ++e, ++epoch) {
-        // Probe every candidate from a checkpoint, commit the best.
-        std::size_t best = 0;
-        double best_throughput = -1.0;
-        for (std::size_t t = 0; t < candidates.size(); ++t) {
-            const double tput = probeEpochThroughput(
-                hierarchy, workload, cycles, instrs, candidates[t],
-                epoch, sim);
-            if (tput > best_throughput) {
-                best_throughput = tput;
-                best = t;
+    for (EpochId epoch = 0; !simulation.done(); ++epoch) {
+        if (epoch >= sim.warmupEpochs) {
+            // Probe every candidate on copies, commit the best.
+            std::size_t best = 0;
+            double best_throughput = -1.0;
+            for (std::size_t t = 0; t < candidates.size(); ++t) {
+                const double tput = probeEpochThroughput(
+                    system.hierarchy(), workload, candidates[t], epoch,
+                    sim.refsPerEpochPerCore);
+                if (tput > best_throughput) {
+                    best_throughput = tput;
+                    best = t;
+                }
             }
+            system.hierarchy().reconfigure(candidates[best]);
+            result.chosenTopology.push_back(candidates[best].name());
         }
-
-        hierarchy.reconfigure(candidates[best]);
-        result.chosenTopology.push_back(candidates[best].name());
-
-        const std::vector<double> cycles0 = cycles;
-        const std::vector<double> instrs0 = instrs;
-        std::vector<std::uint64_t> misses0(cores);
-        for (std::uint32_t c = 0; c < cores; ++c)
-            misses0[c] = hierarchy.coreStats(static_cast<CoreId>(c)).misses();
-        workload.beginEpoch(epoch);
-        runEpochAccesses(hierarchy, workload, sim.refsPerEpochPerCore,
-                         cycles, instrs);
-
-        EpochMetrics metrics;
-        metrics.ipc.resize(cores);
-        metrics.misses.resize(cores);
-        for (std::uint32_t c = 0; c < cores; ++c) {
-            const double dcycles = cycles[c] - cycles0[c];
-            metrics.ipc[c] =
-                dcycles > 0.0 ? (instrs[c] - instrs0[c]) / dcycles
-                              : 0.0;
-            metrics.misses[c] =
-                hierarchy.coreStats(static_cast<CoreId>(c)).misses() -
-                misses0[c];
-        }
-        metrics.throughput = throughput(metrics.ipc);
-        result.run.epochs.push_back(std::move(metrics));
+        simulation.stepEpoch();
     }
-
-    result.run.avgIpc.resize(cores);
-    double max_cycles = 0.0, total_instr = 0.0;
-    for (std::uint32_t c = 0; c < cores; ++c) {
-        const double dcycles = cycles[c] - run_cycles0[c];
-        const double dinstr = instrs[c] - run_instrs0[c];
-        result.run.avgIpc[c] = dcycles > 0.0 ? dinstr / dcycles : 0.0;
-        max_cycles = std::max(max_cycles, dcycles);
-        total_instr += dinstr;
-    }
-    result.run.avgThroughput = throughput(result.run.avgIpc);
-    result.run.performance =
-        max_cycles > 0.0 ? total_instr / max_cycles : 0.0;
+    result.run = simulation.finish();
     return result;
 }
 

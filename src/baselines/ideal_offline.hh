@@ -2,13 +2,14 @@
  * @file
  * The ideal offline topology scheme of Figure 15.
  *
- * At the start of every epoch the scheme "knows the future": it
- * runs the upcoming epoch under every candidate static topology
- * from a checkpoint of the complete cache and workload state,
- * observes the throughput of each, rolls back, and commits the
- * winner for the real epoch. The paper uses this impractical
- * oracle as the upper bound MorphCache is measured against (it
- * reaches ~97% of it).
+ * At the start of every recorded epoch the scheme "knows the
+ * future": it runs the upcoming epoch under every candidate static
+ * topology on copies of the live hierarchy and workload, observes
+ * the throughput of each, discards the copies, and commits the
+ * winner for the real epoch, which Simulation then runs and
+ * measures like any other. The paper uses this impractical oracle
+ * as the upper bound MorphCache is measured against (it reaches
+ * ~97% of it).
  */
 
 #ifndef MORPHCACHE_BASELINES_IDEAL_OFFLINE_HH
@@ -34,7 +35,11 @@ struct IdealOfflineResult
 };
 
 /**
- * Run the ideal offline scheme.
+ * Run the ideal offline scheme: Simulation drives a
+ * StaticTopologySystem built on the first candidate, which also
+ * serves the warmup epochs. Before every recorded epoch the probes'
+ * winner is committed, with a reconfigure even when it is already
+ * in place.
  *
  * @param params Hierarchy parameters; their latencies follow
  *        staticLatencyModel() with the remote premium, matching the

@@ -131,7 +131,11 @@ class StaticTopologySystem : public MemorySystem
     void saveState(CkptWriter &w) const override;
     void loadState(CkptReader &r) override;
 
-    /** Underlying hierarchy (stats, tests). */
+    /**
+     * Underlying hierarchy (stats, tests). The ideal offline oracle
+     * copies it to probe each candidate topology and reconfigures it
+     * to commit the winner.
+     */
     Hierarchy &hierarchy() { return hierarchy_; }
     const Hierarchy &hierarchy() const { return hierarchy_; }
 

@@ -12,6 +12,19 @@
 
 namespace morphcache {
 
+void
+intervalIpc(const std::vector<double> &cycles0,
+            const std::vector<double> &instrs0,
+            const std::vector<double> &cycles,
+            const std::vector<double> &instrs, std::vector<double> &ipc)
+{
+    for (std::size_t c = 0; c < ipc.size(); ++c) {
+        const double dcycles = cycles[c] - cycles0[c];
+        ipc[c] = dcycles > 0.0 ? (instrs[c] - instrs0[c]) / dcycles
+                               : 0.0;
+    }
+}
+
 Simulation::Simulation(MemorySystem &system, Workload &workload,
                        const SimParams &params)
     : system_(system), workload_(workload), params_(params),
@@ -83,10 +96,9 @@ Simulation::runEpochInto(EpochId epoch, EpochMetrics &metrics)
 
     metrics.ipc.resize(cores);
     metrics.misses.resize(cores);
+    intervalIpc(epochCycles0_, epochInstrs0_, cycles_, instrs_,
+                metrics.ipc);
     for (std::uint32_t c = 0; c < cores; ++c) {
-        const double dcycles = cycles_[c] - epochCycles0_[c];
-        const double dinstr = instrs_[c] - epochInstrs0_[c];
-        metrics.ipc[c] = dcycles > 0.0 ? dinstr / dcycles : 0.0;
         metrics.misses[c] =
             system_.coreStats(static_cast<CoreId>(c)).misses() -
             epochMisses0_[c];
@@ -165,14 +177,13 @@ Simulation::finish() const
         warmupDone_ ? baselineInstrs_ : instrs_;
 
     result.avgIpc.resize(cores);
+    intervalIpc(cycles_start, instr_start, cycles_, instrs_,
+                result.avgIpc);
     double max_cycles = 0.0;
     double total_instr = 0.0;
     for (std::uint32_t c = 0; c < cores; ++c) {
-        const double dcycles = cycles_[c] - cycles_start[c];
-        const double dinstr = instrs_[c] - instr_start[c];
-        result.avgIpc[c] = dcycles > 0.0 ? dinstr / dcycles : 0.0;
-        max_cycles = std::max(max_cycles, dcycles);
-        total_instr += dinstr;
+        max_cycles = std::max(max_cycles, cycles_[c] - cycles_start[c]);
+        total_instr += instrs_[c] - instr_start[c];
     }
     result.avgThroughput = throughput(result.avgIpc);
     result.performance =

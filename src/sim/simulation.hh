@@ -175,10 +175,23 @@ class Simulation
 };
 
 /**
+ * Per-core IPC over an interval: each core's instructions retired
+ * between two snapshots of the clocks over the cycles it spent, 0
+ * for a core that spent none. Writes into `ipc`, which the caller
+ * has sized to the core count, so the run loop stays
+ * allocation-free.
+ */
+void intervalIpc(const std::vector<double> &cycles0,
+                 const std::vector<double> &instrs0,
+                 const std::vector<double> &cycles,
+                 const std::vector<double> &instrs,
+                 std::vector<double> &ipc);
+
+/**
  * Core-model epoch driver over any object with
- * `AccessResult access(const MemAccess&, Cycle)` — used directly by
- * the ideal offline scheme, which drives bare Hierarchy objects
- * restored from checkpoints.
+ * `AccessResult access(const MemAccess&, Cycle)` — used by
+ * Simulation, and directly by the ideal offline scheme's probes,
+ * which run one epoch on a copy of the live Hierarchy.
  *
  * Cores are interleaved reference-by-reference in round-robin
  * order, which approximates concurrent execution closely enough

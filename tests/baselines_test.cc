@@ -212,6 +212,52 @@ TEST(IdealOffline, PicksBestTopologyPerEpoch)
     EXPECT_GE(ideal.run.avgThroughput, 0.98 * fixed_tput);
 }
 
+TEST(IdealOffline, OneCandidateMatchesAFixedRun)
+{
+    // With one candidate the oracle commits the same topology every
+    // epoch, so it must measure exactly what a fixed run measures.
+    // defaultParams() is LRU at L2 and L3, where reconfiguring to
+    // the topology already in place leaves the state alone.
+    GeneratorParams gen;
+    gen.l2SliceLines = 256;
+    gen.l3SliceLines = 1024;
+    const HierarchyParams params = HierarchyParams::defaultParams(16);
+    const Topology topology = Topology::symmetric(16, 4, 4, 1);
+    for (const std::uint32_t warmup : {0u, 2u}) {
+        SCOPED_TRACE(::testing::Message() << "warmup " << warmup);
+        SimParams sim;
+        sim.refsPerEpochPerCore = 1200;
+        sim.epochs = 3;
+        sim.warmupEpochs = warmup;
+
+        MixWorkload oracle_workload(mixByName("MIX 09"), gen, 7);
+        const IdealOfflineResult ideal =
+            runIdealOffline(params, {topology}, oracle_workload, sim);
+
+        MixWorkload fixed_workload(mixByName("MIX 09"), gen, 7);
+        StaticTopologySystem fixed(params, topology);
+        const RunResult expected =
+            Simulation(fixed, fixed_workload, sim).run();
+
+        EXPECT_EQ(ideal.chosenTopology,
+                  std::vector<std::string>(sim.epochs, topology.name()));
+        ASSERT_EQ(ideal.run.epochs.size(), expected.epochs.size());
+        for (std::size_t e = 0; e < expected.epochs.size(); ++e) {
+            EXPECT_EQ(ideal.run.epochs[e].ipc, expected.epochs[e].ipc)
+                << "epoch " << e;
+            EXPECT_EQ(ideal.run.epochs[e].throughput,
+                      expected.epochs[e].throughput)
+                << "epoch " << e;
+            EXPECT_EQ(ideal.run.epochs[e].misses,
+                      expected.epochs[e].misses)
+                << "epoch " << e;
+        }
+        EXPECT_EQ(ideal.run.avgIpc, expected.avgIpc);
+        EXPECT_EQ(ideal.run.avgThroughput, expected.avgThroughput);
+        EXPECT_EQ(ideal.run.performance, expected.performance);
+    }
+}
+
 TEST(IdealOffline, RecordsEachEpochsMemoryMisses)
 {
     GeneratorParams gen;

@@ -19,5 +19,7 @@ ctest --test-dir "$builddir" --output-on-failure -j "$(nproc)"
 tsandir="${builddir}-tsan"
 cmake -B "$tsandir" -S . -DMORPHCACHE_TSAN=ON
 cmake --build "$tsandir" -j "$(nproc)" --target mc_tests
-"$tsandir"/tests/mc_tests \
+# Outside ctest, so give the run its tree's temporary directory
+# (tests/CMakeLists.txt) rather than a /tmp shared with other trees.
+TEST_TMPDIR="$tsandir/tests/tmp/" "$tsandir"/tests/mc_tests \
     --gtest_filter='ParallelMap.*:SweepSeed.*:Executor.*:Campaign.*'
