@@ -55,42 +55,33 @@ CacheLevelModel::configure(const Partition &partition)
     constexpr Cycle spanPenaltyCyclesPerTile = 2;
     spanExtraCycles_.assign(params_.numSlices, 0);
     groupSpanTiles_.assign(partition_.size(), 1);
+    groupLo_.assign(partition_.size(), 0);
+    memberPos_.assign(params_.numSlices, 0);
     std::vector<std::uint32_t> bus_group(params_.numSlices, 0);
     for (std::uint32_t g = 0; g < partition_.size(); ++g) {
-        SliceId lo = partition_[g].front();
-        SliceId hi = partition_[g].front();
-        for (SliceId s : partition_[g]) {
-            lo = std::min(lo, s);
-            hi = std::max(hi, s);
-        }
-        const std::uint32_t span = hi - lo + 1;
+        const auto &group = partition_[g];
+        const auto [lo, hi] = std::minmax_element(group.begin(), group.end());
+        const std::uint32_t span = std::uint32_t{*hi} - *lo + 1;
+        groupLo_[g] = *lo;
         groupSpanTiles_[g] = span;
-        const auto size =
-            static_cast<std::uint32_t>(partition_[g].size());
+        const auto size = static_cast<std::uint32_t>(group.size());
         const Cycle extra = Cycle{span - size} * spanPenaltyCyclesPerTile;
-        for (SliceId s : partition_[g])
-            spanExtraCycles_[s] = extra;
+        for (std::size_t pos = 0; pos < group.size(); ++pos) {
+            spanExtraCycles_[group[pos]] = extra;
+            memberPos_[group[pos]] = static_cast<std::uint16_t>(pos);
+        }
     }
     // Bus segments: groups sharing overlapping physical spans must
-    // share one segment (they ride the same wires). Merge spans
-    // transitively via an interval sweep.
-    std::vector<std::pair<SliceId, SliceId>> spans;
-    spans.reserve(partition_.size());
-    for (const auto &group : partition_) {
-        SliceId lo = group.front(), hi = group.front();
-        for (SliceId s : group) {
-            lo = std::min(lo, s);
-            hi = std::max(hi, s);
-        }
-        spans.emplace_back(lo, hi);
-    }
-    // Segment id per slice: sweep left to right, extending the
-    // current segment while any group's span covers the boundary.
+    // share one segment (they ride the same wires). Segment id per
+    // slice: sweep left to right, extending the current segment while
+    // any group's span covers the boundary.
     std::vector<SliceId> cover_until(params_.numSlices, 0);
     for (std::uint32_t i = 0; i < params_.numSlices; ++i)
         cover_until[i] = static_cast<SliceId>(i);
-    for (const auto &[lo, hi] : spans) {
-        for (SliceId s = lo; s <= hi; ++s)
+    for (std::uint32_t g = 0; g < partition_.size(); ++g) {
+        const auto hi =
+            static_cast<SliceId>(groupLo_[g] + groupSpanTiles_[g] - 1);
+        for (SliceId s = groupLo_[g]; s <= hi; ++s)
             cover_until[s] = std::max(cover_until[s], hi);
     }
     std::uint32_t seg = 0;
@@ -134,36 +125,38 @@ CacheLevelModel::lookup(CoreId core, Addr line_addr, Cycle now)
 
     // Lazy invalidation (Section 2.2): if the line is duplicated
     // across member slices after a merge, keep one copy — the local
-    // one if present, else the first member found in group order —
-    // and invalidate the rest the first time it is touched. The
-    // store keeps one set's fingerprints and valid words for every
-    // slice side by side, so the broadcast probe reads one block.
+    // one if present, else the first member in group order — and
+    // invalidate the rest the first time it is touched. One matcher
+    // pass over the group's span names the candidate members; only
+    // they are probed, and a copy that a walk in that order would
+    // meet later is the one dropped.
     const std::uint32_t assoc = params_.sliceGeom.assoc;
     SliceId hit_slice = invalidSlice;
-    std::uint32_t hit_way = store_.slice(core).probe(line_addr);
-    if (hit_way != assoc)
-        hit_slice = static_cast<SliceId>(core);
-    if (group.size() > 1) {
-        for (SliceId member : group) {
-            if (member == core)
-                continue;
-            const CacheSlice view = store_.slice(member);
-            const std::uint32_t way = view.probe(line_addr);
-            if (way == assoc)
-                continue;
-            if (hit_slice == invalidSlice) {
-                hit_slice = member;
-                hit_way = way;
-            } else {
-                // Duplicate: drop this copy.
-                if (recency_)
-                    recencyDrop(member, set, way);
-                const Eviction dup = view.invalidateAt(set, way);
-                noteEviction(member, line_addr, dup.reused);
-                ++stats_.lazyInvalidations;
-            }
+    std::uint32_t hit_way = assoc;
+    const auto walk = [&](SliceId member) {
+        std::uint32_t way = store_.slice(member).probe(line_addr);
+        if (way == assoc)
+            return false;
+        if (hit_slice == invalidSlice) {
+            hit_slice = member;
+            hit_way = way;
+            return false;
         }
-    }
+        // Duplicate: drop the copy that comes later.
+        SliceId drop = member;
+        if (member == core || (hit_slice != core &&
+                               memberPos_[member] < memberPos_[hit_slice])) {
+            drop = std::exchange(hit_slice, member);
+            way = std::exchange(hit_way, way);
+        }
+        if (recency_)
+            recencyDrop(drop, set, way);
+        const Eviction dup = store_.slice(drop).invalidateAt(set, way);
+        noteEviction(drop, line_addr, dup.reused);
+        ++stats_.lazyInvalidations;
+        return false;
+    };
+    forEachCandidateMember(store_, groupOf_[core], line_addr, walk);
 
     if (hit_slice == invalidSlice) {
         // Miss. A merged group pays the request-only bus
@@ -411,62 +404,75 @@ CacheLevelModel::fillAt(CoreId core, SliceId target,
 bool
 CacheLevelModel::markDirty(CoreId core, Addr line_addr)
 {
-    // Absorb the writeback into the first member (in group order)
-    // holding the line, in one fused probe-and-mark walk per slice.
-    for (SliceId member : groupSlices(core)) {
-        if (store_.slice(member).markDirtyIfPresent(line_addr))
-            return true;
-    }
-    return false;
+    // Absorb the writeback into the first member, in group order,
+    // holding the line.
+    const std::uint32_t assoc = params_.sliceGeom.assoc;
+    SliceId first = invalidSlice;
+    std::uint32_t first_way = assoc;
+    const auto walk = [&](SliceId member) {
+        const std::uint32_t way = store_.slice(member).probe(line_addr);
+        if (way != assoc && (first == invalidSlice ||
+                             memberPos_[member] < memberPos_[first])) {
+            first = member;
+            first_way = way;
+        }
+        return false;
+    };
+    forEachCandidateMember(store_, groupOf(core), line_addr, walk);
+    if (first == invalidSlice)
+        return false;
+    const CacheSlice view = store_.slice(first);
+    view.setDirtyAt(view.setIndex(line_addr), first_way);
+    return true;
 }
 
 bool
 CacheLevelModel::presentInGroup(CoreId core, Addr line_addr) const
 {
-    for (SliceId member : groupSlices(core)) {
-        if (store_.slice(member).contains(line_addr))
-            return true;
-    }
-    return false;
+    return forEachCandidateMember(
+        store_, groupOf(core), line_addr, [&](SliceId member) {
+            return store_.slice(member).contains(line_addr);
+        });
 }
 
 bool
-CacheLevelModel::presentInSlices(const std::vector<SliceId> &slices,
+CacheLevelModel::presentInSlices(std::span<const SliceId> slices,
                                  Addr line_addr) const
 {
-    for (SliceId member : slices) {
-        if (store_.slice(member).contains(line_addr))
-            return true;
-    }
-    return false;
+    return forEachCandidateIn(slices, line_addr, [&](SliceId member) {
+        return store_.slice(member).contains(line_addr);
+    });
 }
 
 std::optional<SliceId>
 CacheLevelModel::findInOtherGroups(CoreId core, Addr line_addr) const
 {
+    // The lowest slice outside the group holding the line.
     const std::uint32_t own_group = groupOf_[core];
-    for (std::uint32_t s = 0; s < params_.numSlices; ++s) {
-        if (groupOf_[s] == own_group)
-            continue;
-        if (store_.slice(static_cast<SliceId>(s)).contains(line_addr))
-            return static_cast<SliceId>(s);
-    }
-    return std::nullopt;
+    std::optional<SliceId> found;
+    store_.forEachCandidate(line_addr, 0, params_.numSlices, [&](SliceId s) {
+        if (groupOf_[s] == own_group || !store_.slice(s).contains(line_addr))
+            return false;
+        found = s;
+        return true;
+    });
+    return found;
 }
 
 bool
-CacheLevelModel::invalidateInSlices(const std::vector<SliceId> &slices,
+CacheLevelModel::invalidateInSlices(std::span<const SliceId> slices,
                                     Addr line_addr)
 {
     bool dirty = false;
-    for (SliceId member : slices) {
+    forEachCandidateIn(slices, line_addr, [&](SliceId member) {
         const Eviction ev = invalidateLine(member, line_addr);
         if (ev.valid) {
             dirty = dirty || ev.dirty;
             noteEviction(member, line_addr, ev.reused);
             ++stats_.inclusionInvalidations;
         }
-    }
+        return false;
+    });
     return dirty;
 }
 
@@ -475,18 +481,17 @@ CacheLevelModel::invalidateOutsideGroup(CoreId core, Addr line_addr)
 {
     const std::uint32_t own_group = groupOf_[core];
     bool dirty = false;
-    for (std::uint32_t s = 0; s < params_.numSlices; ++s) {
+    store_.forEachCandidate(line_addr, 0, params_.numSlices, [&](SliceId s) {
         if (groupOf_[s] == own_group)
-            continue;
-        const Eviction ev =
-            invalidateLine(static_cast<SliceId>(s), line_addr);
+            return false;
+        const Eviction ev = invalidateLine(s, line_addr);
         if (ev.valid) {
             dirty = dirty || ev.dirty;
-            noteEviction(static_cast<SliceId>(s), line_addr,
-                         ev.reused);
+            noteEviction(s, line_addr, ev.reused);
             ++stats_.coherenceInvalidations;
         }
-    }
+        return false;
+    });
     return dirty;
 }
 
@@ -511,7 +516,6 @@ CacheLevelModel::ensureRecencyIndex()
     index.keys.assign(ways * numSets_, 0);
     index.count.assign(params_.numSlices * numSets_, 0);
     index.base.assign(params_.numSlices, 0);
-    index.memberPos.assign(params_.numSlices, 0);
     index.keyMember.resize(ways);
     for (std::size_t key = 0; key < ways; ++key)
         index.keyMember[key] = static_cast<std::uint16_t>(key / assoc);
@@ -527,8 +531,6 @@ CacheLevelModel::rebuildRecencyIndex()
     for (std::uint32_t g = 0; g < partition_.size(); ++g) {
         const auto &group = partition_[g];
         index.base[g] = base;
-        for (std::size_t pos = 0; pos < group.size(); ++pos)
-            index.memberPos[group[pos]] = static_cast<std::uint16_t>(pos);
         const std::size_t ways = group.size() * assoc;
         for (std::uint64_t set = 0; set < numSets_; ++set) {
             std::uint16_t *keys = &index.keys[base + set * ways];

@@ -13,6 +13,7 @@
 #ifndef MORPHCACHE_HIERARCHY_CACHE_LEVEL_HH
 #define MORPHCACHE_HIERARCHY_CACHE_LEVEL_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -307,14 +308,17 @@ class CacheLevelModel
                 key - pos * params_.sliceGeom.assoc};
     }
 
-    /** Mark a resident line dirty (writeback from above). */
+    /**
+     * Mark a resident line dirty (writeback from above): the first
+     * member of `core`'s group, in group order, that holds it.
+     */
     bool markDirty(CoreId core, Addr line_addr);
 
     /** Is the line resident anywhere in `core`'s group? */
     bool presentInGroup(CoreId core, Addr line_addr) const;
 
     /** Is the line resident in any of the given slices? */
-    bool presentInSlices(const std::vector<SliceId> &slices,
+    bool presentInSlices(std::span<const SliceId> slices,
                          Addr line_addr) const;
 
     /**
@@ -328,7 +332,7 @@ class CacheLevelModel
      * Invalidate the line from the given slices (inclusion
      * back-invalidation). @return true if a dirty copy was dropped.
      */
-    bool invalidateInSlices(const std::vector<SliceId> &slices,
+    bool invalidateInSlices(std::span<const SliceId> slices,
                             Addr line_addr);
 
     /**
@@ -336,6 +340,24 @@ class CacheLevelModel
      * (write-invalidate broadcast). @return dirty-copy flag.
      */
     bool invalidateOutsideGroup(CoreId core, Addr line_addr);
+
+    /**
+     * Calls visit(member) for each member of group `g` whose slice in
+     * `store` may hold `line_addr`, in ascending slice order, until a
+     * call returns true: SliceStore::forEachCandidate over the group's
+     * physical span, skipping the non-members inside it. `store` is
+     * this level's or one with a slice per slice of it (the L1s).
+     * @return Whether a call returned true.
+     */
+    template <typename Visit>
+    bool
+    forEachCandidateMember(const SliceStore &store, std::uint32_t g,
+                           Addr line_addr, Visit &&visit) const
+    {
+        return store.forEachCandidate(
+            line_addr, groupLo_[g], groupSpanTiles_[g],
+            [&](SliceId s) { return groupOf_[s] == g && visit(s); });
+    }
 
     /** View of one slice (tests, reconfiguration walks). */
     CacheSlice slice(SliceId id);
@@ -455,6 +477,28 @@ class CacheLevelModel
     /** Allocate and build the recency index if it does not exist. */
     void ensureRecencyIndex();
 
+    /**
+     * Calls visit(slice) for each slice of `slices` that may hold
+     * `line_addr` (the matcher over their physical span), in
+     * ascending slice order, until a call returns true.
+     */
+    template <typename Visit>
+    bool
+    forEachCandidateIn(std::span<const SliceId> slices, Addr line_addr,
+                       Visit &&visit) const
+    {
+        if (slices.empty())
+            return false;
+        const auto [lo, hi] = std::minmax_element(slices.begin(),
+                                                  slices.end());
+        return store_.forEachCandidate(
+            line_addr, *lo, std::uint32_t{*hi} - *lo + 1, [&](SliceId s) {
+                return std::find(slices.begin(), slices.end(), s) !=
+                           slices.end() &&
+                       visit(s);
+            });
+    }
+
     /** Refill the recency index in place from the slices. */
     void rebuildRecencyIndex();
 
@@ -471,7 +515,7 @@ class CacheLevelModel
     recencyKey(SliceId slice, std::uint32_t way) const
     {
         return static_cast<std::uint16_t>(
-            recency_->memberPos[slice] * params_.sliceGeom.assoc + way);
+            memberPos_[slice] * params_.sliceGeom.assoc + way);
     }
 
     /** Stamp of the way a recency key of `group` names. */
@@ -547,9 +591,18 @@ class CacheLevelModel
     /** Extra remote cycles per slice from physical-span stretch. */
     // ckpt: derived(configure)
     std::vector<Cycle> spanExtraCycles_;
-    /** Physical span (tiles) of each group (energy accounting). */
+    /**
+     * Physical span (tiles) of each group (energy accounting; the
+     * run of slices a group walk matches).
+     */
     // ckpt: derived(configure)
     std::vector<std::uint32_t> groupSpanTiles_;
+    /** Lowest slice of each group (where its span starts). */
+    // ckpt: derived(configure)
+    std::vector<SliceId> groupLo_;
+    /** Position of each slice within its group's member list. */
+    // ckpt: derived(configure)
+    std::vector<std::uint16_t> memberPos_;
     SegmentedBus bus_;
     std::vector<Acfv> acfvs_;
     std::vector<OracleAcf> oracles_;
@@ -580,8 +633,6 @@ class CacheLevelModel
         std::vector<std::uint16_t> count;
         /** First slot of each group. */
         std::vector<std::size_t> base;
-        /** Position of each slice within its group. */
-        std::vector<std::uint16_t> memberPos;
         /** Member position of each key (key / assoc). */
         std::vector<std::uint16_t> keyMember;
     };

@@ -166,10 +166,8 @@ Hierarchy::enforceInclusion(const Topology &old_topology)
                 const Addr line_addr = slice.lineAddrAt(set, way);
                 if (l3_.presentInSlices(backing, line_addr))
                     continue;
-                const bool dirty =
-                    l2_.invalidateInSlices({static_cast<SliceId>(s)},
-                                           line_addr);
-                if (dirty)
+                const auto id = static_cast<SliceId>(s);
+                if (l2_.invalidateInSlices({&id, 1}, line_addr))
                     ++coreStats_[s].writebacks;
             }
         }
@@ -318,12 +316,9 @@ Hierarchy::fillL2(CoreId core, Addr line_addr, bool dirty)
     // Inclusion: the displaced line leaves every L1 above this L2
     // group.
     bool victim_dirty = out.evicted.dirty;
-    for (SliceId member : l2_.partition()[l2_.groupOf(out.evictedFrom)]) {
-        const Eviction ev =
-            l1s_.slice(member).invalidate(out.evicted.lineAddr);
-        if (ev.valid && ev.dirty)
-            victim_dirty = true;
-    }
+    if (invalidateL1s(l2_, l2_.groupOf(out.evictedFrom),
+                      out.evicted.lineAddr))
+        victim_dirty = true;
     if (victim_dirty) {
         if (!l3_.markDirty(static_cast<CoreId>(out.evictedFrom),
                            out.evicted.lineAddr)) {
@@ -345,28 +340,37 @@ Hierarchy::fillL3(CoreId core, Addr line_addr, bool dirty)
     }
     // Inclusion: the displaced line leaves the L2 slices and L1s
     // backed by this L3 group.
-    const auto &backing = l3_.partition()[l3_.groupOf(out.evictedFrom)];
+    const std::uint32_t g = l3_.groupOf(out.evictedFrom);
     bool victim_dirty = out.evicted.dirty;
-    if (l2_.invalidateInSlices(backing, out.evicted.lineAddr))
+    if (l2_.invalidateInSlices(l3_.partition()[g], out.evicted.lineAddr))
         victim_dirty = true;
-    for (SliceId member : backing) {
-        const Eviction ev =
-            l1s_.slice(member).invalidate(out.evicted.lineAddr);
-        if (ev.valid && ev.dirty)
-            victim_dirty = true;
-    }
+    if (invalidateL1s(l3_, g, out.evicted.lineAddr))
+        victim_dirty = true;
     if (victim_dirty)
         ++coreStats_[core].writebacks;
+}
+
+bool
+Hierarchy::invalidateL1s(const CacheLevelModel &level, std::uint32_t g,
+                         Addr line_addr)
+{
+    bool dirty = false;
+    level.forEachCandidateMember(l1s_, g, line_addr, [&](SliceId member) {
+        const Eviction ev = l1s_.slice(member).invalidate(line_addr);
+        dirty = dirty || (ev.valid && ev.dirty);
+        return false;
+    });
+    return dirty;
 }
 
 void
 Hierarchy::coherenceInvalidate(CoreId writer, Addr line_addr)
 {
-    for (std::uint32_t c = 0; c < params_.numCores; ++c) {
-        if (c == writer)
-            continue;
-        l1s_.slice(static_cast<SliceId>(c)).invalidate(line_addr);
-    }
+    l1s_.forEachCandidate(line_addr, 0, params_.numCores, [&](SliceId c) {
+        if (c != writer)
+            l1s_.slice(c).invalidate(line_addr);
+        return false;
+    });
     l2_.invalidateOutsideGroup(writer, line_addr);
     l3_.invalidateOutsideGroup(writer, line_addr);
 }

@@ -200,6 +200,13 @@ class Hierarchy
     /** Install into the core's L3 group, handling inclusion. */
     void fillL3(CoreId core, Addr line_addr, bool dirty);
 
+    /**
+     * Drop a line from the L1s of the cores in `level`'s group `g`
+     * (back-invalidation). @return true if a dropped copy was dirty.
+     */
+    bool invalidateL1s(const CacheLevelModel &level, std::uint32_t g,
+                       Addr line_addr);
+
     /** Write-invalidate broadcast for a shared-line write. */
     void coherenceInvalidate(CoreId writer, Addr line_addr);
 

@@ -25,9 +25,11 @@ SliceStore::SliceStore(std::uint32_t num_slices,
       setMask_(geom.numSets() - 1),
       waysMask_(geom.assoc >= 64 ? ~std::uint64_t{0}
                                  : (std::uint64_t{1} << geom.assoc) - 1),
+      assocReciprocal_(((std::uint64_t{1} << 32) + geom.assoc - 1) /
+                       geom.assoc),
       tags_(geom.numLines() * num_slices, 0),
       stamps_(geom.numLines() * num_slices, 0),
-      fingerprints_(geom.numLines() * num_slices + 7, 0),
+      fingerprints_(geom.numLines() * num_slices + 15, 0),
       validBits_(geom.numSets() * num_slices, 0),
       dirtyBits_(geom.numSets() * num_slices, 0),
       reusedBits_(geom.numSets() * num_slices, 0),

@@ -6,19 +6,22 @@
  * A SliceStore holds all physical slices of a level (the 16 L1s,
  * the L2 slices or the L3 slices) set-major: tags, stamps and a
  * one-byte fingerprint per way are laid out [set][slice][way], the
- * valid, dirty and reused words [set][slice]. A group probe of one
- * set therefore reads one contiguous run of fingerprints and one of
- * valid words, whichever slices the group holds. A CacheSlice is a
- * value view (store, slice id) made on demand; it owns nothing.
+ * valid, dirty and reused words [set][slice]. The fingerprints of one
+ * set over a run of slices are therefore one contiguous byte run,
+ * which the SSE2 fingerprint matcher scans 16 bytes per compare. A
+ * CacheSlice is a value view (store, slice id) made on demand; it
+ * owns nothing.
  */
 
 #ifndef MORPHCACHE_MEM_SLICE_HH
 #define MORPHCACHE_MEM_SLICE_HH
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
-#include <cstring>
 #include <vector>
+
+#include <emmintrin.h>
 
 #include "common/logging.hh"
 #include "common/serial.hh"
@@ -26,6 +29,12 @@
 #include "mem/geometry.hh"
 #include "mem/line.hh"
 #include "mem/replacement.hh"
+
+// SSE2 is part of the x86-64 baseline, so every x86-64 compiler
+// defines this without a flag.
+#ifndef __SSE2__
+#error "the fingerprint matcher needs SSE2 (an x86-64 target)"
+#endif
 
 namespace morphcache {
 
@@ -48,8 +57,9 @@ using ConstCacheSlice = SliceView<const SliceStore>;
  *
  * Fingerprints are derived state: a byte hashed from each way's
  * line address, written by every fill and rebuilt by loadState(),
- * never serialized. A probe matches eight of them per 64-bit word
- * and compares full line addresses only on valid candidates.
+ * never serialized. The matcher compares 16 of them with the line's
+ * per SSE2 compare; a probe then compares full line addresses only
+ * on valid candidates.
  *
  * The checkpoint encoding is the record-per-line one of a slice
  * that owns its arrays: saveState() walks one slice's sets in
@@ -90,8 +100,105 @@ class SliceStore
             (line_addr * 0x9e3779b97f4a7c15ULL) >> 56);
     }
 
+    /**
+     * The fingerprint matcher: bit k of the result is set iff a way
+     * of slice `lo + k` in `line_addr`'s set, valid or not, holds
+     * the line's fingerprint, for k < span. Every slice holding the
+     * line is in the mask; a slice in it may not hold the line.
+     * Requires 1 <= span <= 64 and lo + span <= the slice count.
+     *
+     * The run's fingerprints are span x assoc contiguous bytes, so
+     * one 16-byte compare covers two 8-way slices. Window bytes past
+     * the run are masked off; the last window reads at most 15 bytes
+     * past it, into the next row or the array's padding.
+     */
+    std::uint64_t
+    matchSlices(Addr line_addr, SliceId lo, std::uint32_t span) const
+    {
+        const std::size_t row = (line_addr & setMask_) * numSlices_ + lo;
+        const std::uint8_t *fps = fingerprints_.data() + row * assoc_;
+        const std::uint32_t bytes = span * assoc_;
+        const __m128i fp = pattern(line_addr);
+        std::uint64_t slices = 0;
+        for (std::uint32_t at = 0; at < bytes; at += 64) {
+            // Up to four windows' byte masks in one word, then the
+            // slice of each (rare) matching byte.
+            const std::uint32_t n = std::min<std::uint32_t>(bytes - at, 64);
+            std::uint64_t m = 0;
+            for (std::uint32_t w = 0; w < n; w += 16)
+                m |= std::uint64_t{matchWindow(fps + at + w, fp)} << w;
+            if (n < 64)
+                m &= (std::uint64_t{1} << n) - 1;
+            while (m != 0) {
+                const auto byte =
+                    at + static_cast<std::uint32_t>(std::countr_zero(m));
+                slices |= std::uint64_t{1} << sliceOfByte(byte);
+                m &= m - 1;
+            }
+        }
+        return slices;
+    }
+
+    /**
+     * Calls visit(slice) for each slice of [lo, lo + span) in
+     * matchSlices()' mask, in ascending order, one 64-slice window
+     * at a time, until a call returns true. A one-slice run is
+     * visited unmatched: its own probe is the cheaper test.
+     * @return Whether a call returned true.
+     */
+    template <typename Visit>
+    bool
+    forEachCandidate(Addr line_addr, SliceId lo, std::uint32_t span,
+                     Visit &&visit) const
+    {
+        if (span == 1)
+            return visit(lo);
+        for (std::uint32_t first = 0; first < span; first += 64) {
+            std::uint64_t m = matchSlices(
+                line_addr, static_cast<SliceId>(lo + first),
+                std::min<std::uint32_t>(span - first, 64));
+            while (m != 0) {
+                const auto slice = static_cast<SliceId>(
+                    lo + first +
+                    static_cast<std::uint32_t>(std::countr_zero(m)));
+                if (visit(slice))
+                    return true;
+                m &= m - 1;
+            }
+        }
+        return false;
+    }
+
   private:
     template <typename Store> friend class SliceView;
+
+    /** A line's fingerprint in all 16 bytes. */
+    static __m128i
+    pattern(Addr line_addr)
+    {
+        return _mm_set1_epi8(static_cast<char>(fingerprint(line_addr)));
+    }
+
+    /**
+     * The one fingerprint compare: bit k set iff byte k of the 16 at
+     * `bytes` (an unaligned load) equals the pattern's.
+     */
+    static std::uint32_t
+    matchWindow(const std::uint8_t *bytes, __m128i fp)
+    {
+        const __m128i window =
+            _mm_loadu_si128(reinterpret_cast<const __m128i *>(bytes));
+        return static_cast<std::uint32_t>(
+            _mm_movemask_epi8(_mm_cmpeq_epi8(window, fp)));
+    }
+
+    /** `byte / assoc_` for a byte of a run (at most 64 x 64 bytes). */
+    std::uint32_t
+    sliceOfByte(std::uint32_t byte) const
+    {
+        return static_cast<std::uint32_t>(
+            (std::uint64_t{byte} * assocReciprocal_) >> 32);
+    }
 
     template <class Ar, class Self>
     static void checkpointFields(Ar &ar, Self &self, SliceId slice);
@@ -106,15 +213,22 @@ class SliceStore
     std::uint64_t setMask_;     // ckpt: derived(SliceStore)
     /** Low `assoc_` bits set (valid-word scan mask). */
     std::uint64_t waysMask_;    // ckpt: derived(SliceStore)
+    /**
+     * ceil(2^32 / assoc_): (b x this) >> 32 is exactly b / assoc_
+     * while b x assoc_ < 2^32, since the rounding then adds less than
+     * 1 / assoc_ to the quotient.
+     */
+    std::uint64_t assocReciprocal_; // ckpt: derived(SliceStore)
     /** Stored block numbers, [set][slice][way]. */
     std::vector<Addr> tags_;
     /** Recency stamps, [set][slice][way]. */
     std::vector<std::uint64_t> stamps_;
     /**
      * Fingerprint of each way's stored address, [set][slice][way],
-     * plus 7 bytes of padding: a probe reads whole 8-byte words, so
-     * a slice whose assoc is not a multiple of 8 reads up to 7 bytes
-     * past its ways, into the next slice's or into the padding.
+     * plus 15 bytes of padding: the matcher reads whole 16-byte
+     * windows, so a run whose byte count is not a multiple of 16
+     * reads up to 15 bytes past it, into the next row or into the
+     * padding.
      */
     // ckpt: derived(SliceStore::loadState)
     std::vector<std::uint8_t> fingerprints_;
@@ -161,9 +275,10 @@ class SliceView
 
     /**
      * Look up a line in this slice: the first valid way holding it,
-     * in ascending way order. Eight fingerprints are matched per
-     * word and masked with the valid word; only candidates have
-     * their full line address compared.
+     * in ascending way order. This is the matcher's one-slice case:
+     * the slice's ways are matched 16 per window compare and masked
+     * with the valid word, and only candidates have their full line
+     * address compared.
      * @return The way holding it, or assoc() on a miss (a plain
      *         integer, so the caller's loop keeps it in a register).
      *
@@ -174,8 +289,6 @@ class SliceView
     [[gnu::always_inline]] std::uint32_t
     probe(Addr line_addr) const
     {
-        static_assert(std::endian::native == std::endian::little,
-                      "fingerprint byte k must be way k of a word");
         const Store &s = *store_;
         const std::size_t r = row(line_addr & s.setMask_);
         const std::uint64_t valid = s.validBits_[r];
@@ -184,12 +297,10 @@ class SliceView
         const std::size_t base = r * s.assoc_;
         const std::uint8_t *fps = s.fingerprints_.data() + base;
         const Addr *tags = s.tags_.data() + base;
-        const std::uint64_t pattern =
-            0x0101010101010101ULL * SliceStore::fingerprint(line_addr);
-        for (std::uint32_t first = 0; first < s.assoc_; first += 8) {
-            std::uint64_t word;
-            std::memcpy(&word, fps + first, sizeof(word));
-            std::uint64_t m = equalBytes(word ^ pattern) & (valid >> first);
+        const __m128i fp = SliceStore::pattern(line_addr);
+        for (std::uint32_t first = 0; first < s.assoc_; first += 16) {
+            std::uint64_t m =
+                SliceStore::matchWindow(fps + first, fp) & (valid >> first);
             while (m != 0) {
                 const std::uint32_t way =
                     first + static_cast<std::uint32_t>(std::countr_zero(m));
@@ -427,19 +538,6 @@ class SliceView
         evicted.dirty = (store_->dirtyBits_[row(set)] & bit) != 0;
         evicted.reused = (store_->reusedBits_[row(set)] & bit) != 0;
         return evicted;
-    }
-
-    /**
-     * Bit k set iff byte k of `x` is zero. Exact: adding 0x7f to
-     * each byte's low seven bits cannot carry into the next byte.
-     */
-    static std::uint64_t
-    equalBytes(std::uint64_t x)
-    {
-        constexpr std::uint64_t low7 = 0x7f7f7f7f7f7f7f7fULL;
-        const std::uint64_t zero = ~(((x & low7) + low7) | x | low7);
-        // Gather the eight high bits (bit 8k+7 -> bit 56+k).
-        return ((zero >> 7) * 0x0102040810204080ULL) >> 56;
     }
 
     Store *store_;

@@ -214,9 +214,9 @@ TEST(CacheLevel, InvalidateInSlicesReportsDirty)
 {
     CacheLevelModel level(smallLevel());
     level.insert(0, 0x42, true);
-    EXPECT_TRUE(level.invalidateInSlices({0}, 0x42));
+    EXPECT_TRUE(level.invalidateInSlices(std::vector<SliceId>{0}, 0x42));
     EXPECT_FALSE(level.presentInGroup(0, 0x42));
-    EXPECT_FALSE(level.invalidateInSlices({0}, 0x42));
+    EXPECT_FALSE(level.invalidateInSlices(std::vector<SliceId>{0}, 0x42));
 }
 
 TEST(CacheLevel, FindInOtherGroups)

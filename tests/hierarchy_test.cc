@@ -187,7 +187,7 @@ TEST(Hierarchy, L3SplitEnforcesL2Inclusion)
             if (!h.l2().slice(0).validAt(set, way))
                 continue;
             EXPECT_TRUE(h.l3().presentInSlices(
-                {0}, h.l2().slice(0).lineAddrAt(set, way)));
+                std::vector<SliceId>{0}, h.l2().slice(0).lineAddrAt(set, way)));
         }
     }
 }

@@ -17,10 +17,12 @@
 
 #include <gtest/gtest.h>
 
+#include "hierarchy/hierarchy.hh"
 #include "perf/allocmeter.hh"
 #include "perf/clock.hh"
 #include "runner/manifest.hh"
 #include "runner/run_factory.hh"
+#include "sim/config.hh"
 #include "stats/profiler.hh"
 #include "stats/registry.hh"
 
@@ -137,6 +139,44 @@ TEST(AllocMeter, MeteringChangesNoSimulatedByte)
     EXPECT_EQ(off.statsJson, on.statsJson);
     EXPECT_EQ(off.throughput, on.throughput);
     EXPECT_EQ(off.finalTopology, on.finalTopology);
+}
+
+TEST(AllocMeter, DroppingL2LinesOnReconfigurationDoesNotAllocate)
+{
+    // Splitting a shared L3 into private slices leaves L2 lines whose
+    // L3 copy sits in another slice; inclusion drops them one by one.
+    // Each drop must be allocation-free, so the reconfiguration
+    // allocates exactly as much as the same one of an empty
+    // hierarchy.
+    const HierarchyParams params = fastScaleHierarchy(4);
+    const Topology shared = Topology::symmetric(4, 1, 4, 1);
+    const Topology split = Topology::symmetric(4, 1, 1, 4);
+    Hierarchy empty(params);
+    Hierarchy full(params);
+    empty.reconfigure(shared);
+    full.reconfigure(shared);
+    // 4096 lines overflow core 0's 2048-line L3 slice into the
+    // others, while its L2 keeps the most recent 512.
+    for (Addr line = 0; line < 4096; ++line)
+        full.access(MemAccess{0, line * 64, AccessType::Read}, line);
+
+    const auto metered = [](Hierarchy &h, const Topology &topology) {
+        const bool was = AllocMeter::enabled();
+        AllocMeter::setEnabled(true);
+        const AllocSnapshot a = AllocMeter::snapshot();
+        h.reconfigure(topology);
+        const AllocSnapshot b = AllocMeter::snapshot();
+        AllocMeter::setEnabled(was);
+        return allocDelta(a, b);
+    };
+    const std::uint64_t dropped = full.l2().stats().inclusionInvalidations;
+    const AllocSnapshot e = metered(empty, split);
+    const AllocSnapshot f = metered(full, split);
+    EXPECT_GT(full.l2().stats().inclusionInvalidations, dropped + 100);
+    EXPECT_EQ(empty.l2().stats().inclusionInvalidations, 0u);
+    EXPECT_EQ(f.calls, e.calls);
+    EXPECT_EQ(f.bytes, e.bytes);
+    EXPECT_EQ(f.frees, e.frees);
 }
 
 TEST(AllocMeter, RefProcessingIsAllocationFreeForAllSchemes)
