@@ -1,37 +1,11 @@
 #include "check/invariant.hh"
 
-#include <algorithm>
-#include <cstdarg>
-#include <cstdio>
-
-#include "common/bitops.hh"
 #include "common/error.hh"
 #include "common/logging.hh"
+#include "common/textfmt.hh"
 #include "hierarchy/hierarchy.hh"
 
 namespace morphcache {
-
-namespace {
-
-std::string
-format(const char *fmt, ...)
-{
-    va_list args;
-    va_start(args, fmt);
-    char buf[512];
-    std::vsnprintf(buf, sizeof(buf), fmt, args);
-    va_end(args);
-    return std::string(buf);
-}
-
-void
-add(std::vector<Violation> &out, InvariantKind kind,
-    std::string message)
-{
-    out.push_back(Violation{kind, std::move(message)});
-}
-
-} // namespace
 
 CheckPolicy
 checkPolicyFromName(const std::string &name)
@@ -60,146 +34,16 @@ checkPolicyName(CheckPolicy policy)
     return "?";
 }
 
-const char *
-invariantKindName(InvariantKind kind)
-{
-    switch (kind) {
-      case InvariantKind::PartitionValidity: return "partition";
-      case InvariantKind::GroupShape: return "group-shape";
-      case InvariantKind::Inclusion: return "inclusion";
-      case InvariantKind::LineConservation: return "line-conservation";
-      case InvariantKind::SliceOverflow: return "slice-overflow";
-    }
-    return "?";
-}
-
 InvariantChecker::InvariantChecker(CheckPolicy policy)
     : policy_(policy)
 {
-}
-
-void
-InvariantChecker::checkPartition(const char *level,
-                                 const Partition &partition,
-                                 std::uint32_t num_slices,
-                                 std::vector<Violation> &out) const
-{
-    std::vector<std::uint32_t> seen(num_slices, 0);
-    std::uint64_t members = 0;
-    for (std::size_t g = 0; g < partition.size(); ++g) {
-        const auto &group = partition[g];
-        if (group.empty()) {
-            add(out, InvariantKind::PartitionValidity,
-                format("%s group %zu is empty", level, g));
-            continue;
-        }
-        if (!std::is_sorted(group.begin(), group.end())) {
-            add(out, InvariantKind::PartitionValidity,
-                format("%s group %zu members out of order", level,
-                       g));
-        }
-        for (SliceId member : group) {
-            ++members;
-            if (member >= num_slices) {
-                add(out, InvariantKind::PartitionValidity,
-                    format("%s group %zu names slice %u outside "
-                           "[0, %u)",
-                           level, g, member, num_slices));
-            } else if (++seen[member] == 2) {
-                // Report each duplicated slice once.
-                add(out, InvariantKind::PartitionValidity,
-                    format("%s slice %u appears in more than one "
-                           "group",
-                           level, member));
-            }
-        }
-    }
-    if (members != num_slices) {
-        for (std::uint32_t s = 0; s < num_slices; ++s) {
-            if (seen[s] == 0) {
-                add(out, InvariantKind::PartitionValidity,
-                    format("%s slice %u missing from the partition",
-                           level, s));
-            }
-        }
-    }
-}
-
-void
-InvariantChecker::checkGroupShapes(const char *level,
-                                   const Partition &partition,
-                                   ShapeRule rule,
-                                   std::vector<Violation> &out) const
-{
-    if (rule == ShapeRule::Any)
-        return;
-    for (std::size_t g = 0; g < partition.size(); ++g) {
-        const auto &group = partition[g];
-        if (group.empty())
-            continue; // already a partition violation
-        const bool contiguous =
-            static_cast<std::size_t>(group.back() - group.front()) +
-                1 ==
-            group.size();
-        if (!contiguous) {
-            add(out, InvariantKind::GroupShape,
-                format("%s group %zu [%u..%u] is not a contiguous "
-                       "range",
-                       level, g, group.front(), group.back()));
-            continue;
-        }
-        if (rule == ShapeRule::AlignedPow2) {
-            const auto size =
-                static_cast<std::uint32_t>(group.size());
-            if (!isPowerOf2(size) || group.front() % size != 0) {
-                add(out, InvariantKind::GroupShape,
-                    format("%s group %zu (base %u, size %u) is not "
-                           "an aligned power-of-two range",
-                           level, g, group.front(), size));
-            }
-        }
-    }
 }
 
 std::vector<Violation>
 InvariantChecker::checkTopology(const Topology &topology,
                                 ShapeRule rule) const
 {
-    std::vector<Violation> out;
-    checkPartition("L2", topology.l2, topology.numCores, out);
-    checkPartition("L3", topology.l3, topology.numCores, out);
-    checkGroupShapes("L2", topology.l2, rule, out);
-    checkGroupShapes("L3", topology.l3, rule, out);
-
-    // Inclusiveness (Sections 2.2/2.3): every L2 group lives inside
-    // one L3 group. Only meaningful for slices the partitions
-    // actually cover, so compute membership defensively.
-    std::vector<std::uint32_t> l3_of(topology.numCores,
-                                     ~std::uint32_t{0});
-    for (std::size_t g = 0; g < topology.l3.size(); ++g) {
-        for (SliceId member : topology.l3[g]) {
-            if (member < topology.numCores)
-                l3_of[member] = static_cast<std::uint32_t>(g);
-        }
-    }
-    for (std::size_t g = 0; g < topology.l2.size(); ++g) {
-        const auto &group = topology.l2[g];
-        if (group.empty() || group.front() >= topology.numCores)
-            continue;
-        const std::uint32_t home = l3_of[group.front()];
-        for (SliceId member : group) {
-            if (member >= topology.numCores)
-                continue;
-            if (l3_of[member] != home) {
-                add(out, InvariantKind::Inclusion,
-                    format("L2 group %zu straddles L3 groups (slice "
-                           "%u vs slice %u)",
-                           g, group.front(), member));
-                break;
-            }
-        }
-    }
-    return out;
+    return topologyFindings(topology, rule);
 }
 
 InvariantChecker::LineSnapshot
@@ -235,19 +79,19 @@ checkLevelConservation(const char *level_name,
         if (now > capacity) {
             out.push_back(Violation{
                 InvariantKind::SliceOverflow,
-                format("%s slice %u holds %llu lines, capacity %llu",
-                       level_name, s,
-                       static_cast<unsigned long long>(now),
-                       static_cast<unsigned long long>(capacity))});
+                strFormat("%s slice %u holds %llu lines, capacity %llu",
+                          level_name, s,
+                          static_cast<unsigned long long>(now),
+                          static_cast<unsigned long long>(capacity))});
         }
         if (s < before.size() && now > before[s]) {
             out.push_back(Violation{
                 InvariantKind::LineConservation,
-                format("%s slice %u grew from %llu to %llu valid "
-                       "lines across a reconfiguration",
-                       level_name, s,
-                       static_cast<unsigned long long>(before[s]),
-                       static_cast<unsigned long long>(now))});
+                strFormat("%s slice %u grew from %llu to %llu valid "
+                          "lines across a reconfiguration",
+                          level_name, s,
+                          static_cast<unsigned long long>(before[s]),
+                          static_cast<unsigned long long>(now))});
         }
     }
 }

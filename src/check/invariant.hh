@@ -7,13 +7,14 @@
  * every L2 sharing group must be contained in a single L3 group
  * (inclusiveness, Sections 2.2/2.3), groups must have the shapes the
  * configured mode permits, and a reconfiguration must never create
- * cache lines out of thin air — but the simulator historically only
- * enforced them with process-killing assertions on a few paths.
- * InvariantChecker makes them first-class: each class of violation
- * is detected, described, counted, and handled according to a
- * configurable policy, so a controller bug or an injected fault
- * (fault.hh) degrades a run gracefully instead of silently
- * corrupting its results.
+ * cache lines out of thin air. The first three are the topology
+ * rulebook's (hierarchy/topology.hh), which the levels enforce with
+ * fatal(). InvariantChecker reports them and the line accounting
+ * without terminating: each class of violation is detected,
+ * described, counted, and handled according to a configurable
+ * policy, so a controller bug or an injected fault (fault.hh)
+ * degrades a run gracefully instead of silently corrupting its
+ * results.
  */
 
 #ifndef MORPHCACHE_CHECK_INVARIANT_HH
@@ -52,44 +53,6 @@ CheckPolicy checkPolicyFromName(const std::string &name);
 /** Lower-case name of a policy. */
 const char *checkPolicyName(CheckPolicy policy);
 
-/** Classes of invariant the checker knows how to violate-test. */
-enum class InvariantKind : std::uint8_t {
-    /** A level's partition does not cover [0, n) exactly once. */
-    PartitionValidity,
-    /** A group's shape is illegal for the configured mode. */
-    GroupShape,
-    /** An L2 group straddles more than one L3 group. */
-    Inclusion,
-    /** Valid lines appeared from nowhere across a reconfiguration. */
-    LineConservation,
-    /** A slice reports more valid lines than it has ways. */
-    SliceOverflow,
-};
-
-/** Number of InvariantKind values (for counter arrays). */
-inline constexpr std::size_t numInvariantKinds = 5;
-
-/** Short name of an invariant class ("partition", "inclusion", ...). */
-const char *invariantKindName(InvariantKind kind);
-
-/** One detected violation. */
-struct Violation
-{
-    InvariantKind kind;
-    /** Human-readable description with the offending values. */
-    std::string message;
-};
-
-/** Group-shape rules in force (derived from MorphConfig). */
-enum class ShapeRule : std::uint8_t {
-    /** Section 5.5 non-neighbor mode: any slice sets. */
-    Any,
-    /** Section 5.5 arbitrary-size mode: contiguous ranges. */
-    Contiguous,
-    /** Default mode: aligned power-of-two ranges. */
-    AlignedPow2,
-};
-
 /** Checker activity counters (printed by the robustness report). */
 struct CheckStats
 {
@@ -104,11 +67,13 @@ struct CheckStats
 /**
  * Detects violations of the MorphCache structural invariants.
  *
- * The check* methods are pure detectors: they append Violation
+ * The check* methods are pure detectors: they return Violation
  * records and never terminate the process, unlike
- * validatePartition()/MC_ASSERT. Applying the policy (warn, abort)
- * and counting happens in report(); the *recovery* reaction lives in
- * MorphController, which owns the quarantine state machine.
+ * validatePartition()/MC_ASSERT. The partition, shape and inclusion
+ * rules are the topology rulebook's (topology.hh); the checker adds
+ * line conservation and slice occupancy. Applying the policy (warn,
+ * abort) and counting happens in report(); the *recovery* reaction
+ * lives in MorphController, which owns the quarantine state machine.
  */
 class InvariantChecker
 {
@@ -119,22 +84,8 @@ class InvariantChecker
     bool enabled() const { return policy_ != CheckPolicy::Off; }
 
     /**
-     * Partition validity: every slice of [0, num_slices) appears in
-     * exactly one group, groups and members are in canonical
-     * ascending order, and no group is empty.
-     */
-    void checkPartition(const char *level, const Partition &partition,
-                        std::uint32_t num_slices,
-                        std::vector<Violation> &out) const;
-
-    /** Group shapes against the rule in force. */
-    void checkGroupShapes(const char *level,
-                          const Partition &partition, ShapeRule rule,
-                          std::vector<Violation> &out) const;
-
-    /**
-     * Full topology check: both partitions, both shape sets, and
-     * L2-within-L3 inclusiveness.
+     * Full topology check: the rulebook's topologyFindings() (both
+     * partitions, both shape sets, L2-within-L3 inclusiveness).
      */
     std::vector<Violation> checkTopology(const Topology &topology,
                                          ShapeRule rule) const;

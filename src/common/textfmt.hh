@@ -2,14 +2,15 @@
  * @file
  * Text formatting shared by the artifacts the tree writes: the stats
  * registry JSON, the JSONL and Chrome traces, the campaign manifest,
- * result and lease files, the config hash and checkpoint errors. One
- * copy of each rule, so the same value renders to the same bytes in
- * every artifact.
+ * result and lease files, the config hash, checkpoint errors and
+ * invariant findings. One copy of each rule, so the same value
+ * renders to the same bytes in every artifact.
  */
 
 #ifndef MORPHCACHE_COMMON_TEXTFMT_HH
 #define MORPHCACHE_COMMON_TEXTFMT_HH
 
+#include <cstdarg>
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -54,6 +55,18 @@ hex64(std::uint64_t v)
     std::snprintf(buf, sizeof(buf), "%016llx",
                   static_cast<unsigned long long>(v));
     return buf;
+}
+
+/** printf into a string, cut at 511 bytes (diagnostic messages). */
+inline std::string
+strFormat(const char *fmt, ...)
+{
+    va_list args;
+    va_start(args, fmt);
+    char buf[512];
+    std::vsnprintf(buf, sizeof(buf), fmt, args);
+    va_end(args);
+    return std::string(buf);
 }
 
 } // namespace morphcache

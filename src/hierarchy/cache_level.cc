@@ -56,20 +56,17 @@ CacheLevelModel::configure(const Partition &partition)
     spanExtraCycles_.assign(params_.numSlices, 0);
     groupSpanTiles_.assign(partition_.size(), 1);
     groupLo_.assign(partition_.size(), 0);
-    memberPos_.assign(params_.numSlices, 0);
     std::vector<std::uint32_t> bus_group(params_.numSlices, 0);
     for (std::uint32_t g = 0; g < partition_.size(); ++g) {
         const auto &group = partition_[g];
-        const auto [lo, hi] = std::minmax_element(group.begin(), group.end());
-        const std::uint32_t span = std::uint32_t{*hi} - *lo + 1;
-        groupLo_[g] = *lo;
+        const std::uint32_t span =
+            std::uint32_t{group.back()} - group.front() + 1;
+        groupLo_[g] = group.front();
         groupSpanTiles_[g] = span;
         const auto size = static_cast<std::uint32_t>(group.size());
         const Cycle extra = Cycle{span - size} * spanPenaltyCyclesPerTile;
-        for (std::size_t pos = 0; pos < group.size(); ++pos) {
-            spanExtraCycles_[group[pos]] = extra;
-            memberPos_[group[pos]] = static_cast<std::uint16_t>(pos);
-        }
+        for (SliceId member : group)
+            spanExtraCycles_[member] = extra;
     }
     // Bus segments: groups sharing overlapping physical spans must
     // share one segment (they ride the same wires). Segment id per
@@ -127,9 +124,8 @@ CacheLevelModel::lookup(CoreId core, Addr line_addr, Cycle now)
     // across member slices after a merge, keep one copy — the local
     // one if present, else the first member in group order — and
     // invalidate the rest the first time it is touched. One matcher
-    // pass over the group's span names the candidate members; only
-    // they are probed, and a copy that a walk in that order would
-    // meet later is the one dropped.
+    // pass over the group's span names the candidate members in
+    // group order (members ascend); only they are probed.
     const std::uint32_t assoc = params_.sliceGeom.assoc;
     SliceId hit_slice = invalidSlice;
     std::uint32_t hit_way = assoc;
@@ -142,10 +138,9 @@ CacheLevelModel::lookup(CoreId core, Addr line_addr, Cycle now)
             hit_way = way;
             return false;
         }
-        // Duplicate: drop the copy that comes later.
+        // Duplicate: drop the later copy unless it is the local one.
         SliceId drop = member;
-        if (member == core || (hit_slice != core &&
-                               memberPos_[member] < memberPos_[hit_slice])) {
+        if (member == core) {
             drop = std::exchange(hit_slice, member);
             way = std::exchange(hit_way, way);
         }
@@ -406,24 +401,15 @@ CacheLevelModel::markDirty(CoreId core, Addr line_addr)
 {
     // Absorb the writeback into the first member, in group order,
     // holding the line.
-    const std::uint32_t assoc = params_.sliceGeom.assoc;
-    SliceId first = invalidSlice;
-    std::uint32_t first_way = assoc;
-    const auto walk = [&](SliceId member) {
-        const std::uint32_t way = store_.slice(member).probe(line_addr);
-        if (way != assoc && (first == invalidSlice ||
-                             memberPos_[member] < memberPos_[first])) {
-            first = member;
-            first_way = way;
-        }
-        return false;
-    };
-    forEachCandidateMember(store_, groupOf(core), line_addr, walk);
-    if (first == invalidSlice)
-        return false;
-    const CacheSlice view = store_.slice(first);
-    view.setDirtyAt(view.setIndex(line_addr), first_way);
-    return true;
+    return forEachCandidateMember(
+        store_, groupOf(core), line_addr, [&](SliceId member) {
+            const CacheSlice view = store_.slice(member);
+            const std::uint32_t way = view.probe(line_addr);
+            if (way == view.assoc())
+                return false;
+            view.setDirtyAt(view.setIndex(line_addr), way);
+            return true;
+        });
 }
 
 bool
@@ -433,15 +419,6 @@ CacheLevelModel::presentInGroup(CoreId core, Addr line_addr) const
         store_, groupOf(core), line_addr, [&](SliceId member) {
             return store_.slice(member).contains(line_addr);
         });
-}
-
-bool
-CacheLevelModel::presentInSlices(std::span<const SliceId> slices,
-                                 Addr line_addr) const
-{
-    return forEachCandidateIn(slices, line_addr, [&](SliceId member) {
-        return store_.slice(member).contains(line_addr);
-    });
 }
 
 std::optional<SliceId>
@@ -516,9 +493,9 @@ CacheLevelModel::ensureRecencyIndex()
     index.keys.assign(ways * numSets_, 0);
     index.count.assign(params_.numSlices * numSets_, 0);
     index.base.assign(params_.numSlices, 0);
-    index.keyMember.resize(ways);
+    index.keyOffset.resize(ways);
     for (std::size_t key = 0; key < ways; ++key)
-        index.keyMember[key] = static_cast<std::uint16_t>(key / assoc);
+        index.keyOffset[key] = static_cast<std::uint16_t>(key / assoc);
     rebuildRecencyIndex();
 }
 
@@ -535,14 +512,13 @@ CacheLevelModel::rebuildRecencyIndex()
         for (std::uint64_t set = 0; set < numSets_; ++set) {
             std::uint16_t *keys = &index.keys[base + set * ways];
             std::uint16_t n = 0;
-            for (std::size_t pos = 0; pos < group.size(); ++pos) {
-                std::uint64_t m = store_.slice(group[pos]).validMask(set);
+            for (SliceId member : group) {
+                std::uint64_t m = store_.slice(member).validMask(set);
                 while (m != 0) {
                     const auto way =
                         static_cast<std::uint32_t>(std::countr_zero(m));
                     m &= m - 1;
-                    keys[n++] =
-                        static_cast<std::uint16_t>(pos * assoc + way);
+                    keys[n++] = recencyKey(member, way);
                 }
             }
             std::sort(keys, keys + n,

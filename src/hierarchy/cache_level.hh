@@ -287,9 +287,9 @@ class CacheLevelModel
 
     /**
      * The valid ways of (group, set) from LRU to MRU: recency keys
-     * (member position x assoc + way) sorted by (stamp, key), which
-     * is the member-major, way-minor tie order of a scan over the
-     * group. Requires the recency index.
+     * ((slice - the group's lowest slice) x assoc + way) sorted by
+     * (stamp, key), which is the member-major, way-minor tie order
+     * of a scan over the group. Requires the recency index.
      */
     std::span<const std::uint16_t>
     recencyOrder(std::uint32_t group, std::uint64_t set) const
@@ -303,9 +303,9 @@ class CacheLevelModel
     GroupWay
     recencyWay(std::uint32_t group, std::uint16_t key) const
     {
-        const std::uint32_t pos = recency_->keyMember[key];
-        return {partition_[group][pos],
-                key - pos * params_.sliceGeom.assoc};
+        const std::uint32_t offset = recency_->keyOffset[key];
+        return {static_cast<SliceId>(groupLo_[group] + offset),
+                key - offset * params_.sliceGeom.assoc};
     }
 
     /**
@@ -316,10 +316,6 @@ class CacheLevelModel
 
     /** Is the line resident anywhere in `core`'s group? */
     bool presentInGroup(CoreId core, Addr line_addr) const;
-
-    /** Is the line resident in any of the given slices? */
-    bool presentInSlices(std::span<const SliceId> slices,
-                         Addr line_addr) const;
 
     /**
      * Find the line in any group other than `core`'s (coherence
@@ -510,12 +506,17 @@ class CacheLevelModel
                set * partition_[group].size() * params_.sliceGeom.assoc;
     }
 
-    /** Recency key of (slice, way) within the slice's group. */
+    /**
+     * Recency key of (slice, way) within the slice's group. Members
+     * ascend, so keys sort as member positions would.
+     */
     std::uint16_t
     recencyKey(SliceId slice, std::uint32_t way) const
     {
         return static_cast<std::uint16_t>(
-            memberPos_[slice] * params_.sliceGeom.assoc + way);
+            (slice - groupLo_[groupOf_[slice]]) *
+                params_.sliceGeom.assoc +
+            way);
     }
 
     /** Stamp of the way a recency key of `group` names. */
@@ -600,9 +601,6 @@ class CacheLevelModel
     /** Lowest slice of each group (where its span starts). */
     // ckpt: derived(configure)
     std::vector<SliceId> groupLo_;
-    /** Position of each slice within its group's member list. */
-    // ckpt: derived(configure)
-    std::vector<std::uint16_t> memberPos_;
     SegmentedBus bus_;
     std::vector<Acfv> acfvs_;
     std::vector<OracleAcf> oracles_;
@@ -633,8 +631,8 @@ class CacheLevelModel
         std::vector<std::uint16_t> count;
         /** First slot of each group. */
         std::vector<std::size_t> base;
-        /** Member position of each key (key / assoc). */
-        std::vector<std::uint16_t> keyMember;
+        /** Slice offset of each key from its group's lowest slice. */
+        std::vector<std::uint16_t> keyOffset;
     };
     // ckpt: derived(rebuildRecencyIndex)
     std::optional<RecencyIndex> recency_;

@@ -124,47 +124,49 @@ void
 Hierarchy::reconfigure(const Topology &topology)
 {
     MC_ASSERT(topology.numCores == params_.numCores);
-    validatePartition(topology.l2, params_.numCores);
-    validatePartition(topology.l3, params_.numCores);
-    if (!topology.respectsInclusion()) {
-        fatal("topology %s violates L2-within-L3 inclusion",
-              topology.name().c_str());
+    const std::vector<Violation> findings =
+        topologyFindings(topology, ShapeRule::Any);
+    if (!findings.empty()) {
+        fatal("topology %s breaks the %s rule: %s",
+              topology.name().c_str(),
+              invariantKindName(findings.front().kind),
+              findings.front().message.c_str());
     }
-    const Topology old = topology_;
+    const std::vector<std::uint32_t> old_l3 =
+        groupOfSlice(topology_.l3, params_.numCores);
     topology_ = topology;
     l2_.configure(topology.l2);
     l3_.configure(topology.l3);
-    enforceInclusion(old);
+    enforceInclusion(old_l3);
 }
 
 void
-Hierarchy::enforceInclusion(const Topology &old_topology)
+Hierarchy::enforceInclusion(const std::vector<std::uint32_t> &old_l3)
 {
-    const auto old_l3 = groupOfSlice(old_topology.l3, params_.numCores);
-    const auto new_l3 = groupOfSlice(topology_.l3, params_.numCores);
-
     // L2 lines must be backed by the slice's *new* L3 group. Only
     // slices whose new group is not a superset of the old one can
     // have lost backing.
     const auto &geom = params_.l2.sliceGeom;
     for (std::uint32_t s = 0; s < params_.numCores; ++s) {
         bool superset = true;
-        for (SliceId member : old_topology.l3[old_l3[s]]) {
-            if (new_l3[member] != new_l3[s]) {
+        for (std::uint32_t m = 0; m < params_.numCores; ++m) {
+            if (old_l3[m] == old_l3[s] &&
+                l3_.groupOf(static_cast<SliceId>(m)) !=
+                    l3_.groupOf(static_cast<SliceId>(s))) {
                 superset = false;
                 break;
             }
         }
         if (superset)
             continue;
-        const auto &backing = topology_.l3[new_l3[s]];
         const CacheSlice slice = l2_.slice(static_cast<SliceId>(s));
         for (std::uint64_t set = 0; set < geom.numSets(); ++set) {
             for (std::uint32_t way = 0; way < geom.assoc; ++way) {
                 if (!slice.validAt(set, way))
                     continue;
                 const Addr line_addr = slice.lineAddrAt(set, way);
-                if (l3_.presentInSlices(backing, line_addr))
+                if (l3_.presentInGroup(static_cast<CoreId>(s),
+                                       line_addr))
                     continue;
                 const auto id = static_cast<SliceId>(s);
                 if (l2_.invalidateInSlices({&id, 1}, line_addr))
@@ -471,6 +473,17 @@ void
 Hierarchy::loadState(CkptReader &r)
 {
     checkpointFields(r, *this);
+    // The topology and each level load their own partitions: a
+    // checkpoint in which they disagree, or whose topology breaks
+    // inclusion, would leave the controller reasoning over a
+    // topology the levels do not implement.
+    if (topology_.l2 != l2_.partition() || topology_.l3 != l3_.partition())
+        r.fail("hierarchy topology differs from its levels' partitions");
+    std::vector<Violation> straddles;
+    inclusionFindings(topology_, straddles);
+    if (!straddles.empty())
+        r.fail("hierarchy topology breaks inclusion: " +
+               straddles.front().message);
 }
 
 } // namespace morphcache

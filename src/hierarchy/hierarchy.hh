@@ -130,7 +130,10 @@ class Hierarchy
     /** Parameters in effect. */
     const HierarchyParams &params() const { return params_; }
 
-    /** Apply a topology (validates inclusion feasibility). */
+    /**
+     * Apply a topology; fatal() on the rulebook's first finding
+     * (topologyFindings() under ShapeRule::Any).
+     */
     void reconfigure(const Topology &topology);
 
     /** Topology currently in effect. */
@@ -210,8 +213,11 @@ class Hierarchy
     /** Write-invalidate broadcast for a shared-line write. */
     void coherenceInvalidate(CoreId writer, Addr line_addr);
 
-    /** Re-establish inclusion after a reconfiguration. */
-    void enforceInclusion(const Topology &old_topology);
+    /**
+     * Re-establish inclusion after a reconfiguration; `old_l3` is
+     * each slice's L3 group before it.
+     */
+    void enforceInclusion(const std::vector<std::uint32_t> &old_l3);
 
     HierarchyParams params_; // ckpt: derived(Hierarchy)
     /**

@@ -5,6 +5,7 @@
 
 #include "common/bitops.hh"
 #include "common/logging.hh"
+#include "common/textfmt.hh"
 
 namespace morphcache {
 
@@ -44,48 +45,18 @@ uniformGroups(std::uint32_t num_slices, std::uint32_t group_size)
 bool
 isContiguous(const Partition &partition)
 {
-    for (const auto &group : partition) {
-        for (std::size_t i = 1; i < group.size(); ++i) {
-            if (group[i] != group[i - 1] + 1)
-                return false;
-        }
-    }
-    return true;
-}
-
-bool
-isAlignedPow2(const Partition &partition)
-{
-    if (!isContiguous(partition))
-        return false;
-    for (const auto &group : partition) {
-        const auto size = static_cast<std::uint32_t>(group.size());
-        if (!isPowerOf2(size) || group.front() % size != 0)
-            return false;
-    }
-    return true;
+    std::vector<Violation> findings;
+    shapeFindings("", partition, ShapeRule::Contiguous, findings);
+    return findings.empty();
 }
 
 void
 validatePartition(const Partition &partition, std::uint32_t num_slices)
 {
-    std::vector<bool> seen(num_slices, false);
-    for (const auto &group : partition) {
-        if (group.empty())
-            fatal("topology partition contains an empty group");
-        for (SliceId slice : group) {
-            if (slice >= num_slices)
-                fatal("slice %u out of range (%u slices)", slice,
-                      num_slices);
-            if (seen[slice])
-                fatal("slice %u appears in two groups", slice);
-            seen[slice] = true;
-        }
-    }
-    for (std::uint32_t i = 0; i < num_slices; ++i) {
-        if (!seen[i])
-            fatal("slice %u missing from partition", i);
-    }
+    std::vector<Violation> findings;
+    partitionFindings("partition", partition, num_slices, findings);
+    if (!findings.empty())
+        fatal("%s", findings.front().message.c_str());
 }
 
 std::vector<std::uint32_t>
@@ -123,7 +94,6 @@ checkpointPartition(CkptReader &r, Partition &partition,
                " invalid for " + std::to_string(num_slices) +
                " slices");
     Partition loaded(static_cast<std::size_t>(numGroups));
-    std::vector<bool> seen(num_slices, false);
     for (auto &group : loaded) {
         const std::uint64_t size = r.u64();
         if (size == 0 || size > num_slices)
@@ -135,18 +105,13 @@ checkpointPartition(CkptReader &r, Partition &partition,
             if (s >= num_slices)
                 r.fail("slice id " + std::to_string(s) +
                        " out of range");
-            if (seen[s])
-                r.fail("slice " + std::to_string(s) +
-                       " appears in two partition groups");
-            seen[s] = true;
             group.push_back(static_cast<SliceId>(s));
         }
     }
-    for (std::uint32_t s = 0; s < num_slices; ++s) {
-        if (!seen[s])
-            r.fail("slice " + std::to_string(s) +
-                   " missing from partition");
-    }
+    std::vector<Violation> findings;
+    partitionFindings("partition", loaded, num_slices, findings);
+    if (!findings.empty())
+        r.fail(findings.front().message);
     partition = std::move(loaded);
 }
 
@@ -177,20 +142,9 @@ Topology::symmetric(std::uint32_t num_cores, std::uint32_t x,
 bool
 Topology::respectsInclusion() const
 {
-    const auto l3_group = groupOfSlice(l3, numCores);
-    for (const auto &group : l2) {
-        for (std::size_t i = 1; i < group.size(); ++i) {
-            if (l3_group[group[i]] != l3_group[group[0]])
-                return false;
-        }
-    }
-    return true;
-}
-
-bool
-Topology::isPow2Aligned() const
-{
-    return isAlignedPow2(l2) && isAlignedPow2(l3);
+    std::vector<Violation> findings;
+    inclusionFindings(*this, findings);
+    return findings.empty();
 }
 
 namespace {
@@ -247,6 +201,153 @@ Topology::name() const
     std::snprintf(buf, sizeof(buf), "asym[l2:%zu groups, l3:%zu groups]",
                   l2.size(), l3.size());
     return buf;
+}
+
+const char *
+invariantKindName(InvariantKind kind)
+{
+    switch (kind) {
+      case InvariantKind::PartitionValidity: return "partition";
+      case InvariantKind::GroupShape: return "group-shape";
+      case InvariantKind::Inclusion: return "inclusion";
+      case InvariantKind::LineConservation: return "line-conservation";
+      case InvariantKind::SliceOverflow: return "slice-overflow";
+    }
+    return "?";
+}
+
+namespace {
+
+void
+add(std::vector<Violation> &out, InvariantKind kind,
+    std::string message)
+{
+    out.push_back(Violation{kind, std::move(message)});
+}
+
+} // namespace
+
+void
+partitionFindings(const char *level, const Partition &partition,
+                  std::uint32_t num_slices, std::vector<Violation> &out)
+{
+    std::vector<std::uint32_t> seen(num_slices, 0);
+    std::uint64_t members = 0;
+    for (std::size_t g = 0; g < partition.size(); ++g) {
+        const auto &group = partition[g];
+        if (group.empty()) {
+            add(out, InvariantKind::PartitionValidity,
+                strFormat("%s group %zu is empty", level, g));
+            continue;
+        }
+        if (!std::is_sorted(group.begin(), group.end())) {
+            add(out, InvariantKind::PartitionValidity,
+                strFormat("%s group %zu members out of order", level,
+                          g));
+        }
+        for (SliceId member : group) {
+            ++members;
+            if (member >= num_slices) {
+                add(out, InvariantKind::PartitionValidity,
+                    strFormat("%s group %zu names slice %u outside "
+                              "[0, %u)",
+                              level, g, member, num_slices));
+            } else if (++seen[member] == 2) {
+                // Report each duplicated slice once.
+                add(out, InvariantKind::PartitionValidity,
+                    strFormat("%s slice %u appears in more than one "
+                              "group",
+                              level, member));
+            }
+        }
+    }
+    if (members != num_slices) {
+        for (std::uint32_t s = 0; s < num_slices; ++s) {
+            if (seen[s] == 0) {
+                add(out, InvariantKind::PartitionValidity,
+                    strFormat("%s slice %u missing from the partition",
+                              level, s));
+            }
+        }
+    }
+}
+
+void
+shapeFindings(const char *level, const Partition &partition,
+              ShapeRule rule, std::vector<Violation> &out)
+{
+    if (rule == ShapeRule::Any)
+        return;
+    for (std::size_t g = 0; g < partition.size(); ++g) {
+        const auto &group = partition[g];
+        if (group.empty())
+            continue; // already a partition violation
+        const bool contiguous =
+            static_cast<std::size_t>(group.back() - group.front()) +
+                1 ==
+            group.size();
+        if (!contiguous) {
+            add(out, InvariantKind::GroupShape,
+                strFormat("%s group %zu [%u..%u] is not a contiguous "
+                          "range",
+                          level, g, group.front(), group.back()));
+            continue;
+        }
+        if (rule == ShapeRule::AlignedPow2) {
+            const auto size =
+                static_cast<std::uint32_t>(group.size());
+            if (!isPowerOf2(size) || group.front() % size != 0) {
+                add(out, InvariantKind::GroupShape,
+                    strFormat("%s group %zu (base %u, size %u) is not "
+                              "an aligned power-of-two range",
+                              level, g, group.front(), size));
+            }
+        }
+    }
+}
+
+void
+inclusionFindings(const Topology &topology, std::vector<Violation> &out)
+{
+    // Only meaningful for slices the partitions actually cover, so
+    // compute membership defensively.
+    std::vector<std::uint32_t> l3_of(topology.numCores,
+                                     ~std::uint32_t{0});
+    for (std::size_t g = 0; g < topology.l3.size(); ++g) {
+        for (SliceId member : topology.l3[g]) {
+            if (member < topology.numCores)
+                l3_of[member] = static_cast<std::uint32_t>(g);
+        }
+    }
+    for (std::size_t g = 0; g < topology.l2.size(); ++g) {
+        const auto &group = topology.l2[g];
+        if (group.empty() || group.front() >= topology.numCores)
+            continue;
+        const std::uint32_t home = l3_of[group.front()];
+        for (SliceId member : group) {
+            if (member >= topology.numCores)
+                continue;
+            if (l3_of[member] != home) {
+                add(out, InvariantKind::Inclusion,
+                    strFormat("L2 group %zu straddles L3 groups (slice "
+                              "%u vs slice %u)",
+                              g, group.front(), member));
+                break;
+            }
+        }
+    }
+}
+
+std::vector<Violation>
+topologyFindings(const Topology &topology, ShapeRule rule)
+{
+    std::vector<Violation> out;
+    partitionFindings("L2", topology.l2, topology.numCores, out);
+    partitionFindings("L3", topology.l3, topology.numCores, out);
+    shapeFindings("L2", topology.l2, rule, out);
+    shapeFindings("L3", topology.l3, rule, out);
+    inclusionFindings(topology, out);
+    return out;
 }
 
 } // namespace morphcache

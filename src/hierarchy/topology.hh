@@ -26,8 +26,11 @@ namespace morphcache {
 
 /**
  * A partition of the slices of one cache level into sharing groups.
- * Groups are listed in ascending order of their first slice; within
- * a group, slices are in ascending order.
+ * Within a group, slices must be listed in ascending order: every
+ * door a partition enters a level through (configure(),
+ * reconfigure(), the checkpoint loaders, the checker) enforces it
+ * with the rulebook below. The order of the group list carries no
+ * meaning.
  */
 using Partition = std::vector<std::vector<SliceId>>;
 
@@ -47,12 +50,9 @@ Partition uniformGroups(std::uint32_t num_slices,
 /** True when every group is a contiguous slice range. */
 bool isContiguous(const Partition &partition);
 
-/** True when every group is an aligned power-of-two range. */
-bool isAlignedPow2(const Partition &partition);
-
 /**
- * Validate that `partition` covers slices [0, num_slices) exactly
- * once; fatal() otherwise.
+ * Validate `partition` against the partition rule
+ * (partitionFindings()); fatal() on the first finding.
  */
 void validatePartition(const Partition &partition,
                        std::uint32_t num_slices);
@@ -63,9 +63,10 @@ std::vector<std::uint32_t> groupOfSlice(const Partition &partition,
 
 /**
  * Checkpoint a partition of `num_slices` slices: a u64 group count,
- * then each group's u64 size and u32 slice ids. The load checks
- * every count and id, and that the groups cover each slice exactly
- * once, with a typed CkptError before it assigns `partition`.
+ * then each group's u64 size and u32 slice ids. The load bounds
+ * every count and id as it reads them, then throws a typed
+ * CkptError on the partition rule's first finding before it assigns
+ * `partition`.
  */
 void checkpointPartition(CkptWriter &w, const Partition &partition,
                          std::uint32_t num_slices);
@@ -98,12 +99,10 @@ struct Topology
     /**
      * Inclusion feasibility (paper Sections 2.2/2.3): every L2
      * group must be contained in a single L3 group, otherwise a
-     * merged L2 could outsize its backing L3 and inclusion breaks.
+     * merged L2 could outsize its backing L3 and inclusion breaks
+     * (inclusionFindings()).
      */
     bool respectsInclusion() const;
-
-    /** True when both levels only use aligned power-of-two groups. */
-    bool isPow2Aligned() const;
 
     /** "(x:y:z)" for symmetric shapes, else "asym[l2|l3]" detail. */
     std::string name() const;
@@ -119,6 +118,80 @@ struct Topology
     /** Structural equality. */
     bool operator==(const Topology &other) const = default;
 };
+
+// ---------------------------------------------------------------
+// The topology rulebook: the paper's rules for sharing groups,
+// written once. Every door a partition enters a level through asks
+// it, and reacts to its findings in its own way (fatal(), a
+// CkptError, an invariant report).
+
+/** Group-shape rules in force (derived from MorphConfig). */
+enum class ShapeRule : std::uint8_t {
+    /** Section 5.5 non-neighbor mode: any slice sets. */
+    Any,
+    /** Section 5.5 arbitrary-size mode: contiguous ranges. */
+    Contiguous,
+    /** Default mode: aligned power-of-two ranges. */
+    AlignedPow2,
+};
+
+/**
+ * Classes of structural invariant. The rulebook finds the first
+ * three; InvariantChecker adds the line-accounting two.
+ */
+enum class InvariantKind : std::uint8_t {
+    /** A level's partition does not cover [0, n) exactly once. */
+    PartitionValidity,
+    /** A group's shape is illegal for the configured mode. */
+    GroupShape,
+    /** An L2 group straddles more than one L3 group. */
+    Inclusion,
+    /** Valid lines appeared from nowhere across a reconfiguration. */
+    LineConservation,
+    /** A slice reports more valid lines than it has ways. */
+    SliceOverflow,
+};
+
+/** Number of InvariantKind values (for counter arrays). */
+inline constexpr std::size_t numInvariantKinds = 5;
+
+/** Short name of an invariant class ("partition", "inclusion", ...). */
+const char *invariantKindName(InvariantKind kind);
+
+/** One detected violation. */
+struct Violation
+{
+    InvariantKind kind;
+    /** Human-readable description with the offending values. */
+    std::string message;
+};
+
+/**
+ * Partition rule: every slice of [0, num_slices) appears in exactly
+ * one group, no group is empty, and each group's members ascend.
+ * Appends PartitionValidity findings, naming `level`.
+ */
+void partitionFindings(const char *level, const Partition &partition,
+                       std::uint32_t num_slices,
+                       std::vector<Violation> &out);
+
+/** Shape rule: appends a GroupShape finding per illegal group. */
+void shapeFindings(const char *level, const Partition &partition,
+                   ShapeRule rule, std::vector<Violation> &out);
+
+/**
+ * Inclusion rule: appends an Inclusion finding per L2 group that
+ * straddles L3 groups (over the slices the partitions cover).
+ */
+void inclusionFindings(const Topology &topology,
+                       std::vector<Violation> &out);
+
+/**
+ * Every rule over a whole topology, in a fixed order: the L2 and L3
+ * partitions, the L2 and L3 shapes, then inclusion.
+ */
+std::vector<Violation> topologyFindings(const Topology &topology,
+                                        ShapeRule rule);
 
 } // namespace morphcache
 

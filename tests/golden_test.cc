@@ -582,8 +582,8 @@ TEST(ReferenceModel, LazyInvalidationDropsMergeDuplicates)
     // Private phase: the same line lands in two physical slices.
     level.insert(0, 0x200, false);
     level.insert(1, 0x200, false);
-    ASSERT_TRUE(level.presentInSlices(std::vector<SliceId>{0}, 0x200));
-    ASSERT_TRUE(level.presentInSlices(std::vector<SliceId>{1}, 0x200));
+    ASSERT_TRUE(level.slice(0).contains(0x200));
+    ASSERT_TRUE(level.slice(1).contains(0x200));
 
     // Merge, then one lookup: the hit must resolve to exactly one
     // copy and lazily invalidate the duplicate.
@@ -592,9 +592,8 @@ TEST(ReferenceModel, LazyInvalidationDropsMergeDuplicates)
     const LookupOutcome out = level.lookup(0, 0x200, 0);
     EXPECT_TRUE(out.hit);
     EXPECT_EQ(level.stats().lazyInvalidations, lazy_before + 1);
-    const int copies =
-        (level.presentInSlices(std::vector<SliceId>{0}, 0x200) ? 1 : 0) +
-        (level.presentInSlices(std::vector<SliceId>{1}, 0x200) ? 1 : 0);
+    const int copies = (level.slice(0).contains(0x200) ? 1 : 0) +
+                       (level.slice(1).contains(0x200) ? 1 : 0);
     EXPECT_EQ(copies, 1);
 }
 

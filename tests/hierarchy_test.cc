@@ -186,8 +186,8 @@ TEST(Hierarchy, L3SplitEnforcesL2Inclusion)
         for (std::uint32_t way = 0; way < geom.assoc; ++way) {
             if (!h.l2().slice(0).validAt(set, way))
                 continue;
-            EXPECT_TRUE(h.l3().presentInSlices(
-                std::vector<SliceId>{0}, h.l2().slice(0).lineAddrAt(set, way)));
+            EXPECT_TRUE(h.l3().presentInGroup(
+                0, h.l2().slice(0).lineAddrAt(set, way)));
         }
     }
 }

@@ -97,12 +97,15 @@ verifyRestoredState(const std::string &path, const CkptInfo &info)
                 static_cast<unsigned long long>(
                     outcome.epochsCompleted));
 
+    // MorphCache keeps the default mode's aligned power-of-two
+    // groups (the Section 5.5 extension modes are not reachable from
+    // a RunSpec); static shapes need not be aligned.
     const Hierarchy *hier = nullptr;
-    bool check_shapes = false;
+    ShapeRule shapes = ShapeRule::Any;
     if (const auto *morph = dynamic_cast<const MorphCacheSystem *>(
             built.system.get())) {
         hier = &morph->hierarchy();
-        check_shapes = true;
+        shapes = ShapeRule::AlignedPow2;
     } else if (const auto *stat =
                    dynamic_cast<const StaticTopologySystem *>(
                        built.system.get())) {
@@ -116,21 +119,8 @@ verifyRestoredState(const std::string &path, const CkptInfo &info)
     }
 
     const InvariantChecker checker(CheckPolicy::Log);
-    const Topology &topo = hier->topology();
-    std::vector<Violation> violations;
-    if (check_shapes) {
-        // Default-mode shape rule; the Section 5.5 extension modes
-        // are not reachable from a RunSpec.
-        violations =
-            checker.checkTopology(topo, ShapeRule::AlignedPow2);
-    } else {
-        // Static shapes need not be pow2-aligned (e.g. 3:2:1-ish
-        // splits via asym factories); check structure only.
-        checker.checkPartition("l2", topo.l2, topo.numCores,
-                               violations);
-        checker.checkPartition("l3", topo.l3, topo.numCores,
-                               violations);
-    }
+    std::vector<Violation> violations =
+        checker.checkTopology(hier->topology(), shapes);
     const std::vector<Violation> occupancy =
         checker.checkOccupancy(*hier);
     violations.insert(violations.end(), occupancy.begin(),
