@@ -32,12 +32,18 @@ constexpr std::uint32_t kSlices = 16;
 constexpr std::uint64_t kSets = 16;
 constexpr std::uint64_t kWays = 8;
 
-/** One sharing group; `core` sweeps and is one of its members. */
+/** The core that sweeps; every shape's group holds its slice. */
+constexpr CoreId kCore = 5;
+
+/**
+ * One sharing group. gtest lists each cell with its parameter's
+ * bytes, so the name is held inline and those bytes start with it; a
+ * pointer's bytes would change from run to run.
+ */
 struct GroupShape
 {
-    const char *name;
+    char name[16];
     std::vector<SliceId> members;
-    CoreId core;
 };
 
 /** A 16-slice LRU level: the shape's group, every other slice private. */
@@ -61,17 +67,16 @@ levelWith(const GroupShape &shape)
 }
 
 /**
- * Lines [0, lines) in order, `rounds` times, from the shape's core:
- * a lookup, then an insert on a miss. Line l falls in set l % kSets.
+ * Lines [0, lines) in order, `rounds` times, from kCore: a lookup,
+ * then an insert on a miss. Line l falls in set l % kSets.
  */
 void
-sweep(CacheLevelModel &level, const GroupShape &shape, std::uint64_t lines,
-      int rounds)
+sweep(CacheLevelModel &level, std::uint64_t lines, int rounds)
 {
     for (int round = 0; round < rounds; ++round) {
         for (Addr line = 0; line < lines; ++line) {
-            if (!level.lookup(shape.core, line, 0).hit)
-                level.insert(shape.core, line, false);
+            if (!level.lookup(kCore, line, 0).hit)
+                level.insert(kCore, line, false);
         }
     }
 }
@@ -91,7 +96,7 @@ TEST_P(AnalyticCell, SweepThatFitsMissesOnlyCold)
     const std::uint64_t k = shape.members.size();
     CacheLevelModel level = levelWith(shape);
     const std::uint64_t lines = k * kSets * kWays;
-    sweep(level, shape, lines, 3);
+    sweep(level, lines, 3);
     EXPECT_EQ(level.stats().misses, lines);
     EXPECT_EQ(level.stats().localHits, 2 * kSets * kWays);
     EXPECT_EQ(level.stats().remoteHits, 2 * (k - 1) * kSets * kWays);
@@ -106,7 +111,7 @@ TEST_P(AnalyticCell, SweepOneLinePerSetTooLargeAlwaysMisses)
     const std::uint64_t k = shape.members.size();
     CacheLevelModel level = levelWith(shape);
     const std::uint64_t lines = (k * kWays + 1) * kSets;
-    sweep(level, shape, lines, 3);
+    sweep(level, lines, 3);
     EXPECT_EQ(level.stats().misses, 3 * lines);
     EXPECT_EQ(level.stats().localHits + level.stats().remoteHits, 0u);
     EXPECT_EQ(level.stats().evictions, 3 * lines - k * kSets * kWays);
@@ -119,7 +124,7 @@ TEST_P(AnalyticCell, MergedGroupHoldsWhatOneSliceCannot)
     const GroupShape &shape = GetParam();
     CacheLevelModel level = levelWith(shape);
     const std::uint64_t lines = (kWays + 1) * kSets;
-    sweep(level, shape, lines, 3);
+    sweep(level, lines, 3);
     const std::uint64_t misses =
         shape.members.size() == 1 ? 3 * lines : lines;
     EXPECT_EQ(level.stats().misses, misses);
@@ -182,9 +187,9 @@ TEST_P(AnalyticCoherence, RemoteWriterCostsOneTransferThenOneInvalidation)
 
 INSTANTIATE_TEST_SUITE_P(
     Groups, AnalyticCell,
-    ::testing::Values(GroupShape{"private", {5}, 5},
-                      GroupShape{"contiguous4", {4, 5, 6, 7}, 5},
-                      GroupShape{"noncontiguous4", {1, 5, 9, 13}, 5}),
+    ::testing::Values(GroupShape{"private", {5}},
+                      GroupShape{"contiguous4", {4, 5, 6, 7}},
+                      GroupShape{"noncontiguous4", {1, 5, 9, 13}}),
     [](const ::testing::TestParamInfo<GroupShape> &shape) {
         return std::string(shape.param.name);
     });
