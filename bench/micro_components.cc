@@ -60,12 +60,13 @@ BENCHMARK(BM_GroupLookup);
 void
 BM_AcfvUpdate(benchmark::State &state)
 {
-    Acfv vec(128, HashKind::Xor);
+    AcfvBank bank(16, 16, 128, HashKind::Xor);
     Addr line = 0;
     for (auto _ : state) {
-        vec.set(line);
+        bank.set(static_cast<CoreId>(line % 16),
+                 static_cast<SliceId>(line / 16 % 16), line);
         line += 31;
-        benchmark::DoNotOptimize(vec);
+        benchmark::DoNotOptimize(bank);
     }
 }
 BENCHMARK(BM_AcfvUpdate);

@@ -20,6 +20,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <unordered_set>
 #include <vector>
 
@@ -29,108 +30,137 @@
 
 namespace morphcache {
 
-/** One active-cache-footprint bit vector. */
-class Acfv
+/**
+ * The ACFVs of one cache level: one vector per (core, slice), all of
+ * one length and hash family, stored as one array of words laid out
+ * [slice][word][core]. A footprint unit hashes to the same bit of
+ * every core's vector for a slice, so clearing it for every core (an
+ * eviction) is one AND over a contiguous run of words, and the OR of
+ * a slice's vectors (its aggregate footprint) reads one run per word.
+ */
+class AcfvBank
 {
   public:
     /**
+     * @param num_slices Slices with a vector per core.
+     * @param num_cores Cores with a vector per slice.
      * @param num_bits Vector length (power of two, >= 2).
      * @param kind Tag hash family.
      */
-    explicit Acfv(std::uint32_t num_bits = 128,
-                  HashKind kind = HashKind::Xor);
+    AcfvBank(std::uint32_t num_slices, std::uint32_t num_cores,
+             std::uint32_t num_bits = 128, HashKind kind = HashKind::Xor);
+
+    /** Words per vector. */
+    std::uint32_t numWords() const { return numWords_; }
+
+    /** Record a reference/fill of `unit` by `core` in `slice`. */
+    void
+    set(CoreId core, SliceId slice, Addr unit)
+    {
+        const std::uint32_t i = bitIndex(unit);
+        words_[at(core, slice, i >> 6)] |= std::uint64_t{1} << (i & 63);
+    }
+
+    /** Record an eviction of `unit` from `slice`: every core's bit. */
+    void
+    clearAllCores(SliceId slice, Addr unit)
+    {
+        const std::uint32_t i = bitIndex(unit);
+        const std::uint64_t keep = ~(std::uint64_t{1} << (i & 63));
+        std::uint64_t *run = &words_[at(0, slice, i >> 6)];
+        for (std::uint32_t c = 0; c < numCores_; ++c)
+            run[c] &= keep;
+    }
 
     /**
-     * Bit index a footprint unit hashes to. Exposed so callers that
-     * fan one unit across many same-geometry vectors (the level's
-     * eviction bookkeeping walks every core's vector for one slice)
-     * can hash once and reuse the index.
+     * Invert bit `i` of (core, slice) directly (fault injection: a
+     * soft error in the footprint-vector storage).
      */
-    std::uint32_t
-    bitIndex(Addr unit) const
-    {
-        return hashTagLog2(kind_, unit, log2Bits_);
-    }
-
-    /** Record a reference/fill of a line. */
-    void
-    set(Addr line_addr)
-    {
-        setBitIndex(bitIndex(line_addr));
-    }
-
-    /** Record an eviction of a line. */
-    void
-    clear(Addr line_addr)
-    {
-        clearBitIndex(bitIndex(line_addr));
-    }
-
-    /** Set a bit by precomputed index (see bitIndex()). */
-    void
-    setBitIndex(std::uint32_t i)
-    {
-        words_[i >> 6] |= (std::uint64_t{1} << (i & 63));
-    }
-
-    /** Clear a bit by precomputed index (see bitIndex()). */
-    void
-    clearBitIndex(std::uint32_t i)
-    {
-        words_[i >> 6] &= ~(std::uint64_t{1} << (i & 63));
-    }
+    void flip(CoreId core, SliceId slice, std::uint32_t i);
 
     /** Epoch-boundary reset: clear every bit. */
     void resetAll();
 
-    /**
-     * Invert bit `i` directly (fault injection: a soft error in
-     * the footprint-vector storage).
-     */
-    void flip(std::uint32_t i);
-
-    /** |ACFV|: number of set bits. */
-    std::uint32_t popcount() const;
-
-    /** Fraction of set bits (the paper's utilization estimate). */
-    double
-    utilization() const
+    /** Word `w` of (core, slice). */
+    std::uint64_t
+    word(CoreId core, SliceId slice, std::uint32_t w) const
     {
-        return static_cast<double>(popcount()) /
-               static_cast<double>(numBits_);
+        return words_[at(core, slice, w)];
     }
 
-    /** Bit value at index i (for tests). */
-    bool test(std::uint32_t i) const;
+    /** Popcount of the OR of every core's vector for one slice. */
+    std::uint32_t sliceAcfPopcount(SliceId slice) const;
 
     /**
-     * Number of common 1s between two vectors of equal geometry —
-     * the paper's data-sharing indicator.
+     * Utilization of a set of slices: total set bits over total
+     * bits of the juxtaposed per-slice vectors (paper Section 2.2).
      */
-    static std::uint32_t commonOnes(const Acfv &a, const Acfv &b);
+    double utilization(std::span<const SliceId> slices) const;
 
-    /** Raw word storage (for OR-aggregation across vectors). */
-    const std::vector<std::uint64_t> &words() const { return words_; }
+    /**
+     * Overlap fraction between the aggregate footprints of two
+     * slice sets: the common 1s' lift over chance, relative to the
+     * smaller footprint. Approximates the degree of data sharing
+     * (paper Section 2.1, property ii).
+     */
+    double overlap(std::span<const SliceId> a,
+                   std::span<const SliceId> b) const;
 
     /** Serialize bits; geometry is construction-time and verified. */
     void saveState(CkptWriter &w) const { checkpointFields(w, *this); }
     void loadState(CkptReader &r) { checkpointFields(r, *this); }
 
   private:
+    /**
+     * One vector per (slice, core) in that order, as the vectors'
+     * own checkpoints: bit count, hash kind, counted words.
+     */
     template <class Ar, class Self>
     static void
     checkpointFields(Ar &ar, Self &self)
     {
-        ar.expectU64("ACFV bit count", self.numBits_);
-        ar.expectU64("ACFV hash kind",
-                     static_cast<std::uint64_t>(self.kind_));
-        ar.fixedVec("ACFV word count", self.words_);
+        ar.expectU64("ACFV bank size",
+                     std::uint64_t{self.numSlices_} * self.numCores_);
+        for (std::uint32_t s = 0; s < self.numSlices_; ++s) {
+            for (std::uint32_t c = 0; c < self.numCores_; ++c) {
+                ar.expectU64("ACFV bit count", self.numBits_);
+                ar.expectU64("ACFV hash kind",
+                             static_cast<std::uint64_t>(self.kind_));
+                ar.expectU64("ACFV word count", self.numWords_);
+                for (std::uint32_t w = 0; w < self.numWords_; ++w)
+                    ar.u64(self.words_[self.at(static_cast<CoreId>(c),
+                                               static_cast<SliceId>(s),
+                                               w)]);
+            }
+        }
     }
 
+    /** Bit index a footprint unit hashes to. */
+    std::uint32_t
+    bitIndex(Addr unit) const
+    {
+        return hashTagLog2(kind_, unit, log2Bits_);
+    }
+
+    /** Index of word `w` of (core, slice). */
+    std::size_t
+    at(CoreId core, SliceId slice, std::uint32_t w) const
+    {
+        return (std::size_t{slice} * numWords_ + w) * numCores_ + core;
+    }
+
+    /** OR of every core's word `w` over a set of slices. */
+    std::uint64_t unionWord(std::span<const SliceId> slices,
+                            std::uint32_t w) const;
+
+    std::uint32_t numSlices_;
+    std::uint32_t numCores_;
     std::uint32_t numBits_;
+    std::uint32_t numWords_;
     /** exactLog2(numBits_), cached so hot hashing skips the assert. */
-    unsigned log2Bits_; // ckpt: derived(Acfv)
+    unsigned log2Bits_; // ckpt: derived(AcfvBank)
     HashKind kind_;
+    /** Every vector's words, [slice][word][core]. */
     std::vector<std::uint64_t> words_;
 };
 

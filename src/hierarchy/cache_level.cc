@@ -12,7 +12,9 @@ namespace morphcache {
 CacheLevelModel::CacheLevelModel(const LevelParams &params)
     : params_(params),
       store_(params.numSlices, params.sliceGeom, params.policy),
-      bus_(params.numSlices, params.bus)
+      bus_(params.numSlices, params.bus),
+      acfvs_(params.numSlices, params.numSlices, params.acfvBits,
+             params.acfvHash)
 {
     MC_ASSERT(params_.numSlices > 0);
     MC_ASSERT(params_.sliceGeom.valid());
@@ -26,12 +28,6 @@ CacheLevelModel::CacheLevelModel(const LevelParams &params)
     MC_ASSERT(isPowerOf2(acfvGranularity_));
     acfvGranShift_ = exactLog2(acfvGranularity_);
     numSets_ = params_.sliceGeom.numSets();
-    acfvs_.reserve(std::size_t{params_.numSlices} * params_.numSlices);
-    for (std::uint32_t s = 0; s < params_.numSlices; ++s) {
-        for (std::uint32_t c = 0; c < params_.numSlices; ++c) {
-            acfvs_.emplace_back(params_.acfvBits, params_.acfvHash);
-        }
-    }
     if (params_.trackOracle) {
         oracles_.resize(std::size_t{params_.numSlices} *
                         params_.numSlices);
@@ -203,7 +199,7 @@ CacheLevelModel::lookup(CoreId core, Addr line_addr, Cycle now)
             recencyRestamp(hit_slice, set, hit_way, stamp);
         store_.slice(hit_slice).touch(set, hit_way, stamp);
     }
-    acfvRef(core, hit_slice).set(line_addr >> acfvGranShift_);
+    acfvs_.set(core, hit_slice, line_addr >> acfvGranShift_);
     if (params_.trackOracle) {
         oracles_[std::size_t{hit_slice} * params_.numSlices + core]
             .set(line_addr);
@@ -300,7 +296,7 @@ CacheLevelModel::fillInto(CoreId core, SliceId target,
         noteEviction(target, out.evicted.lineAddr,
                      out.evicted.reused);
     }
-    acfvRef(core, target).set(line_addr >> acfvGranShift_);
+    acfvs_.set(core, target, line_addr >> acfvGranShift_);
     if (params_.trackOracle) {
         oracles_[std::size_t{target} * params_.numSlices + core]
             .set(line_addr);
@@ -636,25 +632,11 @@ CacheLevelModel::slice(SliceId id) const
     return store_.slice(id);
 }
 
-Acfv &
-CacheLevelModel::acfvRef(CoreId core, SliceId slice)
-{
-    MC_ASSERT(core < params_.numSlices && slice < params_.numSlices);
-    return acfvs_[std::size_t{slice} * params_.numSlices + core];
-}
-
-const Acfv &
-CacheLevelModel::acfv(CoreId core, SliceId slice) const
-{
-    MC_ASSERT(core < params_.numSlices && slice < params_.numSlices);
-    return acfvs_[std::size_t{slice} * params_.numSlices + core];
-}
-
 void
 CacheLevelModel::flipAcfvBit(CoreId core, SliceId slice,
                              std::uint32_t bit)
 {
-    acfvRef(core, slice).flip(bit);
+    acfvs_.flip(core, slice, bit);
 }
 
 void
@@ -674,15 +656,10 @@ CacheLevelModel::noteEviction(SliceId slice, Addr line_addr,
     // reset even if capacity churn displaces individual lines.
     if (reused)
         return;
-    // Every core's vector for this slice shares one geometry and
-    // hash family, so the footprint unit hashes to the same bit
-    // index in each — hash once, clear N bits.
-    const std::size_t base = std::size_t{slice} * params_.numSlices;
-    const std::uint32_t bit =
-        acfvs_[base].bitIndex(line_addr >> acfvGranShift_);
-    for (std::uint32_t c = 0; c < params_.numSlices; ++c) {
-        acfvs_[base + c].clearBitIndex(bit);
-        if (params_.trackOracle)
+    acfvs_.clearAllCores(slice, line_addr >> acfvGranShift_);
+    if (params_.trackOracle) {
+        const std::size_t base = std::size_t{slice} * params_.numSlices;
+        for (std::uint32_t c = 0; c < params_.numSlices; ++c)
             oracles_[base + c].clear(line_addr);
     }
 }
@@ -690,81 +667,20 @@ CacheLevelModel::noteEviction(SliceId slice, Addr line_addr,
 std::uint32_t
 CacheLevelModel::sliceAcfPopcount(SliceId slice) const
 {
-    const std::size_t words =
-        acfvs_[std::size_t{slice} * params_.numSlices].words().size();
-    std::uint32_t count = 0;
-    for (std::size_t w = 0; w < words; ++w) {
-        std::uint64_t acc = 0;
-        for (std::uint32_t c = 0; c < params_.numSlices; ++c) {
-            acc |= acfvs_[std::size_t{slice} * params_.numSlices + c]
-                       .words()[w];
-        }
-        count += static_cast<std::uint32_t>(std::popcount(acc));
-    }
-    return count;
+    return acfvs_.sliceAcfPopcount(slice);
 }
 
 double
 CacheLevelModel::utilization(const std::vector<SliceId> &slices) const
 {
-    MC_ASSERT(!slices.empty());
-    std::uint64_t ones = 0;
-    for (SliceId s : slices)
-        ones += sliceAcfPopcount(s);
-    return static_cast<double>(ones) /
-           (static_cast<double>(params_.acfvBits) *
-            static_cast<double>(slices.size()));
-}
-
-std::vector<std::uint64_t>
-CacheLevelModel::aggregateWords(const std::vector<SliceId> &slices) const
-{
-    const std::size_t words =
-        acfvs_.front().words().size();
-    std::vector<std::uint64_t> acc(words, 0);
-    for (SliceId s : slices) {
-        for (std::uint32_t c = 0; c < params_.numSlices; ++c) {
-            const auto &vec =
-                acfvs_[std::size_t{s} * params_.numSlices + c].words();
-            for (std::size_t w = 0; w < words; ++w)
-                acc[w] |= vec[w];
-        }
-    }
-    return acc;
+    return acfvs_.utilization(slices);
 }
 
 double
 CacheLevelModel::overlap(const std::vector<SliceId> &a,
                          const std::vector<SliceId> &b) const
 {
-    const auto wa = aggregateWords(a);
-    const auto wb = aggregateWords(b);
-    std::uint32_t common = 0, pa = 0, pb = 0;
-    for (std::size_t w = 0; w < wa.size(); ++w) {
-        common += static_cast<std::uint32_t>(
-            std::popcount(wa[w] & wb[w]));
-        pa += static_cast<std::uint32_t>(std::popcount(wa[w]));
-        pb += static_cast<std::uint32_t>(std::popcount(wb[w]));
-    }
-    const std::uint32_t smaller = std::min(pa, pb);
-    if (smaller == 0)
-        return 0.0;
-    // Report the *lift over chance*: two unrelated footprints that
-    // each cover half the vector share half their bits by
-    // pigeonhole, so the raw common-1s count saturates at high
-    // utilization. Subtracting the expected random intersection
-    // (popA*popB/bits) leaves the component actual data sharing
-    // contributes — a two-multiplier refinement of the paper's
-    // common-1s test that keeps it meaningful at high coverage.
-    const double bits = static_cast<double>(params_.acfvBits) *
-                        static_cast<double>(a.size());
-    const double expected =
-        static_cast<double>(pa) * static_cast<double>(pb) / bits;
-    const double excess = static_cast<double>(common) - expected;
-    const double headroom = static_cast<double>(smaller) - expected;
-    if (headroom <= 0.0)
-        return 0.0;
-    return std::max(0.0, excess / headroom);
+    return acfvs_.overlap(a, b);
 }
 
 std::uint64_t
@@ -790,8 +706,7 @@ CacheLevelModel::fillPressure(const std::vector<SliceId> &slices) const
 void
 CacheLevelModel::resetFootprints()
 {
-    for (auto &vec : acfvs_)
-        vec.resetAll();
+    acfvs_.resetAll();
     for (auto &oracle : oracles_)
         oracle.resetAll();
     sliceFills_.assign(params_.numSlices, 0);
@@ -865,9 +780,7 @@ CacheLevelModel::checkpointFields(Ar &ar, Self &self)
     ar.fixedVec("group rotor size", self.groupRotor_);
     for (std::uint32_t s = 0; s < self.params_.numSlices; ++s)
         ar.nested(self.store_, static_cast<SliceId>(s));
-    ar.expectU64("ACFV bank size", self.acfvs_.size());
-    for (auto &vec : self.acfvs_)
-        ar.nested(vec);
+    ar.nested(self.acfvs_);
     ar.expectU64("oracle bank size", self.oracles_.size());
     for (auto &oracle : self.oracles_)
         ar.nested(oracle);

@@ -4,10 +4,10 @@
  *
  * A level owns its physical slices, the sharing partition currently
  * in effect, the segmented bus connecting the slices, and the ACFV
- * bank (one vector per core per slice). All group-aware operations
- * — local-then-remote lookup with lazy invalidation of merge
- * duplicates, group-wide victim choice, group utilization and
- * overlap queries — live here.
+ * bank (one vector per core per slice, in one array of words). All
+ * group-aware operations — local-then-remote lookup with lazy
+ * invalidation of merge duplicates, group-wide victim choice, group
+ * utilization and overlap queries — live here.
  */
 
 #ifndef MORPHCACHE_HIERARCHY_CACHE_LEVEL_HH
@@ -384,8 +384,8 @@ class CacheLevelModel
 
     // --- ACFV bank ----------------------------------------------
 
-    /** ACFV of (core, slice). */
-    const Acfv &acfv(CoreId core, SliceId slice) const;
+    /** The ACFVs of every (core, slice). */
+    const AcfvBank &acfvs() const { return acfvs_; }
 
     /**
      * Invert one ACFV bit (fault injection: a soft error in the
@@ -562,18 +562,12 @@ class CacheLevelModel
                            std::uint32_t way, Addr line_addr,
                            bool dirty, std::uint64_t stamp);
 
-    Acfv &acfvRef(CoreId core, SliceId slice);
-
     /**
      * Footprint bookkeeping for an eviction: clears the granule
      * bit only when the departing line was never reused (stale or
      * streaming data, per Section 2.1's reuse-centric ACF).
      */
     void noteEviction(SliceId slice, Addr line_addr, bool reused);
-
-    /** OR-aggregate ACFV words over a set of slices (all cores). */
-    std::vector<std::uint64_t>
-    aggregateWords(const std::vector<SliceId> &slices) const;
 
     LevelParams params_;            // ckpt: derived(CacheLevelModel)
     std::uint32_t acfvGranularity_ = 1; // ckpt: derived(CacheLevelModel)
@@ -602,7 +596,7 @@ class CacheLevelModel
     // ckpt: derived(configure)
     std::vector<SliceId> groupLo_;
     SegmentedBus bus_;
-    std::vector<Acfv> acfvs_;
+    AcfvBank acfvs_;
     std::vector<OracleAcf> oracles_;
     /** Per-slice fill counts since the last footprint reset. */
     std::vector<std::uint64_t> sliceFills_;

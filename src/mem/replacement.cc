@@ -1,67 +1,29 @@
 #include "mem/replacement.hh"
 
 #include "common/bitops.hh"
+#include "common/logging.hh"
 
 namespace morphcache {
 
-PlruTree::PlruTree(std::uint32_t assoc)
-    : assoc_(assoc), levels_(assoc > 1 ? exactLog2(assoc) : 0)
+PlruRule::PlruRule(std::uint32_t assoc)
 {
     MC_ASSERT(assoc >= 1 && isPowerOf2(assoc));
-    MC_ASSERT(assoc <= 64, "PlruTree supports at most 64 ways");
-}
-
-void
-PlruTree::touch(std::uint32_t way)
-{
-    MC_ASSERT(way < assoc_);
-    // Walk from the root; at each level decide whether `way` lies in
-    // the left or right half, and point the bit at the *other* half.
-    std::uint32_t node = 1;
-    for (std::uint32_t level = 0; level < levels_; ++level) {
-        const std::uint32_t shift = levels_ - 1 - level;
-        const std::uint32_t dir = (way >> shift) & 1;
-        if (dir)
-            bits_ &= ~(1ULL << node); // way is right; victim left
-        else
-            bits_ |= (1ULL << node);  // way is left; victim right
-        node = node * 2 + dir;
+    MC_ASSERT(assoc <= 64, "tree-PLRU supports at most 64 ways");
+    levels_ = exactLog2(assoc);
+    // Walk each way's path from the root: at each level the way lies
+    // in the left or right half, and its touch points the node's bit
+    // at the other half.
+    for (std::uint32_t way = 0; way < assoc; ++way) {
+        Step &step = steps_[way];
+        std::uint32_t node = 1;
+        for (std::uint32_t level = 0; level < levels_; ++level) {
+            const std::uint32_t dir = (way >> (levels_ - 1 - level)) & 1;
+            step.path |= std::uint64_t{1} << node;
+            if (dir == 0)
+                step.dirs |= std::uint64_t{1} << node; // victim right
+            node = node * 2 + dir;
+        }
     }
-}
-
-std::uint32_t
-PlruTree::victim() const
-{
-    std::uint32_t node = 1;
-    std::uint32_t way = 0;
-    for (std::uint32_t level = 0; level < levels_; ++level) {
-        const std::uint32_t dir =
-            static_cast<std::uint32_t>((bits_ >> node) & 1);
-        way = (way << 1) | dir;
-        node = node * 2 + dir;
-    }
-    return way;
-}
-
-PlruState::PlruState(std::uint64_t num_sets, std::uint32_t assoc)
-{
-    trees_.reserve(num_sets);
-    for (std::uint64_t i = 0; i < num_sets; ++i)
-        trees_.emplace_back(assoc);
-}
-
-PlruTree &
-PlruState::tree(std::uint64_t set)
-{
-    MC_ASSERT(set < trees_.size());
-    return trees_[set];
-}
-
-const PlruTree &
-PlruState::tree(std::uint64_t set) const
-{
-    MC_ASSERT(set < trees_.size());
-    return trees_[set];
 }
 
 } // namespace morphcache

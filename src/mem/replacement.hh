@@ -15,11 +15,8 @@
 #ifndef MORPHCACHE_MEM_REPLACEMENT_HH
 #define MORPHCACHE_MEM_REPLACEMENT_HH
 
+#include <array>
 #include <cstdint>
-#include <vector>
-
-#include "common/logging.hh"
-#include "common/serial.hh"
 
 namespace morphcache {
 
@@ -32,73 +29,58 @@ enum class ReplPolicy : std::uint8_t {
 };
 
 /**
- * A binary tree of direction bits over `assoc` ways (assoc must be a
- * power of two). Bit semantics: 0 means the PLRU victim is in the
- * left subtree, 1 the right subtree; an access flips the bits on its
- * path to point away from the accessed way.
+ * Generalized tree pseudo-LRU over `assoc` ways (a power of two, at
+ * most 64), as a rule applied to one word of direction bits per set.
+ * The bits are heap-ordered: node 1 is the root and node n's children
+ * are 2n and 2n + 1. A 0 bit means the victim is in the left
+ * subtree, a 1 the right one; an access points every bit on its path
+ * away from the accessed way.
+ *
+ * The rule is built once from the associativity: for each way, the
+ * mask of the nodes on its path and the bits a touch leaves there.
+ * A touch is then one AND-NOT and one OR, with no branch on the
+ * way's bits (a per-level branch mispredicts on random ways). A
+ * one-way rule has no nodes: touch() returns the bits unchanged for
+ * any way below 64, and victim() is way 0.
  */
-class PlruTree
+class PlruRule
 {
   public:
-    /** @param assoc Number of ways covered (power of two, >= 1). */
-    explicit PlruTree(std::uint32_t assoc);
+    /** @param assoc Ways covered (power of two, 1 to 64). */
+    explicit PlruRule(std::uint32_t assoc);
 
-    /** Record an access to `way`, protecting it from replacement. */
-    void touch(std::uint32_t way);
-
-    /** Way the tree currently designates as the victim. */
-    std::uint32_t victim() const;
-
-    /** Number of ways covered. */
-    std::uint32_t assoc() const { return assoc_; }
-
-    /** Raw direction bits (for tests). */
-    std::uint64_t bits() const { return bits_; }
-
-    /** Serialize direction bits; geometry is construction-time. */
-    void saveState(CkptWriter &w) const { checkpointFields(w, *this); }
-    void loadState(CkptReader &r) { checkpointFields(r, *this); }
-
-  private:
-    template <class Ar, class Self>
-    static void
-    checkpointFields(Ar &ar, Self &self)
+    /** The direction bits after an access to `way`. */
+    std::uint64_t
+    touch(std::uint64_t bits, std::uint32_t way) const
     {
-        ar.u64(self.bits_);
+        const Step &step = steps_[way];
+        return (bits & ~step.path) | step.dirs;
     }
 
-    std::uint32_t assoc_;  // ckpt: derived(PlruTree)
-    std::uint32_t levels_; // ckpt: derived(PlruTree)
-    /** Heap-ordered direction bits; node 1 is the root. */
-    std::uint64_t bits_ = 0;
-};
-
-/**
- * Per-slice PLRU state: one tree per set.
- */
-class PlruState
-{
-  public:
-    PlruState(std::uint64_t num_sets, std::uint32_t assoc);
-
-    /** Tree for a given set. */
-    PlruTree &tree(std::uint64_t set);
-    const PlruTree &tree(std::uint64_t set) const;
-
-    void saveState(CkptWriter &w) const { checkpointFields(w, *this); }
-    void loadState(CkptReader &r) { checkpointFields(r, *this); }
-
-  private:
-    template <class Ar, class Self>
-    static void
-    checkpointFields(Ar &ar, Self &self)
+    /** The way the direction bits designate as the victim. */
+    std::uint32_t
+    victim(std::uint64_t bits) const
     {
-        ar.expectU64("PLRU tree count", self.trees_.size());
-        for (auto &tree : self.trees_)
-            ar.nested(tree);
+        std::uint32_t node = 1;
+        for (std::uint32_t level = 0; level < levels_; ++level)
+            node = node * 2 + static_cast<std::uint32_t>((bits >> node) & 1);
+        return node - (std::uint32_t{1} << levels_);
     }
 
-    std::vector<PlruTree> trees_;
+  private:
+    /** One way's path through the tree. */
+    struct Step
+    {
+        /** Nodes on the path from the root to the way. */
+        std::uint64_t path = 0;
+        /** The path nodes a touch sets: those whose way is left. */
+        std::uint64_t dirs = 0;
+    };
+
+    /** Tree depth: log2 of the ways covered. */
+    std::uint32_t levels_ = 0;
+    /** Per-way steps; ways past the rule's own have no nodes. */
+    std::array<Step, 64> steps_{};
 };
 
 } // namespace morphcache

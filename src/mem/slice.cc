@@ -11,7 +11,8 @@ const CacheGeometry &
 checked(const CacheGeometry &geom)
 {
     MC_ASSERT(geom.valid());
-    // The per-set flag words cap associativity at one machine word.
+    // The row record's flag words cap associativity at one machine
+    // word.
     MC_ASSERT(geom.assoc <= 64);
     return geom;
 }
@@ -30,15 +31,11 @@ SliceStore::SliceStore(std::uint32_t num_slices,
       tags_(geom.numLines() * num_slices, 0),
       stamps_(geom.numLines() * num_slices, 0),
       fingerprints_(geom.numLines() * num_slices + 15, 0),
-      validBits_(geom.numSets() * num_slices, 0),
-      dirtyBits_(geom.numSets() * num_slices, 0),
-      reusedBits_(geom.numSets() * num_slices, 0),
-      // Only tree-PLRU consults the trees. Under LRU they are
-      // one-leaf trees whose words keep the checkpoint layout, so
-      // an LRU slice may have any associativity up to 64.
-      plru_(num_slices,
-            PlruState(geom.numSets(),
-                      policy == ReplPolicy::TreePLRU ? geom.assoc : 1))
+      rows_(geom.numSets() * num_slices),
+      // Only tree-PLRU consults the trees. Under LRU the rule is a
+      // one-leaf tree whose words keep the checkpoint layout, so an
+      // LRU slice may have any associativity up to 64.
+      plru_(policy == ReplPolicy::TreePLRU ? geom.assoc : 1)
 {
     MC_ASSERT(num_slices > 0);
 }
@@ -50,31 +47,34 @@ SliceStore::checkpointFields(Ar &ar, Self &self, SliceId slice)
     const std::uint32_t assoc = self.assoc_;
     ar.expectU64("slice line count", self.numSets_ * assoc);
     for (std::uint64_t set = 0; set < self.numSets_; ++set) {
-        const std::size_t row = set * self.numSlices_ + slice;
+        const std::size_t r = set * self.numSlices_ + slice;
+        auto &row = self.rows_[r];
         for (std::uint32_t way = 0; way < assoc; ++way) {
-            const std::size_t idx = row * assoc + way;
+            const std::size_t idx = r * assoc + way;
             ar.u64(self.tags_[idx]);
             // Valid, dirty and reused: bits 0-2 of one byte.
-            auto &valid = self.validBits_[row];
-            auto &dirty = self.dirtyBits_[row];
-            auto &reused = self.reusedBits_[row];
             auto flags = static_cast<std::uint8_t>(
-                ((valid >> way) & 1) | (((dirty >> way) & 1) << 1) |
-                (((reused >> way) & 1) << 2));
+                ((row.valid >> way) & 1) |
+                (((row.dirty >> way) & 1) << 1) |
+                (((row.reused >> way) & 1) << 2));
             ar.u8(flags);
             if constexpr (Ar::loading) {
                 if (flags > 7)
                     ar.fail("cache-line flags byte is " +
                             std::to_string(flags) + ", expected <= 7");
                 const std::uint64_t bit = std::uint64_t{1} << way;
-                valid = (flags & 1) ? valid | bit : valid & ~bit;
-                dirty = (flags & 2) ? dirty | bit : dirty & ~bit;
-                reused = (flags & 4) ? reused | bit : reused & ~bit;
+                row.valid = (flags & 1) ? row.valid | bit : row.valid & ~bit;
+                row.dirty = (flags & 2) ? row.dirty | bit : row.dirty & ~bit;
+                row.reused =
+                    (flags & 4) ? row.reused | bit : row.reused & ~bit;
             }
             ar.u64(self.stamps_[idx]);
         }
     }
-    ar.nested(self.plru_[slice]);
+    // The slice's PLRU trees: one word of direction bits per set.
+    ar.expectU64("PLRU tree count", self.numSets_);
+    for (std::uint64_t set = 0; set < self.numSets_; ++set)
+        ar.u64(self.rows_[set * self.numSlices_ + slice].plru);
 }
 
 void

@@ -5,11 +5,13 @@
  *
  * A SliceStore holds all physical slices of a level (the 16 L1s,
  * the L2 slices or the L3 slices) set-major: tags, stamps and a
- * one-byte fingerprint per way are laid out [set][slice][way], the
- * valid, dirty and reused words [set][slice]. The fingerprints of one
- * set over a run of slices are therefore one contiguous byte run,
- * which the SSE2 fingerprint matcher scans 16 bytes per compare. A
- * CacheSlice is a value view (store, slice id) made on demand; it
+ * one-byte fingerprint per way are laid out [set][slice][way], and
+ * one 32-byte row record per (set, slice) holds the valid, dirty and
+ * reused words and the tree-PLRU bits, laid out [set][slice]. The
+ * fingerprints of one set over a run of slices are therefore one
+ * contiguous byte run, which the SSE2 fingerprint matcher scans 16
+ * bytes per compare, and a fill, touch or eviction writes one row.
+ * A CacheSlice is a value view (store, slice id) made on demand; it
  * owns nothing.
  */
 
@@ -51,7 +53,7 @@ using ConstCacheSlice = SliceView<const SliceStore>;
  *
  * All slices share one geometry (merging adds ways, never sets), so
  * slice `s`'s ways of set `set` start at `(set * numSlices + s) *
- * assoc` in the per-way arrays, and its flag words sit at
+ * assoc` in the per-way arrays, and its row record sits at
  * `set * numSlices + s`. A line still lives in exactly one slice's
  * ways, so splitting a merged group stays a change of view.
  *
@@ -64,7 +66,7 @@ using ConstCacheSlice = SliceView<const SliceStore>;
  * The checkpoint encoding is the record-per-line one of a slice
  * that owns its arrays: saveState() walks one slice's sets in
  * order and emits (lineAddr, flags, stamp) per way, then its PLRU
- * trees. The PLRU trees stay per slice.
+ * trees, one word per set. The PLRU trees stay per slice.
  */
 class SliceStore
 {
@@ -232,14 +234,31 @@ class SliceStore
      */
     // ckpt: derived(SliceStore::loadState)
     std::vector<std::uint8_t> fingerprints_;
-    /** One valid bit per way, one word per (set, slice). */
-    std::vector<std::uint64_t> validBits_;
-    /** One dirty bit per way, one word per (set, slice). */
-    std::vector<std::uint64_t> dirtyBits_;
-    /** One reused bit per way, one word per (set, slice). */
-    std::vector<std::uint64_t> reusedBits_;
-    /** One PLRU tree per set, per slice. */
-    std::vector<PlruState> plru_;
+    /**
+     * What a fill, touch or eviction of a (set, slice) updates
+     * besides the way's tag and stamp: one bit per way of each flag
+     * word, and the set's tree-PLRU direction bits. Not over-aligned:
+     * glibc serves over-aligned storage with memalign, whose split-off
+     * fragments grew simbench's peak RSS by a quarter in a 20 s run,
+     * while 16-byte-aligned rows read as fast (three in four lie in
+     * one host line).
+     */
+    struct Row
+    {
+        std::uint64_t valid = 0;
+        std::uint64_t dirty = 0;
+        std::uint64_t reused = 0;
+        std::uint64_t plru = 0;
+    };
+    static_assert(sizeof(Row) == 32);
+    /** One row record per (set, slice), [set][slice]. */
+    std::vector<Row> rows_;
+    /**
+     * The tree-PLRU rule of the slice geometry; under LRU a rule with
+     * no nodes, so touches leave the row's PLRU word alone. Last: its
+     * per-way table would part the hot fields above.
+     */
+    PlruRule plru_; // ckpt: derived(SliceStore)
 };
 
 /**
@@ -291,7 +310,7 @@ class SliceView
     {
         const Store &s = *store_;
         const std::size_t r = row(line_addr & s.setMask_);
-        const std::uint64_t valid = s.validBits_[r];
+        const std::uint64_t valid = s.rows_[r].valid;
         if (valid == 0)
             return s.assoc_;
         const std::size_t base = r * s.assoc_;
@@ -346,27 +365,27 @@ class SliceView
     bool
     validAt(std::uint64_t set, std::uint32_t way) const
     {
-        return (store_->validBits_[row(set)] >> way) & 1;
+        return (rowOf(set).valid >> way) & 1;
     }
 
     /** Dirty bit at (set, way). */
     bool
     dirtyAt(std::uint64_t set, std::uint32_t way) const
     {
-        return (store_->dirtyBits_[row(set)] >> way) & 1;
+        return (rowOf(set).dirty >> way) & 1;
     }
 
     /** Mark (set, way) dirty (writeback from above). */
     void
     setDirtyAt(std::uint64_t set, std::uint32_t way) const
     {
-        store_->dirtyBits_[row(set)] |= std::uint64_t{1} << way;
+        rowOf(set).dirty |= std::uint64_t{1} << way;
     }
 
     /** Word of valid bits for a set (bit k = way k). */
     std::uint64_t validMask(std::uint64_t set) const
     {
-        return store_->validBits_[row(set)];
+        return rowOf(set).valid;
     }
 
     /**
@@ -391,8 +410,7 @@ class SliceView
     std::uint32_t
     firstInvalidWay(std::uint64_t set) const
     {
-        const std::uint64_t inv =
-            ~store_->validBits_[row(set)] & store_->waysMask_;
+        const std::uint64_t inv = ~rowOf(set).valid & store_->waysMask_;
         if (inv == 0)
             return store_->assoc_;
         return static_cast<std::uint32_t>(std::countr_zero(inv));
@@ -400,16 +418,16 @@ class SliceView
 
     /**
      * Record a hit on (set, way): bumps the recency stamp and the
-     * PLRU tree.
+     * PLRU tree (a no-op rule under LRU).
      */
     void
     touch(std::uint64_t set, std::uint32_t way,
           std::uint64_t stamp) const
     {
         store_->stamps_[index(set, way)] = stamp;
-        store_->reusedBits_[row(set)] |= std::uint64_t{1} << way;
-        if (store_->policy_ == ReplPolicy::TreePLRU)
-            store_->plru_[id_].tree(set).touch(way);
+        auto &r = rowOf(set);
+        r.reused |= std::uint64_t{1} << way;
+        r.plru = store_->plru_.touch(r.plru, way);
     }
 
     /**
@@ -423,7 +441,7 @@ class SliceView
         if (inv != store_->assoc_)
             return inv;
         if (store_->policy_ == ReplPolicy::TreePLRU)
-            return store_->plru_[id_].tree(set).victim();
+            return store_->plru_.victim(rowOf(set).plru);
 
         const std::uint64_t *stamps = &store_->stamps_[index(set, 0)];
         std::uint32_t victim = 0;
@@ -447,22 +465,18 @@ class SliceView
     {
         Store &s = *store_;
         const std::size_t idx = index(set, way);
-        const std::size_t r = row(set);
+        auto &r = rowOf(set);
         const std::uint64_t bit = std::uint64_t{1} << way;
         Eviction evicted;
-        if (s.validBits_[r] & bit)
-            evicted = record(set, way);
+        if (r.valid & bit)
+            evicted = record(r, idx, bit);
         s.tags_[idx] = line_addr;
         s.fingerprints_[idx] = SliceStore::fingerprint(line_addr);
         s.stamps_[idx] = stamp;
-        s.validBits_[r] |= bit;
-        if (dirty)
-            s.dirtyBits_[r] |= bit;
-        else
-            s.dirtyBits_[r] &= ~bit;
-        s.reusedBits_[r] &= ~bit;
-        if (s.policy_ == ReplPolicy::TreePLRU)
-            s.plru_[id_].tree(set).touch(way);
+        r.valid |= bit;
+        r.dirty = (r.dirty & ~bit) | (std::uint64_t{dirty} << way);
+        r.reused &= ~bit;
+        r.plru = s.plru_.touch(r.plru, way);
         return evicted;
     }
 
@@ -478,11 +492,11 @@ class SliceView
     invalidateAt(std::uint64_t set, std::uint32_t way) const
     {
         const std::uint64_t bit = std::uint64_t{1} << way;
-        const std::size_t r = row(set);
-        MC_ASSERT(store_->validBits_[r] & bit);
-        const Eviction evicted = record(set, way);
-        store_->validBits_[r] &= ~bit;
-        store_->dirtyBits_[r] &= ~bit;
+        auto &r = rowOf(set);
+        MC_ASSERT(r.valid & bit);
+        const Eviction evicted = record(r, index(set, way), bit);
+        r.valid &= ~bit;
+        r.dirty &= ~bit;
         return evicted;
     }
 
@@ -508,16 +522,23 @@ class SliceView
         std::uint64_t count = 0;
         for (std::uint64_t set = 0; set < store_->numSets_; ++set)
             count += static_cast<std::uint64_t>(
-                std::popcount(store_->validBits_[row(set)]));
+                std::popcount(rowOf(set).valid));
         return count;
     }
 
   private:
-    /** Index of this slice's flag words for `set`. */
+    /** Index of this slice's row record for `set`. */
     std::size_t
     row(std::uint64_t set) const
     {
         return set * store_->numSlices_ + id_;
+    }
+
+    /** This slice's row record for `set` (const for a const store). */
+    auto &
+    rowOf(std::uint64_t set) const
+    {
+        return store_->rows_[row(set)];
     }
 
     /** Index of (set, way) in the per-way arrays. */
@@ -527,16 +548,19 @@ class SliceView
         return row(set) * store_->assoc_ + way;
     }
 
-    /** The eviction record of a valid (set, way). */
+    /**
+     * The eviction record of a valid way: its row record, its index
+     * in the per-way arrays and its bit.
+     */
     Eviction
-    record(std::uint64_t set, std::uint32_t way) const
+    record(const SliceStore::Row &r, std::size_t idx,
+           std::uint64_t bit) const
     {
-        const std::uint64_t bit = std::uint64_t{1} << way;
         Eviction evicted;
         evicted.valid = true;
-        evicted.lineAddr = store_->tags_[index(set, way)];
-        evicted.dirty = (store_->dirtyBits_[row(set)] & bit) != 0;
-        evicted.reused = (store_->reusedBits_[row(set)] & bit) != 0;
+        evicted.lineAddr = store_->tags_[idx];
+        evicted.dirty = (r.dirty & bit) != 0;
+        evicted.reused = (r.reused & bit) != 0;
         return evicted;
     }
 

@@ -146,21 +146,27 @@ class StatsRegistry
     void loadState(CkptReader &r);
 
   private:
+    /*
+     * Names, descriptions, kinds and samplers are set by the
+     * registration calls every component makes at construction, so
+     * a restore finds them in place; only owned values and histogram
+     * buckets are checkpointed.
+     */
     struct Entry
     {
-        std::string name;
-        std::string desc;
-        StatKind kind = StatKind::Counter;
+        std::string name; // ckpt: derived(StatsRegistry)
+        std::string desc; // ckpt: derived(StatsRegistry)
+        StatKind kind = StatKind::Counter; // ckpt: derived(StatsRegistry)
         /** Owned slot (counters registered via counter()). */
         std::uint64_t owned = 0;
         bool isOwned = false;
-        std::function<double()> sample;
+        std::function<double()> sample; // ckpt: derived(StatsRegistry)
     };
 
     struct HistEntry
     {
-        std::string name;
-        std::string desc;
+        std::string name; // ckpt: derived(histogram)
+        std::string desc; // ckpt: derived(histogram)
         Histogram hist;
     };
 

@@ -11,12 +11,18 @@
  *  - A line written by a core in another group costs one
  *    cache-to-cache transfer, then one invalidation per level.
  *
+ * And on a private 4-way tree-PLRU slice, with the victims read off
+ * the tree bits: a sweep that fits misses only on its cold lines,
+ * and a short fill-and-touch sequence evicts the way the tree names
+ * (not the one exact LRU would).
+ *
  * A remote hit's latency is pinned by
  * CacheLevel.MergedRemoteHitPays25Cycles.
  */
 
 #include <algorithm>
 #include <cstdint>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -35,25 +41,47 @@ constexpr std::uint64_t kWays = 8;
 /** The core that sweeps; every shape's group holds its slice. */
 constexpr CoreId kCore = 5;
 
-/**
- * One sharing group. gtest lists each cell with its parameter's
- * bytes, so the name is held inline and those bytes start with it; a
- * pointer's bytes would change from run to run.
- */
+/** One sharing group. */
 struct GroupShape
 {
-    char name[16];
+    const char *name;
     std::vector<SliceId> members;
 };
 
-/** A 16-slice LRU level: the shape's group, every other slice private. */
+/** Slices as `{a, b, ...}`. */
+void
+printSlices(const std::vector<SliceId> &slices, std::ostream *os)
+{
+    *os << '{';
+    for (std::size_t i = 0; i < slices.size(); ++i)
+        *os << (i == 0 ? "" : ", ") << slices[i];
+    *os << '}';
+}
+
+/**
+ * gtest names each cell with its printed parameter; printing the
+ * members keeps the name the same on every build, where the default
+ * byte dump would show the vector's heap address.
+ */
+void
+PrintTo(const GroupShape &shape, std::ostream *os)
+{
+    printSlices(shape.members, os);
+}
+
+/**
+ * A 16-slice level of `kWays`-way slices under `policy`: the shape's
+ * group, every other slice private.
+ */
 CacheLevelModel
-levelWith(const GroupShape &shape)
+levelWith(const GroupShape &shape, std::uint64_t ways = kWays,
+          ReplPolicy policy = ReplPolicy::LRU)
 {
     LevelParams params;
     params.numSlices = kSlices;
-    params.sliceGeom = CacheGeometry{kSets * kWays * 64, kWays, 64};
-    params.policy = ReplPolicy::LRU;
+    params.sliceGeom = CacheGeometry{kSets * ways * 64,
+                                     static_cast<std::uint32_t>(ways), 64};
+    params.policy = policy;
     CacheLevelModel level(params);
     Partition partition{shape.members};
     for (std::uint32_t s = 0; s < kSlices; ++s) {
@@ -149,6 +177,18 @@ struct CoherenceShape
     CoreId other;
 };
 
+/** The groups and the other core, as `{{0, 1}, {2, 3}} other 2`. */
+void
+PrintTo(const CoherenceShape &shape, std::ostream *os)
+{
+    *os << '{';
+    for (std::size_t g = 0; g < shape.groups.size(); ++g) {
+        *os << (g == 0 ? "" : ", ");
+        printSlices(shape.groups[g], os);
+    }
+    *os << "} other " << shape.other;
+}
+
 class AnalyticCoherence : public ::testing::TestWithParam<CoherenceShape>
 {
 };
@@ -183,6 +223,85 @@ TEST_P(AnalyticCoherence, RemoteWriterCostsOneTransferThenOneInvalidation)
     EXPECT_EQ(h.coreStats(0).otherGroupTransfers, 1u);
     EXPECT_EQ(h.coreStats(0).memAccesses, 1u);
     EXPECT_EQ(h.coreStats(shape.other).memAccesses, 0u);
+}
+
+// ---------------------------------------------------------------
+// Tree-PLRU on a private 4-way slice. Its tree has three direction
+// bits: b1 at the root (ways 0-1 left, 2-3 right), b2 over ways 0
+// and 1, b3 over ways 2 and 3. A 0 bit sends the victim left, a 1
+// right, and touching a way points every bit on its path away from
+// it: way 0 sets b1 and b2, way 1 sets b1 and clears b2, way 2
+// clears b1 and sets b3, way 3 clears b1 and b3.
+
+constexpr std::uint64_t kPlruWays = 4;
+
+/** kCore's own slice, private, 4-way tree-PLRU. */
+CacheLevelModel
+plruLevel()
+{
+    return levelWith(GroupShape{"private", {kCore}}, kPlruWays,
+                     ReplPolicy::TreePLRU);
+}
+
+TEST(AnalyticPlru, SweepThatFitsMissesOnlyCold)
+{
+    // kSets x 4 lines fill every way once: an insert takes the
+    // lowest invalid way before asking the tree, so the first round
+    // misses on each line and evicts nothing, and the next two hit
+    // all of them in the core's own slice.
+    CacheLevelModel level = plruLevel();
+    const std::uint64_t lines = kSets * kPlruWays;
+    sweep(level, lines, 3);
+    EXPECT_EQ(level.stats().misses, lines);
+    EXPECT_EQ(level.stats().localHits, 2 * lines);
+    EXPECT_EQ(level.stats().remoteHits, 0u);
+    EXPECT_EQ(level.stats().evictions, 0u);
+}
+
+TEST(AnalyticPlru, FillAndTouchEvictsTheTreeVictim)
+{
+    // Lines a, b, c, d, e, f of set 3 (line = 3 + k x kSets).
+    CacheLevelModel level = plruLevel();
+    const auto line = [](std::uint64_t k) { return 3 + k * kSets; };
+    const auto lookup = [&](std::uint64_t k) {
+        return level.lookup(kCore, line(k), 0).hit;
+    };
+    const auto insert = [&](std::uint64_t k) {
+        return level.insert(kCore, line(k), false);
+    };
+
+    // a..d fill ways 0..3 in order (invalid ways first). From all
+    // zeros: a sets b1 b2 (110), b keeps b1 and clears b2 (100), c
+    // clears b1 and sets b3 (001), d clears b3 (000).
+    for (std::uint64_t k = 0; k < 4; ++k)
+        EXPECT_FALSE(insert(k).evicted.valid);
+    EXPECT_EQ(level.slice(kCore).probe(line(2)), 2u);
+
+    // A hit on a (way 0) sets b1 and b2: b1 b2 b3 = 1 1 0. The root
+    // points right and b3 left, so the victim is way 2, c. Exact LRU
+    // would evict b, the least recently used line.
+    EXPECT_TRUE(lookup(0));
+    const InsertOutcome e = insert(4);
+    EXPECT_EQ(e.slice, kCore);
+    ASSERT_TRUE(e.evicted.valid);
+    EXPECT_EQ(e.evicted.lineAddr, line(2));
+    EXPECT_EQ(level.slice(kCore).probe(line(4)), 2u);
+
+    // e in way 2 clears b1 and sets b3: 0 1 1. Left, then right: the
+    // victim is way 1, b.
+    const InsertOutcome f = insert(5);
+    ASSERT_TRUE(f.evicted.valid);
+    EXPECT_EQ(f.evicted.lineAddr, line(1));
+    EXPECT_EQ(level.slice(kCore).probe(line(5)), 1u);
+
+    // a, d, e and f stay; b and c are gone.
+    EXPECT_TRUE(lookup(0));
+    EXPECT_TRUE(lookup(3));
+    EXPECT_TRUE(lookup(4));
+    EXPECT_TRUE(lookup(5));
+    EXPECT_FALSE(lookup(1));
+    EXPECT_FALSE(lookup(2));
+    EXPECT_EQ(level.stats().evictions, 2u);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -149,6 +149,21 @@ TEST(Analyze, SerializationFixtures)
     EXPECT_EQ(clean.exit, 0) << clean.output;
 }
 
+TEST(Analyze, NestedRecordFixtures)
+{
+    if (!havePython())
+        GTEST_SKIP() << "python3 not available";
+    // A record held by a checkpointed class: a field neither walk
+    // writes and a field only saveState writes.
+    const RunResult bug = runFixture("nested_bug.cc", "");
+    EXPECT_EQ(bug.exit, 1) << bug.output;
+    EXPECT_NE(bug.output.find("Store::Row::lostField"), std::string::npos);
+    EXPECT_NE(bug.output.find("Store::Row::halfRow"), std::string::npos);
+
+    const RunResult clean = runFixture("nested_clean.cc", "");
+    EXPECT_EQ(clean.exit, 0) << clean.output;
+}
+
 TEST(Analyze, DeterminismFixtures)
 {
     if (!havePython())
@@ -353,15 +368,14 @@ TEST(Analyze, AddingUnserializedMemberFailsTheBuild)
 {
     if (!havePython())
         GTEST_SKIP() << "python3 not available";
-    // The ISSUE's acceptance drill, against *real* code: take a
-    // checkpointed class (PlruTree), add a member, leave
-    // saveState/loadState untouched — the analyzer must object.
-    std::string header =
-        readFile(MC_SOURCE_DIR "/src/mem/replacement.hh");
-    const std::string anchor = "std::uint64_t bits_ = 0;";
+    // The acceptance drill, against *real* code: take a checkpointed
+    // class (AcfvBank), add a member, leave saveState/loadState
+    // untouched — the analyzer must object.
+    std::string header = readFile(MC_SOURCE_DIR "/src/acf/acfv.hh");
+    const std::string anchor = "std::vector<std::uint64_t> words_;";
     const std::size_t at = header.find(anchor);
     ASSERT_NE(at, std::string::npos)
-        << "replacement.hh anchor moved; update this test";
+        << "acfv.hh anchor moved; update this test";
     header.insert(at + anchor.size(),
                   "\n    std::uint64_t newField_ = 0;");
     writeTempFile("omission_probe.hh", header);

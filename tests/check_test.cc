@@ -222,12 +222,18 @@ TEST(FaultInjector, AcfvFlipsAreSeedReproducible)
         inj2.injectAcfvFaults(h2.l3());
     }
     EXPECT_EQ(inj1.stats().acfvBitFlips, 3u * 2u * 40u);
+    // The words of one (core, slice) ACFV.
+    const auto words = [](const CacheLevelModel &level, CoreId c,
+                          SliceId s) {
+        std::vector<std::uint64_t> out;
+        for (std::uint32_t w = 0; w < level.acfvs().numWords(); ++w)
+            out.push_back(level.acfvs().word(c, s, w));
+        return out;
+    };
     for (CoreId c = 0; c < 4; ++c) {
         for (SliceId s = 0; s < 4; ++s) {
-            EXPECT_EQ(h1.l2().acfv(c, s).words(),
-                      h2.l2().acfv(c, s).words());
-            EXPECT_EQ(h1.l3().acfv(c, s).words(),
-                      h2.l3().acfv(c, s).words());
+            EXPECT_EQ(words(h1.l2(), c, s), words(h2.l2(), c, s));
+            EXPECT_EQ(words(h1.l3(), c, s), words(h2.l3(), c, s));
         }
     }
 
@@ -242,8 +248,7 @@ TEST(FaultInjector, AcfvFlipsAreSeedReproducible)
     bool any_diff = false;
     for (CoreId c = 0; c < 4 && !any_diff; ++c) {
         for (SliceId s = 0; s < 4 && !any_diff; ++s) {
-            any_diff = h1.l2().acfv(c, s).words() !=
-                       h3.l2().acfv(c, s).words();
+            any_diff = words(h1.l2(), c, s) != words(h3.l2(), c, s);
         }
     }
     EXPECT_TRUE(any_diff);

@@ -51,32 +51,45 @@ TEST(Geometry, InvalidShapesRejected)
 
 TEST(PlruTree, VictimAvoidsTouched)
 {
-    PlruTree tree(8);
+    const PlruRule rule(8);
+    std::uint64_t bits = 0;
     // Touch everything except way 5 in some order.
     for (std::uint32_t way : {0, 1, 2, 3, 4, 6, 7, 0, 1})
-        tree.touch(way);
+        bits = rule.touch(bits, way);
     // PLRU is approximate, but immediately after touching a way,
     // the victim must never be that way.
     for (std::uint32_t way = 0; way < 8; ++way) {
-        tree.touch(way);
-        EXPECT_NE(tree.victim(), way);
+        bits = rule.touch(bits, way);
+        EXPECT_NE(rule.victim(bits), way);
     }
 }
 
 TEST(PlruTree, SingleWay)
 {
-    PlruTree tree(1);
-    tree.touch(0);
-    EXPECT_EQ(tree.victim(), 0u);
+    const PlruRule rule(1);
+    const std::uint64_t bits = rule.touch(0, 0);
+    EXPECT_EQ(rule.victim(bits), 0u);
 }
 
 TEST(PlruTree, TwoWayAlternates)
 {
-    PlruTree tree(2);
-    tree.touch(0);
-    EXPECT_EQ(tree.victim(), 1u);
-    tree.touch(1);
-    EXPECT_EQ(tree.victim(), 0u);
+    const PlruRule rule(2);
+    std::uint64_t bits = rule.touch(0, 0);
+    EXPECT_EQ(rule.victim(bits), 1u);
+    bits = rule.touch(bits, 1);
+    EXPECT_EQ(rule.victim(bits), 0u);
+}
+
+TEST(PlruTree, SixtyFourWaysReachNode63)
+{
+    // Node 63 is the last internal node: ways 62 and 63 hang off it,
+    // and its bit alone picks between them.
+    const PlruRule rule(64);
+    const std::uint64_t right = ~std::uint64_t{0};
+    EXPECT_EQ(rule.victim(right), 63u);
+    EXPECT_EQ(rule.victim(right & ~(std::uint64_t{1} << 63)), 62u);
+    EXPECT_EQ(rule.touch(0, 62) >> 63, 1u); // victim right of 62
+    EXPECT_EQ(rule.touch(right, 63) >> 63, 0u);
 }
 
 TEST(Slice, ProbeMissOnEmpty)

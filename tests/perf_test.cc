@@ -179,6 +179,38 @@ TEST(AllocMeter, DroppingL2LinesOnReconfigurationDoesNotAllocate)
     EXPECT_EQ(f.frees, e.frees);
 }
 
+TEST(AllocMeter, AcfvQueriesDoNotAllocate)
+{
+    // The controller reads utilization and overlap for every
+    // candidate group at each epoch boundary, and the stats registry
+    // samples every slice's aggregate popcount: all three read the
+    // bank in place.
+    const HierarchyParams params = fastScaleHierarchy(4);
+    Hierarchy h(params);
+    for (Addr line = 0; line < 4096; ++line) {
+        h.access(MemAccess{static_cast<CoreId>(line % 4), line * 64,
+                           AccessType::Read},
+                 line);
+    }
+    const CacheLevelModel &level = h.l2();
+    const std::vector<SliceId> a = {0, 1};
+    const std::vector<SliceId> b = {2, 3};
+    ASSERT_GT(level.sliceAcfPopcount(0), 0u);
+
+    const bool was = AllocMeter::enabled();
+    AllocMeter::setEnabled(true);
+    const AllocSnapshot before = AllocMeter::snapshot();
+    double sink = level.overlap(a, b) + level.utilization(a);
+    for (SliceId s = 0; s < 4; ++s)
+        sink += level.sliceAcfPopcount(s);
+    const AllocSnapshot after = AllocMeter::snapshot();
+    AllocMeter::setEnabled(was);
+
+    EXPECT_GT(sink, 0.0);
+    EXPECT_EQ(allocDelta(before, after).calls, 0u);
+    EXPECT_EQ(allocDelta(before, after).frees, 0u);
+}
+
 TEST(AllocMeter, RefProcessingIsAllocationFreeForAllSchemes)
 {
     // The steady-state gate: the per-access inner loop is

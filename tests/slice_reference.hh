@@ -6,11 +6,13 @@
  *
  * Every slice keeps its own flat address and stamp arrays
  * (`set * assoc + way`), one valid/dirty/reused word per set, and a
- * PLRU tree per set; probes compare full line addresses in
- * ascending way order. The lockstep test (store_test.cc) drives it
- * beside a SliceStore view and compares every probe, every eviction
- * record and the checkpoint bytes, so the store's layout and its
- * fingerprint filter are checked against code that has neither.
+ * PLRU tree per set that walks its path one level at a time;
+ * probes compare full line addresses in ascending way order. The
+ * lockstep test (store_test.cc) drives it beside a SliceStore view
+ * and compares every probe, every victim, every eviction record and
+ * the checkpoint bytes, so the store's layout, its fingerprint
+ * filter and its tree-PLRU rule are checked against code that has
+ * none of them.
  */
 
 #ifndef MORPHCACHE_TESTS_SLICE_REFERENCE_HH
@@ -29,6 +31,54 @@
 
 namespace morphcache {
 
+/**
+ * A binary tree of direction bits over `assoc` ways (a power of two,
+ * at most 64), heap-ordered with node 1 the root. 0 means the victim
+ * is in the left subtree, 1 the right; an access flips the bits on
+ * its path to point away from the accessed way.
+ */
+class ReferencePlruTree
+{
+  public:
+    explicit ReferencePlruTree(std::uint32_t assoc)
+        : levels_(static_cast<std::uint32_t>(std::countr_zero(assoc)))
+    {
+        MC_ASSERT(assoc >= 1 && assoc <= 64 && std::has_single_bit(assoc));
+    }
+
+    void touch(std::uint32_t way)
+    {
+        std::uint32_t node = 1;
+        for (std::uint32_t level = 0; level < levels_; ++level) {
+            const std::uint32_t shift = levels_ - 1 - level;
+            const std::uint32_t dir = (way >> shift) & 1;
+            if (dir)
+                bits_ &= ~(1ULL << node); // way is right; victim left
+            else
+                bits_ |= (1ULL << node);  // way is left; victim right
+            node = node * 2 + dir;
+        }
+    }
+
+    std::uint32_t victim() const
+    {
+        std::uint32_t node = 1;
+        std::uint32_t way = 0;
+        for (std::uint32_t level = 0; level < levels_; ++level) {
+            const auto dir = static_cast<std::uint32_t>((bits_ >> node) & 1);
+            way = (way << 1) | dir;
+            node = node * 2 + dir;
+        }
+        return way;
+    }
+
+    std::uint64_t bits() const { return bits_; }
+
+  private:
+    std::uint32_t levels_;
+    std::uint64_t bits_ = 0;
+};
+
 /** One slice with slice-major storage of its own. */
 class ReferenceSlice
 {
@@ -43,7 +93,9 @@ class ReferenceSlice
           validBits_(geom.numSets(), 0), dirtyBits_(geom.numSets(), 0),
           reusedBits_(geom.numSets(), 0),
           plru_(geom.numSets(),
-                policy == ReplPolicy::TreePLRU ? geom.assoc : 1)
+                ReferencePlruTree(policy == ReplPolicy::TreePLRU
+                                      ? geom.assoc
+                                      : 1))
     {
         MC_ASSERT(geom.valid() && geom.assoc <= 64);
     }
@@ -112,7 +164,7 @@ class ReferenceSlice
         stamps_[set * assoc_ + way] = stamp;
         reusedBits_[set] |= std::uint64_t{1} << way;
         if (policy_ == ReplPolicy::TreePLRU)
-            plru_.tree(set).touch(way);
+            plru_[set].touch(way);
     }
 
     std::uint32_t victimWay(std::uint64_t set) const
@@ -121,7 +173,7 @@ class ReferenceSlice
         if (inv != assoc_)
             return inv;
         if (policy_ == ReplPolicy::TreePLRU)
-            return plru_.tree(set).victim();
+            return plru_[set].victim();
         std::uint32_t victim = 0;
         for (std::uint32_t way = 1; way < assoc_; ++way)
             if (stampAt(set, way) < stampAt(set, victim))
@@ -143,7 +195,7 @@ class ReferenceSlice
                                 : dirtyBits_[set] & ~bit;
         reusedBits_[set] &= ~bit;
         if (policy_ == ReplPolicy::TreePLRU)
-            plru_.tree(set).touch(way);
+            plru_[set].touch(way);
         return evicted;
     }
 
@@ -187,7 +239,9 @@ class ReferenceSlice
                 w.u64(stamps_[set * assoc_ + way]);
             }
         }
-        plru_.saveState(w);
+        w.u64(plru_.size());
+        for (const ReferencePlruTree &tree : plru_)
+            w.u64(tree.bits());
     }
 
   private:
@@ -212,7 +266,7 @@ class ReferenceSlice
     std::vector<std::uint64_t> validBits_;
     std::vector<std::uint64_t> dirtyBits_;
     std::vector<std::uint64_t> reusedBits_;
-    PlruState plru_;
+    std::vector<ReferencePlruTree> plru_;
 };
 
 } // namespace morphcache

@@ -9,7 +9,9 @@
  *    own ReferenceSlice (tests/slice_reference.hh) through seeded
  *    sequences of fill, touch, probe, markDirtyIfPresent,
  *    invalidateAt, invalidate and setStampAt, for 1- to 64-way
- *    geometries with 1, 16 and 70 slices. Every probe result,
+ *    geometries with 1, 16 and 70 slices, under LRU and under
+ *    tree-PLRU (whose reference walks its tree one level at a
+ *    time; the 64-way tree reaches node 63). Every probe result,
  *    victim, eviction record and the checkpoint bytes must agree,
  *    also after loadState round trips into a store holding other
  *    lines, and after every operation the fingerprint matcher must
@@ -344,8 +346,13 @@ INSTANTIATE_TEST_SUITE_P(
                       StoreShape{64, 16, ReplPolicy::LRU},
                       StoreShape{8, 70, ReplPolicy::LRU},
                       StoreShape{12, 70, ReplPolicy::LRU},
+                      StoreShape{1, 16, ReplPolicy::TreePLRU},
+                      StoreShape{2, 16, ReplPolicy::TreePLRU},
                       StoreShape{4, 16, ReplPolicy::TreePLRU},
-                      StoreShape{16, 16, ReplPolicy::TreePLRU}),
+                      StoreShape{8, 16, ReplPolicy::TreePLRU},
+                      StoreShape{16, 16, ReplPolicy::TreePLRU},
+                      StoreShape{64, 16, ReplPolicy::TreePLRU},
+                      StoreShape{8, 70, ReplPolicy::TreePLRU}),
     [](const ::testing::TestParamInfo<StoreShape> &shape) {
         return std::to_string(std::get<0>(shape.param)) + "way_" +
                std::to_string(std::get<1>(shape.param)) + "slices" +

@@ -39,9 +39,11 @@ class Member:
 
 
 class ClassModel:
-    def __init__(self, name: str, line: int):
+    def __init__(self, name: str, line: int, outer: str | None = None):
         self.name = name
         self.line = line
+        #: Name of the class this one is declared inside, or None.
+        self.outer = outer
         self.members: list[Member] = []
         #: Names of member functions (defined inline or declared).
         self.methods: list[str] = []
@@ -50,12 +52,13 @@ class ClassModel:
 
     def to_json(self) -> dict[str, Any]:
         return {"name": self.name, "line": self.line,
+                "outer": self.outer,
                 "members": [m.to_json() for m in self.members],
                 "methods": self.methods, "bases": self.bases}
 
     @staticmethod
     def from_json(d: dict[str, Any]) -> "ClassModel":
-        c = ClassModel(d["name"], d["line"])
+        c = ClassModel(d["name"], d["line"], d["outer"])
         c.members = [Member.from_json(m) for m in d["members"]]
         c.methods = d["methods"]
         c.bases = d["bases"]

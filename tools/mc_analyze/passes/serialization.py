@@ -17,6 +17,15 @@ pass proves, for every class defining both ``saveState`` and
       ``// ckpt: transient(<why>)`` — intentionally ephemeral
         (telemetry, caches rebuilt lazily, wiring pointers).
 
+The same holds for every field of a record declared inside such a
+class (``struct Row { ... };`` in a store) that the class holds
+through an unannotated member and that has no saveState/loadState
+pair of its own: the enclosing class writes the record's fields, so
+each must be referenced in the enclosing class's saveState AND
+loadState closures, or carry an annotation. A record the class only
+returns or takes (no member holds it) is not state, and one held
+only through annotated members shares their annotation.
+
 A class with a declared-but-nowhere-defined pair (e.g. an abstract
 interface) is skipped: the contract lands on the classes with
 bodies.
@@ -73,23 +82,47 @@ def _known_site(index: Index, arg: str) -> bool:
     return any(name in cm.methods for cm in index.classes.values())
 
 
+def _checkpointed(cm) -> bool:
+    return "saveState" in cm.methods and "loadState" in cm.methods
+
+
+def _held_records(fm, cm) -> list:
+    """Records declared inside `cm`, without a checkpoint of their
+    own, that an unannotated member of `cm` holds."""
+    held = []
+    for rec in fm.classes:
+        if rec.outer != cm.name or _checkpointed(rec):
+            continue
+        word = re.compile(rf"\b{re.escape(rec.name)}\b")
+        if any(not m.static and m.annot is None and word.search(m.type)
+               for m in cm.members):
+            held.append(rec)
+    return held
+
+
 def run_serialization(index: Index, scope) -> list[Finding]:
     findings: list[Finding] = []
     for fm in index.models:
         if not scope(fm.path, "serialization"):
             continue
         for cm in fm.classes:
-            if "saveState" not in cm.methods or \
-                    "loadState" not in cm.methods:
+            if not _checkpointed(cm):
                 continue
             save = _closure_idents(index, cm.name, "saveState")
             load = _closure_idents(index, cm.name, "loadState")
             if save is None or load is None:
                 continue  # interface: no body anywhere
-            for m in cm.members:
+            # The class's own members, then the fields of the records
+            # declared inside it that it writes itself.
+            fields = [(m, f"{cm.name}.{m.name}", m.name)
+                      for m in cm.members]
+            for rec in _held_records(fm, cm):
+                fields += [(m, f"{cm.name}.{rec.name}.{m.name}",
+                            f"{rec.name}::{m.name}")
+                           for m in rec.members]
+            for m, site, shown in fields:
                 if m.static:
                     continue
-                site = f"{cm.name}.{m.name}"
                 if m.annot == "transient":
                     continue
                 if m.annot == "derived":
@@ -112,7 +145,7 @@ def run_serialization(index: Index, scope) -> list[Finding]:
                 if missing:
                     findings.append(Finding(
                         fm.path, m.line, "serialization",
-                        f"member '{cm.name}::{m.name}' is not "
+                        f"member '{cm.name}::{shown}' is not "
                         f"referenced in {' or '.join(missing)}; "
                         "serialize it or annotate "
                         "// ckpt: derived(<site>) | "

@@ -331,15 +331,17 @@ class Parser:
     # ---- classes -----------------------------------------------
 
     def parse_class(self, head: int, open_brace: int,
-                    close: int) -> None:
+                    close: int, outer: str | None = None) -> None:
         head = self.skip_template_intro(self.skip_attr(head))
-        # head: class/struct [attr] NAME [final] [: bases]
+        # head: class/struct [attr] [alignas(N)] NAME [final] [: bases]
         j = head + 1
         j = self.skip_attr(j)
+        if self.tx(j) == "alignas" and self.tx(j + 1) == "(":
+            j = self.skip_attr(self.match.get(j + 1, j) + 1)
         if self.kind(j) != IDENT:
             return  # anonymous
         name = self.tx(j)
-        cm = ClassModel(name, self.line(j))
+        cm = ClassModel(name, self.line(j), outer)
         # bases: after ':' collect identifiers (last component).
         k = j + 1
         while k < open_brace:
@@ -384,7 +386,7 @@ class Parser:
                     return
                 first = self.first_word(stmt_start, i)
                 if first in ("class", "struct", "union"):
-                    self.parse_class(stmt_start, i, close)
+                    self.parse_class(stmt_start, i, close, cm.name)
                 elif first == "enum":
                     pass
                 elif self.param_list(stmt_start, i) is not None:
