@@ -127,8 +127,8 @@ lookaheadAllocate(const std::vector<UtilityMonitor> &monitors,
 PippPolicy::PippPolicy(std::uint32_t num_cores, std::uint64_t num_sets,
                        std::uint32_t total_ways,
                        double promotion_prob, std::uint64_t seed)
-    : totalWays_(total_ways), promotionProb_(promotion_prob),
-      rng_(seed)
+    : totalWays_(total_ways),
+      promotionCut_(Rng::chanceThreshold(promotion_prob)), rng_(seed)
 {
     monitors_.reserve(num_cores);
     for (std::uint32_t c = 0; c < num_cores; ++c)
@@ -143,7 +143,7 @@ PippPolicy::hit(CacheLevelModel &level, CoreId core, Addr line_addr,
                 SliceId slice, std::uint64_t set, std::uint32_t way)
 {
     monitors_[core].access(line_addr);
-    if (rng_.chance(promotionProb_))
+    if (rng_.chanceAt(promotionCut_))
         level.promoteByOne(slice, set, way);
     return false; // no default move-to-MRU
 }

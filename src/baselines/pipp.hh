@@ -150,7 +150,8 @@ class PippPolicy : public LevelHooks
     }
 
     std::uint32_t totalWays_;  // ckpt: derived(PippPolicy)
-    double promotionProb_;     // ckpt: derived(PippPolicy)
+    /** The promotion probability as an Rng::chanceThreshold. */
+    std::uint64_t promotionCut_; // ckpt: derived(PippPolicy)
     Rng rng_;
     std::vector<UtilityMonitor> monitors_;
     std::vector<std::uint32_t> alloc_;

@@ -98,7 +98,7 @@ class Rng
     }
 
     /** Uniform integer in [0, bound). bound must be nonzero. */
-    std::uint64_t
+    [[gnu::always_inline]] std::uint64_t
     below(std::uint64_t bound)
     {
         MC_ASSERT(bound != 0);
@@ -109,15 +109,43 @@ class Rng
             (static_cast<unsigned __int128>(next()) * bound) >> 64);
     }
 
-    /** Uniform double in [0, 1). */
+    /** Uniform integer in [0, 2^53): the draw behind uniform(). */
+    std::uint64_t next53() { return next() >> 11; }
+
+    /** Uniform double in [0, 1): next53() * 2^-53, exactly. */
     double
     uniform()
     {
-        return static_cast<double>(next() >> 11) * 0x1.0p-53;
+        return static_cast<double>(next53()) * 0x1.0p-53;
     }
 
+    /**
+     * The integer form of a probability: ceil(p * 2^53), clamped to
+     * [0, 2^53] (0 for p <= 0 or NaN, 2^53 for p >= 1). For every
+     * draw k = next53(), k < chanceThreshold(p) exactly when
+     * uniform() < p: k * 2^-53 is exact for k < 2^53, so is scaling
+     * p by 2^53, and an integer is below x exactly when it is below
+     * ceil(x). A caller that draws on every access computes this
+     * once and calls chanceAt().
+     */
+    static constexpr std::uint64_t
+    chanceThreshold(double p)
+    {
+        constexpr std::uint64_t one = std::uint64_t{1} << 53;
+        if (!(p > 0.0))
+            return 0;
+        if (p >= 1.0)
+            return one;
+        const double scaled = p * 0x1.0p53; // exact: a power of two
+        const auto whole = static_cast<std::uint64_t>(scaled);
+        return static_cast<double>(whole) < scaled ? whole + 1 : whole;
+    }
+
+    /** Bernoulli draw against a chanceThreshold(). */
+    bool chanceAt(std::uint64_t threshold) { return next53() < threshold; }
+
     /** Bernoulli draw with probability p. */
-    bool chance(double p) { return uniform() < p; }
+    bool chance(double p) { return chanceAt(chanceThreshold(p)); }
 
     /**
      * Standard normal draw (Box-Muller, one value per call, the
