@@ -164,6 +164,20 @@ TEST(Analyze, NestedRecordFixtures)
     EXPECT_EQ(clean.exit, 0) << clean.output;
 }
 
+TEST(Analyze, NestedShadowFixtures)
+{
+    if (!havePython())
+        GTEST_SKIP() << "python3 not available";
+    // A local named like a held record's field does not write the
+    // field; only member reads do.
+    const RunResult bug = runFixture("nested_shadow_bug.cc", "");
+    EXPECT_EQ(bug.exit, 1) << bug.output;
+    EXPECT_NE(bug.output.find("Store::Row::dirty"), std::string::npos);
+
+    const RunResult clean = runFixture("nested_shadow_clean.cc", "");
+    EXPECT_EQ(clean.exit, 0) << clean.output;
+}
+
 TEST(Analyze, DeterminismFixtures)
 {
     if (!havePython())

@@ -20,7 +20,7 @@ import os
 from model import FileModel
 
 #: Bumping this invalidates every cached model.
-MODEL_VERSION = 3
+MODEL_VERSION = 4
 
 
 class ModelCache:

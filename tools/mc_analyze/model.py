@@ -158,6 +158,8 @@ class FuncModel:
         #: from a thread entry is shared state.
         self.captures: list[tuple[str, str]] = []
         self.idents: set[str] = set()
+        #: Identifiers read as members: right after ``.`` or ``->``.
+        self.member_idents: set[str] = set()
         #: (callee, line, arg0, mode): arg0 is the first argument when
         #: it is a bare identifier (``stdout``), mode the contents of
         #: a string-literal second argument (fopen's), else None.
@@ -182,6 +184,7 @@ class FuncModel:
             "params": self.params, "locals": self.locals,
             "captures": self.captures,
             "idents": sorted(self.idents),
+            "memberIdents": sorted(self.member_idents),
             "calls": self.calls,
             "subs": [s.to_json() for s in self.subs],
             "loops": [s.to_json() for s in self.loops],
@@ -199,6 +202,7 @@ class FuncModel:
         f.locals = [tuple(p) for p in d["locals"]]
         f.captures = [tuple(p) for p in d.get("captures", [])]
         f.idents = set(d["idents"])
+        f.member_idents = set(d["memberIdents"])
         f.calls = [tuple(c) for c in d["calls"]]
         f.subs = [SubSite.from_json(s) for s in d["subs"]]
         f.loops = [LoopSite.from_json(s) for s in d["loops"]]

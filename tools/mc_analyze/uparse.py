@@ -763,6 +763,8 @@ class Parser:
                 continue
             if t.kind == IDENT:
                 fn.idents.add(t.text)
+                if self.tx(j - 1) in (".", "->"):
+                    fn.member_idents.add(t.text)
                 nxt = self.tx(j + 1)
                 if t.text == "for" and nxt == "(":
                     j = self.parse_for_header(j + 1, fn, depth)
@@ -892,6 +894,8 @@ class Parser:
             for k in range(colon + 1, close):
                 if self.kind(k) == IDENT:
                     fn.idents.add(self.tx(k))
+                    if self.tx(k - 1) in (".", "->"):
+                        fn.member_idents.add(self.tx(k))
             return close + 1
         # Classic for: try the init decl, and detect `.begin()`.
         decl = self.try_local_decl(paren + 1, close)
