@@ -14,7 +14,9 @@
  * And on a private 4-way tree-PLRU slice, with the victims read off
  * the tree bits: a sweep that fits misses only on its cold lines,
  * and a short fill-and-touch sequence evicts the way the tree names
- * (not the one exact LRU would).
+ * (not the one exact LRU would). On a merged pair of 4-way slices the
+ * group's rotor picks the victim slice in turn, and configuring the
+ * same partition again restarts it.
  *
  * A remote hit's latency is pinned by
  * CacheLevel.MergedRemoteHitPays25Cycles.
@@ -302,6 +304,69 @@ TEST(AnalyticPlru, FillAndTouchEvictsTheTreeVictim)
     EXPECT_FALSE(lookup(1));
     EXPECT_FALSE(lookup(2));
     EXPECT_EQ(level.stats().evictions, 2u);
+}
+
+TEST(AnalyticPlru, MergedGroupRotatesTheVictimSlice)
+{
+    // kCore's slice 5 merged with slice 4. With no invalid way left,
+    // an insert asks the group's rotor for the victim slice (member
+    // rotor % 2, from 0 after configure, counting every such insert
+    // in the group) and that slice's tree for the way.
+    CacheLevelModel level = levelWith(GroupShape{"merged45", {4, 5}},
+                                      kPlruWays, ReplPolicy::TreePLRU);
+    const auto line = [](std::uint64_t k) { return 3 + k * kSets; };
+    const auto insert = [&](std::uint64_t k) {
+        return level.insert(kCore, line(k), false);
+    };
+
+    // Lines 0..3 fill kCore's own invalid ways 0..3 first, then 4..7
+    // slice 4's. Each slice's tree ends at b1 b2 b3 = 0 0 0 (see
+    // FillAndTouchEvictsTheTreeVictim), so each victim is way 0.
+    for (std::uint64_t k = 0; k < 8; ++k) {
+        const InsertOutcome out = insert(k);
+        EXPECT_FALSE(out.evicted.valid);
+        EXPECT_EQ(out.slice, k < 4 ? SliceId{kCore} : SliceId{4});
+        EXPECT_EQ(level.slice(out.slice).probe(line(k)), k % 4);
+    }
+
+    // Line 8: rotor 0 picks slice 4, whose tree (000) names way 0,
+    // line 4. The fill sets b1 and b2: 1 1 0.
+    const InsertOutcome a = insert(8);
+    EXPECT_EQ(a.slice, SliceId{4});
+    ASSERT_TRUE(a.evicted.valid);
+    EXPECT_EQ(a.evicted.lineAddr, line(4));
+    EXPECT_EQ(level.slice(4).probe(line(8)), 0u);
+
+    // Line 9: rotor 1 picks slice 5, also at 000: way 0, line 0. Its
+    // tree becomes 1 1 0 too.
+    const InsertOutcome b = insert(9);
+    EXPECT_EQ(b.slice, SliceId{5});
+    ASSERT_TRUE(b.evicted.valid);
+    EXPECT_EQ(b.evicted.lineAddr, line(0));
+    EXPECT_EQ(level.slice(5).probe(line(9)), 0u);
+
+    // Line 10: rotor 2 picks slice 4 again. At 1 1 0 the root points
+    // right and b3 left: way 2, line 6. The fill clears b1 and sets
+    // b3: 0 1 1.
+    const InsertOutcome c = insert(10);
+    EXPECT_EQ(c.slice, SliceId{4});
+    ASSERT_TRUE(c.evicted.valid);
+    EXPECT_EQ(c.evicted.lineAddr, line(6));
+    EXPECT_EQ(level.slice(4).probe(line(10)), 2u);
+
+    // Configuring the same partition again resets the rotor to 0, so
+    // line 11 goes to slice 4 once more: at 0 1 1 the root points left
+    // and b2 right, way 1, line 5. A rotor that had kept counting (3)
+    // would have picked slice 5, whose 1 1 0 names way 2, line 2.
+    const Partition same = level.partition();
+    level.configure(same);
+    const InsertOutcome d = insert(11);
+    EXPECT_EQ(d.slice, SliceId{4});
+    ASSERT_TRUE(d.evicted.valid);
+    EXPECT_EQ(d.evicted.lineAddr, line(5));
+    EXPECT_EQ(level.slice(4).probe(line(11)), 1u);
+    EXPECT_EQ(level.slice(5).probe(line(2)), 2u);
+    EXPECT_EQ(level.stats().evictions, 4u);
 }
 
 INSTANTIATE_TEST_SUITE_P(
