@@ -24,7 +24,7 @@ namespace {
 double
 staticAvg(const HierarchyParams &hier, const Topology &topo,
           const SimParams &sim, const GeneratorParams &gen,
-          bool charge)
+          RemoteCost remote)
 {
     double sum = 0.0;
     const int mixes[] = {1, 5, 8, 9};
@@ -32,7 +32,7 @@ staticAvg(const HierarchyParams &hier, const Topology &topo,
         char name[16];
         std::snprintf(name, sizeof(name), "MIX %02d", m);
         MixWorkload workload(mixByName(name), gen, baseSeed() + m);
-        StaticTopologySystem system(hier, topo, charge);
+        StaticTopologySystem system(hier, topo, remote);
         Simulation simulation(system, workload, sim);
         sum += simulation.run().avgThroughput;
     }
@@ -73,8 +73,8 @@ main()
         std::printf("   %-9s charged-remote %7.3f   paper-flat "
                     "%7.3f\n",
                     topo.name().c_str(),
-                    staticAvg(hier, topo, sim, gen, true),
-                    staticAvg(hier, topo, sim, gen, false));
+                    staticAvg(hier, topo, sim, gen, RemoteCost::Premium),
+                    staticAvg(hier, topo, sim, gen, RemoteCost::None));
     }
 
     std::printf("\n2) replacement policy under MorphCache:\n");
@@ -93,10 +93,8 @@ main()
     {
         const double split = morphAvg(hier, sim, gen, MorphConfig{});
         HierarchyParams serial = hier;
-        serial.l2.bus.splitTransaction = false;
-        serial.l2.bus.occupancyCpuCyclesOverride = 0;
-        serial.l3.bus.splitTransaction = false;
-        serial.l3.bus.occupancyCpuCyclesOverride = 0;
+        serial.l2.busOccupancyCycles = busTxnCpuCycles;
+        serial.l3.busOccupancyCycles = busTxnCpuCycles;
         const double whole = morphAvg(serial, sim, gen,
                                       MorphConfig{});
         std::printf("   split-transaction %7.3f   serialized "

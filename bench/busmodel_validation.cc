@@ -12,6 +12,7 @@
 
 #include "common/rng.hh"
 #include "interconnect/bus_sim.hh"
+#include "interconnect/segmented_bus.hh"
 
 using namespace morphcache;
 
@@ -28,9 +29,8 @@ compareModels()
 
     for (std::uint32_t group : {2u, 4u, 16u}) {
         for (Cycle gap : {Cycle{200}, Cycle{60}, Cycle{25}}) {
-            BusParams params;
-            SegmentedBusSim sim(16, params);
-            SegmentedBus model(16, params);
+            SegmentedBusSim sim(16);
+            SegmentedBus model(16, cpuCyclesPerBusCycle);
             std::vector<std::uint32_t> part(16);
             for (std::uint32_t i = 0; i < 16; ++i)
                 part[i] = i / group;
@@ -65,7 +65,7 @@ compareModels()
 void
 BM_CycleLevelBus(benchmark::State &state)
 {
-    SegmentedBusSim sim(16, BusParams{});
+    SegmentedBusSim sim(16);
     sim.configure(std::vector<std::uint32_t>(16, 0));
     Cycle t = 0;
     SliceId s = 0;
@@ -81,7 +81,7 @@ BENCHMARK(BM_CycleLevelBus);
 void
 BM_QueueingBus(benchmark::State &state)
 {
-    SegmentedBus bus(16, BusParams{});
+    SegmentedBus bus(16, cpuCyclesPerBusCycle);
     bus.configure(std::vector<std::uint32_t>(16, 0));
     Cycle t = 0;
     SliceId s = 0;

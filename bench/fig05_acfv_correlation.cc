@@ -53,13 +53,14 @@ main()
 
             std::vector<double> cycles(1, 0.0), instrs(1, 0.0);
             std::vector<double> estimated, oracle;
+            const SliceId own = 0;
             for (std::uint32_t e = 0; e < epochs; ++e) {
                 workload.beginEpoch(e);
                 runEpochAccesses(hierarchy, workload,
                                  sim.refsPerEpochPerCore, cycles,
                                  instrs);
                 estimated.push_back(
-                    hierarchy.l2().utilization({0}));
+                    hierarchy.l2().acfvs().utilization({&own, 1}));
                 oracle.push_back(static_cast<double>(
                     hierarchy.l2().oracleAcfSize(0, 0)));
                 hierarchy.resetFootprints();

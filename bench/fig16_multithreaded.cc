@@ -51,9 +51,7 @@ main()
             norm.push_back(perf / base);
         }
         MultithreadedWorkload workload(profile, 16, gen, baseSeed());
-        MorphConfig config;
-        config.sharedAddressSpace = true;
-        MorphCacheSystem system(hier, config);
+        MorphCacheSystem system(hier, MorphConfig{});
         Simulation simulation(system, workload, sim);
         norm.push_back(simulation.run().performance / base);
         return norm;

@@ -76,9 +76,7 @@ main()
         for (const auto &profile : parsecProfiles()) {
             MultithreadedWorkload workload(profile, 16, gen,
                                            baseSeed());
-            MorphConfig config;
-            config.sharedAddressSpace = true;
-            MorphCacheSystem system(hier, config);
+            MorphCacheSystem system(hier, MorphConfig{});
             Simulation simulation(system, workload, sim);
             simulation.run();
             const auto &stats = system.controller().stats();

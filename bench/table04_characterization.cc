@@ -74,12 +74,13 @@ measureAcfv(const BenchmarkProfile &profile,
     SoloWorkload workload(profile, gen, baseSeed());
     std::vector<double> cycles(1, 0.0), instrs(1, 0.0);
     RunningStat l2, l3;
+    const SliceId own = 0;
     for (std::uint32_t e = 0; e < epochs; ++e) {
         workload.beginEpoch(e);
         runEpochAccesses(hierarchy, workload, refs, cycles, instrs);
         if (e >= 2) {
-            l2.add(hierarchy.l2().utilization({0}));
-            l3.add(hierarchy.l3().utilization({0}));
+            l2.add(hierarchy.l2().acfvs().utilization({&own, 1}));
+            l3.add(hierarchy.l3().acfvs().utilization({&own, 1}));
         }
         hierarchy.resetFootprints();
     }
@@ -153,9 +154,9 @@ main()
                 std::vector<double> l2_now, l3_now;
                 for (SliceId slice = 0; slice < 16; ++slice) {
                     const double u2 =
-                        hierarchy.l2().utilization({slice});
+                        hierarchy.l2().acfvs().utilization({&slice, 1});
                     const double u3 =
-                        hierarchy.l3().utilization({slice});
+                        hierarchy.l3().acfvs().utilization({&slice, 1});
                     l2_t[slice].add(u2);
                     l3_t[slice].add(u3);
                     l2_now.push_back(u2);

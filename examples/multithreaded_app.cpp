@@ -57,9 +57,7 @@ main(int argc, char **argv)
     }
 
     MultithreadedWorkload workload(profile, 16, gen, 42);
-    MorphConfig config;
-    config.sharedAddressSpace = true;
-    MorphCacheSystem sys(hier, config);
+    MorphCacheSystem sys(hier, MorphConfig{});
     Simulation simulation(sys, workload, sim);
     const double perf = simulation.run().performance;
     std::printf("  %-12s %.3f\n", "MorphCache", perf / base);

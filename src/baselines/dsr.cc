@@ -138,7 +138,7 @@ makeDsrSystem(HierarchyParams params)
                                           params.l3.sliceGeom.numSets());
     return std::make_unique<StaticTopologySystem>(
         std::move(params), Topology::symmetric(cores, cores, 1, 1),
-        /*charge_remote=*/true, "DSR", std::move(l2), std::move(l3));
+        RemoteCost::Premium, "DSR", std::move(l2), std::move(l3));
 }
 
 } // namespace morphcache

@@ -20,8 +20,8 @@ probeEpochThroughput(const Hierarchy &live, const Workload &workload,
                      const Topology &topology, EpochId epoch,
                      std::uint64_t refs_per_core)
 {
-    MC_ASSERT(!live.l2().params().chargeBusPenalty &&
-              !live.l3().params().chargeBusPenalty);
+    MC_ASSERT(live.l2().params().remoteCost != RemoteCost::Bus &&
+              live.l3().params().remoteCost != RemoteCost::Bus);
     Hierarchy h = live; // full cache-state copy
     const std::unique_ptr<Workload> w = workload.clone();
     const std::vector<double> zero(w->numCores(), 0.0);

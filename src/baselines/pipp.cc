@@ -207,7 +207,7 @@ makePippSystem(HierarchyParams params)
     std::unique_ptr<PippPolicy> l3 = policy(params.l3, pippSeed ^ 0x3333);
     return std::make_unique<StaticTopologySystem>(
         std::move(params), Topology::symmetric(cores, cores, 1, 1),
-        /*charge_remote=*/false, "PIPP", std::move(l2), std::move(l3));
+        RemoteCost::None, "PIPP", std::move(l2), std::move(l3));
 }
 
 } // namespace morphcache

@@ -168,7 +168,7 @@ makeUcpSystem(HierarchyParams params)
     std::unique_ptr<UcpPolicy> l3 = policy(params.l3);
     return std::make_unique<StaticTopologySystem>(
         std::move(params), Topology::symmetric(cores, cores, 1, 1),
-        /*charge_remote=*/false, "UCP", std::move(l2), std::move(l3));
+        RemoteCost::None, "UCP", std::move(l2), std::move(l3));
 }
 
 } // namespace morphcache

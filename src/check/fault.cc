@@ -87,13 +87,15 @@ FaultInjector::grantDelay(SliceId slice, Cycle now)
     Cycle extra = 0;
     if (config_.busDropChance > 0.0 &&
         busRng_.chance(config_.busDropChance)) {
+        // A dropped grant re-arbitrates: one whole transaction.
         ++stats_.busDrops;
-        extra += config_.busDropPenaltyCycles;
+        extra += busTxnCpuCycles;
     }
     if (config_.busDelayChance > 0.0 &&
         busRng_.chance(config_.busDelayChance)) {
+        // A delayed grant arrives one bus cycle late.
         ++stats_.busDelays;
-        extra += config_.busDelayCycles;
+        extra += cpuCyclesPerBusCycle;
     }
     stats_.busFaultCycles += extra;
     return extra;

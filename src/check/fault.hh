@@ -18,9 +18,9 @@
  *  - illegal topology proposals: a decided topology mutated into a
  *    guaranteed-illegal shape (duplicate slice, dropped slice, or
  *    inclusion straddle) — the faults only the checker can catch;
- *  - segmented-bus grant faults: dropped grants (full
- *    re-arbitration penalty) and delayed grants, injected through
- *    the BusFaultHook interface.
+ *  - segmented-bus grant faults: dropped grants (a whole
+ *    transaction of re-arbitration) and delayed grants (one bus
+ *    cycle), injected through the BusFaultHook interface.
  */
 
 #ifndef MORPHCACHE_CHECK_FAULT_HH
@@ -53,14 +53,16 @@ struct FaultConfig
      * corrupted into an illegal shape.
      */
     double illegalTopologyChance = 0.0;
-    /** Probability per bus grant of a dropped grant. */
+    /**
+     * Probability per bus grant of a dropped grant, which costs one
+     * whole transaction of re-arbitration (busTxnCpuCycles).
+     */
     double busDropChance = 0.0;
-    /** CPU-cycle penalty of a dropped grant (re-arbitration). */
-    std::uint32_t busDropPenaltyCycles = 15;
-    /** Probability per bus grant of a delayed grant. */
+    /**
+     * Probability per bus grant of a delayed grant, which arrives
+     * one bus cycle (cpuCyclesPerBusCycle) late.
+     */
     double busDelayChance = 0.0;
-    /** CPU cycles a delayed grant adds. */
-    std::uint32_t busDelayCycles = 5;
 
     /** Any fault class active? */
     bool

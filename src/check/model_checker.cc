@@ -352,6 +352,7 @@ TopologyModelChecker::propose(const Topology &from,
     in.decisionIndex = 1;
     in.l2MergeStamps = splits_blocked ? &blockedStamps_ : nullptr;
     in.l3MergeStamps = nullptr;
+    in.sharedAddressSpace = false;
     in.faults = nullptr;
     in.provenance = false;
     in.classifyOutcomes = false;

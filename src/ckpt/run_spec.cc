@@ -53,10 +53,12 @@ specFields(Ar &ar, Spec &spec)
     ar.u32(faults.acfvFlipsPerEpoch);
     ar.f64(faults.classificationFlipChance);
     ar.f64(faults.illegalTopologyChance);
+    // The grant-fault cycles are constants of the bus model; their
+    // slots stay so every SPEC section keeps its bytes.
     ar.f64(faults.busDropChance);
-    ar.u64(faults.busDropPenaltyCycles);
+    ar.expectU64("dropped-grant cycles", busTxnCpuCycles);
     ar.f64(faults.busDelayChance);
-    ar.u64(faults.busDelayCycles);
+    ar.expectU64("delayed-grant cycles", cpuCyclesPerBusCycle);
 }
 
 } // namespace

@@ -12,7 +12,7 @@ namespace morphcache {
 CacheLevelModel::CacheLevelModel(const LevelParams &params)
     : params_(params),
       store_(params.numSlices, params.sliceGeom, params.policy),
-      bus_(params.numSlices, params.bus),
+      bus_(params.numSlices, params.busOccupancyCycles),
       acfvs_(params.numSlices, params.numSlices, params.acfvBits,
              params.acfvHash)
 {
@@ -156,11 +156,11 @@ CacheLevelModel::lookup(CoreId core, Addr line_addr, Cycle now)
         if (group.size() > 1) {
             ++stats_.busEvents;
             stats_.busSpanTiles += groupSpanTiles_[groupOf_[core]];
-        }
-        if (group.size() > 1 && params_.chargeBusPenalty) {
-            out.latency += bus_.transactRequest(
-                static_cast<SliceId>(core), now + out.latency);
-            out.latency += spanExtraCycles_[core];
+            if (params_.remoteCost == RemoteCost::Bus) {
+                out.latency += bus_.transactRequest(
+                    static_cast<SliceId>(core), now + out.latency);
+                out.latency += spanExtraCycles_[core];
+            }
         }
         ++stats_.misses;
         if (hooks_)
@@ -174,14 +174,15 @@ CacheLevelModel::lookup(CoreId core, Addr line_addr, Cycle now)
     if (out.remote) {
         ++stats_.busEvents;
         stats_.busSpanTiles += groupSpanTiles_[groupOf_[core]];
-        // A remote hit rides the segmented bus; 10 + 15 = the
+        // A remote hit costs one bus transaction; 10 + 15 = the
         // paper's 25-cycle merged-hit latency.
-        if (params_.chargeBusPenalty) {
+        if (params_.remoteCost == RemoteCost::Bus) {
             out.latency += bus_.transact(static_cast<SliceId>(core),
                                          now + out.latency);
             out.latency += spanExtraCycles_[core];
+        } else if (params_.remoteCost == RemoteCost::Premium) {
+            out.latency += busTxnCpuCycles;
         }
-        out.latency += params_.remoteHitExtraCycles;
     }
     if (out.remote)
         ++stats_.remoteHits;
@@ -664,25 +665,6 @@ CacheLevelModel::noteEviction(SliceId slice, Addr line_addr,
     }
 }
 
-std::uint32_t
-CacheLevelModel::sliceAcfPopcount(SliceId slice) const
-{
-    return acfvs_.sliceAcfPopcount(slice);
-}
-
-double
-CacheLevelModel::utilization(const std::vector<SliceId> &slices) const
-{
-    return acfvs_.utilization(slices);
-}
-
-double
-CacheLevelModel::overlap(const std::vector<SliceId> &a,
-                         const std::vector<SliceId> &b) const
-{
-    return acfvs_.overlap(a, b);
-}
-
 std::uint64_t
 CacheLevelModel::oracleAcfSize(CoreId core, SliceId slice) const
 {
@@ -750,7 +732,7 @@ CacheLevelModel::registerStats(StatsRegistry &registry,
         registry.bindScalar(
             slice + "acfPopcount",
             [this, s]() {
-                return static_cast<double>(sliceAcfPopcount(
+                return static_cast<double>(acfvs_.sliceAcfPopcount(
                     static_cast<SliceId>(s)));
             },
             "set bits in the OR of all cores' ACFVs for this slice");

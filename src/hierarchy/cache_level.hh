@@ -30,7 +30,39 @@ namespace morphcache {
 
 class StatsRegistry;
 
-/** Configuration of one cache level. */
+/**
+ * What a hit in another slice of the requester's group, or a
+ * merged group's miss broadcast, costs on top of the local hit
+ * latency. Each value is one design's interconnect.
+ */
+enum class RemoteCost : std::uint8_t {
+    /**
+     * MorphCache's segmented bus: a remote hit is one transaction
+     * (busTxnCpuCycles, 15) and a merged group's miss broadcast a
+     * request-only one (busRequestCpuCycles, 10), each after
+     * queueing on the group's segment, plus the group's span
+     * stretch.
+     */
+    Bus,
+    /**
+     * A fixed fabric: a remote hit pays one transaction's
+     * busTxnCpuCycles, with no queueing and free miss broadcasts.
+     * The static topologies, DSR and the ideal offline oracle.
+     */
+    Premium,
+    /**
+     * The paper's flat latencies (Section 4): a remote hit costs a
+     * local one. PIPP, UCP and the paper-flat statics of the
+     * latency-model ablation.
+     */
+    None,
+};
+
+/**
+ * Configuration of one cache level. Of the interconnect, a level
+ * chooses only its remote cost and how long a bus transaction
+ * holds its segment; the transaction latencies are delay_model.hh's.
+ */
 struct LevelParams
 {
     /** Human-readable name ("L2"/"L3") for messages. */
@@ -43,23 +75,18 @@ struct LevelParams
     ReplPolicy policy = ReplPolicy::LRU;
     /** Latency of a hit in the requester's own slice (CPU cycles). */
     Cycle localHitLatency = 10;
+    /** What remote-slice traffic costs (see RemoteCost). */
+    RemoteCost remoteCost = RemoteCost::Bus;
     /**
-     * Charge the segmented-bus transaction (latency + segment
-     * occupancy/queueing) on remote-slice traffic. True for
-     * MorphCache's reconfigurable bus; the static baselines use a
-     * fixed interconnect instead and charge remoteHitExtraCycles
-     * without bus serialization.
+     * CPU cycles one bus transaction holds its segment (RemoteCost::Bus
+     * only). By default the one-bus-cycle data phase: arbitration of
+     * the next transaction overlaps the earlier phases (the footnote-2
+     * observation taken to split transactions), while the requester
+     * still waits the whole transaction. The fast scale shrinks it to
+     * 1 with the capacities; busTxnCpuCycles serializes whole
+     * transactions.
      */
-    bool chargeBusPenalty = true;
-    /** Segmented-bus timing. */
-    BusParams bus{};
-    /**
-     * Fixed extra cycles on a remote-slice hit, independent of the
-     * segmented-bus model. Used by the DSR baseline, whose snoop
-     * fabric is not the MorphCache bus but whose remote hits are
-     * not free either.
-     */
-    Cycle remoteHitExtraCycles = 0;
+    Cycle busOccupancyCycles = cpuCyclesPerBusCycle;
     /** ACFV length in bits. */
     std::uint32_t acfvBits = 128;
     /**
@@ -398,23 +425,6 @@ class CacheLevelModel
      * (fault injection; not owned; nullptr restores a clean bus).
      */
     void setBusFaultHook(BusFaultHook *hook);
-
-    /** Popcount of the OR of all cores' ACFVs for one slice. */
-    std::uint32_t sliceAcfPopcount(SliceId slice) const;
-
-    /**
-     * Utilization of a set of slices: total set bits over total
-     * bits of the juxtaposed per-slice vectors (paper Section 2.2).
-     */
-    double utilization(const std::vector<SliceId> &slices) const;
-
-    /**
-     * Overlap fraction between the aggregate footprints of two
-     * slice sets: common 1s / min(popcounts). Approximates the
-     * degree of data sharing (paper Section 2.1, property ii).
-     */
-    double overlap(const std::vector<SliceId> &a,
-                   const std::vector<SliceId> &b) const;
 
     /** Exact footprint size of (core, slice); oracle mode only. */
     std::uint64_t oracleAcfSize(CoreId core, SliceId slice) const;

@@ -13,6 +13,9 @@ namespace {
 /** Private L1 hit latency (Table 3: 3 cycles). */
 constexpr Cycle l1Latency = 3;
 
+/** Off-chip latency (Table 3: 300 cycles). */
+constexpr Cycle memLatency = 300;
+
 /**
  * Latency of a cache-to-cache transfer from another sharing group
  * (coherence mode only).
@@ -91,10 +94,8 @@ HierarchyParams::validate() const
             "line size must match across L1/L2/L3; inclusion and "
             "back-invalidation track whole lines");
     }
-    if (l2.localHitLatency == 0 || l3.localHitLatency == 0 ||
-        memLatency == 0) {
-        throw ConfigError("hit/memory latencies must be nonzero");
-    }
+    if (l2.localHitLatency == 0 || l3.localHitLatency == 0)
+        throw ConfigError("hit latencies must be nonzero");
 }
 
 namespace {
@@ -262,7 +263,7 @@ Hierarchy::access(const MemAccess &access, Cycle now)
             ++stats.otherGroupTransfers;
             fillL3(access.core, line, false);
         } else {
-            result.latency += params_.memLatency;
+            result.latency += memLatency;
             result.servedBy = ServedBy::Memory;
             ++stats.memAccesses;
             fillL3(access.core, line, false);

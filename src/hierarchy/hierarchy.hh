@@ -73,8 +73,8 @@ struct CoreStats
 
 /**
  * Configuration of the whole hierarchy; the member initializers are
- * Table 3 at 16 cores. The L1 hit and cache-to-cache transfer
- * latencies are constants in hierarchy.cc.
+ * Table 3 at 16 cores. The L1 hit, memory and cache-to-cache
+ * transfer latencies are constants in hierarchy.cc.
  */
 struct HierarchyParams
 {
@@ -87,13 +87,12 @@ struct HierarchyParams
     LevelParams l3{.name = "L3",
                    .sliceGeom = {1024 * 1024, 16, 64},
                    .localHitLatency = 30};
-    /** Off-chip latency (Table 3: 300 cycles). */
-    Cycle memLatency = 300;
     /**
      * Model a shared address space: writes invalidate copies held
      * by other cores/groups, and L3-group misses snoop the other
      * groups before going to memory. Enabled for multithreaded
-     * workloads.
+     * workloads; the MorphCache controller's data-sharing merges
+     * (condition (ii)) read it too.
      */
     bool coherence = false;
     /**

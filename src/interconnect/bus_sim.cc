@@ -4,9 +4,8 @@
 
 namespace morphcache {
 
-SegmentedBusSim::SegmentedBusSim(std::uint32_t num_slices,
-                                 const BusParams &params)
-    : params_(params), numSlices_(num_slices), tree_(num_slices),
+SegmentedBusSim::SegmentedBusSim(std::uint32_t num_slices)
+    : numSlices_(num_slices), tree_(num_slices),
       groupOf_(num_slices), pending_(num_slices),
       segmentBusy_(num_slices, 0), inFlight_(num_slices),
       perSlice_(num_slices, 0)

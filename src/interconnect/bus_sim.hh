@@ -23,7 +23,7 @@
 #include "common/bitops.hh"
 #include "common/types.hh"
 #include "interconnect/arbiter.hh"
-#include "interconnect/segmented_bus.hh"
+#include "interconnect/delay_model.hh"
 
 namespace morphcache {
 
@@ -55,11 +55,11 @@ class SegmentedBusSim
 {
   public:
     /**
-     * @param num_slices Slices on the bus (power of two, >= 2).
-     * @param params Timing parameters (bus cycle length, cycles
-     *        per transaction).
+     * @param num_slices Slices on the bus (power of two, >= 2). A
+     *        transaction holds its segment for busCyclesPerTxn bus
+     *        cycles of cpuCyclesPerBusCycle CPU cycles each.
      */
-    SegmentedBusSim(std::uint32_t num_slices, const BusParams &params);
+    explicit SegmentedBusSim(std::uint32_t num_slices);
 
     /**
      * Configure segmentation from aligned power-of-two groups
@@ -106,7 +106,6 @@ class SegmentedBusSim
     /** Run one bus cycle at the given CPU time. */
     void busCycle(Cycle cpu_now, std::vector<BusCompletion> &out);
 
-    BusParams params_;
     std::uint32_t numSlices_;
     ArbiterTree tree_;
     std::vector<std::uint32_t> groupOf_;

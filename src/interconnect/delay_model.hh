@@ -28,6 +28,19 @@ inline constexpr double coreClockGhz = 5.0;
 inline constexpr double busClockGhz = 1.0;
 /** Bus cycles of one transaction: request + grant + data. */
 inline constexpr std::uint32_t busCyclesPerTxn = 3;
+/** CPU cycles per bus cycle (5 GHz core / 1 GHz bus). */
+inline constexpr std::uint32_t cpuCyclesPerBusCycle =
+    static_cast<std::uint32_t>(coreClockGhz / busClockGhz);
+
+/**
+ * CPU cycles of one bus transaction: the paper's 15-cycle remote
+ * access overhead (Sections 3.2 and 4).
+ */
+inline constexpr std::uint32_t busTxnCpuCycles =
+    busCyclesPerTxn * cpuCyclesPerBusCycle;
+/** CPU cycles of a request-only transaction (no data phase): 10. */
+inline constexpr std::uint32_t busRequestCpuCycles =
+    (busCyclesPerTxn - 1) * cpuCyclesPerBusCycle;
 
 /** Derived area/delay figures for one arbiter tree. */
 struct ArbiterTreeFigures

@@ -8,9 +8,9 @@
 
 namespace morphcache {
 
-SegmentedBus::SegmentedBus(std::uint32_t num_slices,
-                           const BusParams &params)
-    : params_(params), groupOf_(num_slices), busyUntil_(num_slices, 0)
+SegmentedBus::SegmentedBus(std::uint32_t num_slices, Cycle occupancy)
+    : occupancy_(occupancy), groupOf_(num_slices),
+      busyUntil_(num_slices, 0)
 {
     MC_ASSERT(num_slices > 0);
     for (std::uint32_t i = 0; i < num_slices; ++i)
@@ -54,8 +54,7 @@ SegmentedBus::queueAndOccupy(SliceId slice, Cycle now)
     // round of the whole segment (every other slice queued ahead),
     // so the wait is capped there rather than letting cross-clock
     // skew masquerade as contention.
-    const Cycle occupancy = params_.occupancyCpuCycles();
-    const Cycle cap = occupancy * segSize_[seg];
+    const Cycle cap = occupancy_ * segSize_[seg];
     Cycle wait = satSub(busyUntil_[seg], now);
     if (wait > cap)
         wait = cap;
@@ -65,7 +64,7 @@ SegmentedBus::queueAndOccupy(SliceId slice, Cycle now)
     Cycle fault = 0;
     if (faultHook_)
         fault = faultHook_->grantDelay(slice, now + wait);
-    busyUntil_[seg] = now + wait + fault + occupancy;
+    busyUntil_[seg] = now + wait + fault + occupancy_;
     ++numTxns_;
     queueCycles_ += wait;
     ++segTxns_[seg];
@@ -90,13 +89,13 @@ SegmentedBus::transactionsForSegment(std::uint32_t seg) const
 Cycle
 SegmentedBus::transact(SliceId slice, Cycle now)
 {
-    return queueAndOccupy(slice, now) + params_.txnCpuCycles();
+    return queueAndOccupy(slice, now) + busTxnCpuCycles;
 }
 
 Cycle
 SegmentedBus::transactRequest(SliceId slice, Cycle now)
 {
-    return queueAndOccupy(slice, now) + params_.requestCpuCycles();
+    return queueAndOccupy(slice, now) + busRequestCpuCycles;
 }
 
 std::uint32_t

@@ -11,14 +11,16 @@
  *  - SegmentedBus below is the queueing/timing model the CMP
  *    simulator uses: each sharing group owns an independent segment;
  *    a bus transaction (request + grant + data) occupies its segment
- *    for a fixed number of bus cycles, and contention shows up as a
+ *    for a fixed number of cycles, and contention shows up as a
  *    busy-wait before the transaction starts.
  *
  * With the paper's parameters (1 GHz bus, 5 GHz cores, 3-cycle
  * transaction) a remote slice access pays 15 CPU cycles, matching
  * the "additional 15 cycles overhead due to the MorphCache
- * interconnect" of Section 4; the pipelined variant of footnote 2
- * pays 10.
+ * interconnect" of Section 4; a request-only transaction (a miss
+ * broadcast) pays 10. Both latencies follow from delay_model.hh;
+ * what a level chooses is only how long a transaction *occupies*
+ * its segment.
  */
 
 #ifndef MORPHCACHE_INTERCONNECT_SEGMENTED_BUS_HH
@@ -32,73 +34,6 @@
 #include "interconnect/delay_model.hh"
 
 namespace morphcache {
-
-/** CPU cycles per bus cycle (5 GHz core / 1 GHz bus). */
-inline constexpr std::uint32_t cpuCyclesPerBusCycle =
-    static_cast<std::uint32_t>(coreClockGhz / busClockGhz);
-
-// A pipelined request-only transaction overlaps two of the three
-// phases and still needs one bus cycle of its own.
-static_assert(busCyclesPerTxn > 2);
-
-/** Timing parameters of the segmented bus. */
-struct BusParams
-{
-    /**
-     * Footnote-2 optimization: overlap arbitration with the previous
-     * transaction's data transfer, reducing the effective occupancy
-     * to 2 bus cycles (10 CPU cycles).
-     */
-    bool pipelined = false;
-    /**
-     * Split-transaction operation (the footnote-2 observation taken
-     * to its conclusion): arbitration of the next transaction
-     * overlaps earlier phases, so a transaction *occupies* the
-     * segment for only its one-bus-cycle data phase while still
-     * experiencing the full request-grant-data latency. False
-     * serializes whole transactions (the conservative
-     * non-pipelined reading).
-     */
-    bool splitTransaction = true;
-
-    /**
-     * Direct occupancy override in CPU cycles (0 = derive from the
-     * bus-cycle fields). Scaled-down experiment configurations use
-     * this to scale bus *bandwidth* with the cache capacities while
-     * keeping the paper's transaction latencies.
-     */
-    std::uint32_t occupancyCpuCyclesOverride = 0;
-
-    /** CPU cycles one transaction holds its segment. */
-    std::uint32_t
-    occupancyCpuCycles() const
-    {
-        if (occupancyCpuCyclesOverride > 0)
-            return occupancyCpuCyclesOverride;
-        if (splitTransaction)
-            return cpuCyclesPerBusCycle;
-        return txnCpuCycles();
-    }
-
-    /** CPU cycles one transaction occupies its segment. */
-    std::uint32_t
-    txnCpuCycles() const
-    {
-        return (busCyclesPerTxn - (pipelined ? 1u : 0u)) *
-               cpuCyclesPerBusCycle;
-    }
-
-    /**
-     * CPU cycles a request-only transaction (miss broadcast: no
-     * data phase) occupies its segment.
-     */
-    std::uint32_t
-    requestCpuCycles() const
-    {
-        return (busCyclesPerTxn - (pipelined ? 2u : 1u)) *
-               cpuCyclesPerBusCycle;
-    }
-};
 
 /**
  * Bus-grant fault hook (fault injection, src/check).
@@ -130,9 +65,12 @@ class SegmentedBus
   public:
     /**
      * @param num_slices Number of slices on this bus.
-     * @param params Timing parameters.
+     * @param occupancy CPU cycles one transaction holds its segment:
+     *        one bus cycle (the data phase) when arbitration of the
+     *        next transaction overlaps earlier phases, a whole
+     *        transaction when transactions serialize.
      */
-    SegmentedBus(std::uint32_t num_slices, const BusParams &params);
+    SegmentedBus(std::uint32_t num_slices, Cycle occupancy);
 
     /**
      * Reconfigure segmentation.
@@ -173,9 +111,6 @@ class SegmentedBus
     /** Transactions carried by segment `seg`. */
     std::uint64_t transactionsForSegment(std::uint32_t seg) const;
 
-    /** Timing parameters. */
-    const BusParams &params() const { return params_; }
-
     /** Segment id currently assigned to a slice. */
     std::uint32_t groupOf(SliceId slice) const;
 
@@ -209,7 +144,7 @@ class SegmentedBus
     /** Shared queue/occupancy accounting; returns the wait. */
     Cycle queueAndOccupy(SliceId slice, Cycle now);
 
-    BusParams params_; // ckpt: derived(SegmentedBus)
+    Cycle occupancy_; // ckpt: derived(SegmentedBus)
     std::vector<std::uint32_t> groupOf_; // ckpt: derived(configure)
     /** Earliest CPU cycle each segment becomes free. */
     std::vector<Cycle> busyUntil_;

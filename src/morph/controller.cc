@@ -23,6 +23,22 @@ namespace {
  */
 constexpr double sharingOverlapThreshold = 0.12;
 
+/**
+ * Condition-(i) churn guard: the under-utilized merge partner must
+ * have filled less than this multiple of its capacity during the
+ * epoch, or its "spare" space is a stream conveyor rather than
+ * usable capacity. Uses the per-slice miss registers the Section
+ * 5.3 QoS hardware already provides.
+ */
+constexpr double coldChurnLimit = 6.0;
+
+/**
+ * Hysteresis: a group formed by a merge may only be split again
+ * after this many epoch decisions. Damps merge/split oscillation
+ * when a footprint sits near a threshold.
+ */
+constexpr std::uint64_t minEpochsBeforeSplit = 2;
+
 } // namespace
 
 MorphController::MorphController(const MorphConfig &config,
@@ -54,11 +70,11 @@ MorphController::attachFaultInjector(FaultInjector *injector)
 }
 
 MergeEval
-MorphController::evaluateMerge(const LevelSignals &level,
+MorphController::evaluateMerge(const DecisionInputs &in,
+                               const LevelSignals &level,
                                const MsatConfig &msat,
                                const std::vector<SliceId> &a,
-                               const std::vector<SliceId> &b,
-                               FaultInjector *faults) const
+                               const std::vector<SliceId> &b) const
 {
     MergeEval eval;
     const MergeSignals sig = level.mergeSignals(a, b);
@@ -73,9 +89,9 @@ MorphController::evaluateMerge(const LevelSignals &level,
     // spare capacity (its fills would evict whatever the hot
     // partner spills into it).
     if ((eval.utilA > h && eval.utilB < l &&
-         sig.fillPressureB < config_.coldChurnLimit) ||
+         sig.fillPressureB < coldChurnLimit) ||
         (eval.utilB > h && eval.utilA < l &&
-         sig.fillPressureA < config_.coldChurnLimit)) {
+         sig.fillPressureA < coldChurnLimit)) {
         eval.desirable = true;
         eval.condition = 1;
     }
@@ -87,7 +103,7 @@ MorphController::evaluateMerge(const LevelSignals &level,
     // non-trivial utilization, and at this model's estimator scale
     // an above-high gate would disable the sharing path entirely
     // (DESIGN.md deviation 4), so the gate here is above-low.
-    if (!eval.desirable && config_.sharedAddressSpace &&
+    if (!eval.desirable && in.sharedAddressSpace &&
         eval.utilA > l && eval.utilB > l) {
         eval.overlap = level.overlap(a, b);
         if (eval.overlap >= sharingOverlapThreshold) {
@@ -97,7 +113,7 @@ MorphController::evaluateMerge(const LevelSignals &level,
     }
 
     // Injected MSAT corruption: the latched classification inverts.
-    if (faults && faults->corruptClassification()) {
+    if (in.faults && in.faults->corruptClassification()) {
         eval.desirable = !eval.desirable;
         eval.condition = eval.desirable ? 3 : 0;
     }
@@ -105,10 +121,10 @@ MorphController::evaluateMerge(const LevelSignals &level,
 }
 
 SplitEval
-MorphController::evaluateSplit(const LevelSignals &level,
+MorphController::evaluateSplit(const DecisionInputs &in,
+                               const LevelSignals &level,
                                const MsatConfig &msat,
-                               const std::vector<SliceId> &group,
-                               FaultInjector *faults) const
+                               const std::vector<SliceId> &group) const
 {
     SplitEval eval;
     if (group.size() < 2)
@@ -124,14 +140,14 @@ MorphController::evaluateSplit(const LevelSignals &level,
     const double split_bar = msat.high * splitHighFactor;
     if (eval.utilFirst > split_bar && eval.utilSecond > split_bar) {
         eval.desirable = true;
-        if (config_.sharedAddressSpace) {
+        if (in.sharedAddressSpace) {
             eval.overlap = level.overlap(first, second);
             if (eval.overlap >= sharingOverlapThreshold)
                 eval.desirable = false;
         }
     }
 
-    if (faults && faults->corruptClassification()) {
+    if (in.faults && in.faults->corruptClassification()) {
         eval.desirable = !eval.desirable;
         eval.faultInverted = true;
     }
@@ -233,7 +249,7 @@ MorphController::traceClassification(const char *level,
     if (!tracer_ || !tracer_->enabled())
         return;
     for (const std::vector<SliceId> &group : partition) {
-        const double util = model.utilization(group);
+        const double util = model.acfvs().utilization(group);
         TraceEvent ev("classify");
         ev.str("level", level)
             .u64("first", group.front())
@@ -343,9 +359,8 @@ MorphController::doL3Merges(const DecisionInputs &in,
             for (std::size_t j = i + 1; j < j_end; ++j) {
                 if (!mergeAllowed(p.l3[i], p.l3[j], in.ruleBug))
                     continue;
-                const MergeEval eval =
-                    evaluateMerge(*in.l3, in.msatL3, p.l3[i],
-                                  p.l3[j], in.faults);
+                const MergeEval eval = evaluateMerge(
+                    in, *in.l3, in.msatL3, p.l3[i], p.l3[j]);
                 if (!eval.desirable)
                     continue;
                 ProposalEvent ev;
@@ -382,9 +397,8 @@ MorphController::doL2Merges(const DecisionInputs &in,
             for (std::size_t j = i + 1; j < j_end; ++j) {
                 if (!mergeAllowed(p.l2[i], p.l2[j], in.ruleBug))
                     continue;
-                const MergeEval eval =
-                    evaluateMerge(*in.l2, in.msatL2, p.l2[i],
-                                  p.l2[j], in.faults);
+                const MergeEval eval = evaluateMerge(
+                    in, *in.l2, in.msatL2, p.l2[i], p.l2[j]);
                 if (!eval.desirable)
                     continue;
 
@@ -460,12 +474,12 @@ MorphController::doL2Splits(const DecisionInputs &in,
                 (*in.l2MergeStamps)[p.l2[g].front()];
             if (p.l2[g].size() > 1 && l2_stamp != 0 &&
                 in.decisionIndex <
-                    l2_stamp + config_.minEpochsBeforeSplit) {
+                    l2_stamp + minEpochsBeforeSplit) {
                 continue;
             }
         }
         const SplitEval eval =
-            evaluateSplit(*in.l2, in.msatL2, p.l2[g], in.faults);
+            evaluateSplit(in, *in.l2, in.msatL2, p.l2[g]);
         if (!eval.desirable)
             continue;
         ProposalEvent ev;
@@ -501,12 +515,12 @@ MorphController::doL3Splits(const DecisionInputs &in,
                 (*in.l3MergeStamps)[p.l3[g].front()];
             if (p.l3[g].size() > 1 && l3_stamp != 0 &&
                 in.decisionIndex <
-                    l3_stamp + config_.minEpochsBeforeSplit) {
+                    l3_stamp + minEpochsBeforeSplit) {
                 continue;
             }
         }
         const SplitEval eval =
-            evaluateSplit(*in.l3, in.msatL3, p.l3[g], in.faults);
+            evaluateSplit(in, *in.l3, in.msatL3, p.l3[g]);
         if (!eval.desirable)
             continue;
 
@@ -553,7 +567,7 @@ MorphController::doL3Splits(const DecisionInputs &in,
                 break;
             }
             const SplitEval l2_eval =
-                evaluateSplit(*in.l2, in.msatL2, group, in.faults);
+                evaluateSplit(in, *in.l2, in.msatL2, group);
             if (!l2_eval.desirable) {
                 feasible = false;
                 break;
@@ -902,6 +916,7 @@ MorphController::epochBoundary(Hierarchy &hierarchy)
     in.l2MergeStamps = &l2MergeStamp_;
     in.l3MergeStamps = &l3MergeStamp_;
     in.faults = faultInjector();
+    in.sharedAddressSpace = hierarchy.params().coherence;
     in.phaseCheck = [this](const Partition &l2_part,
                            const Partition &l3_part,
                            const char *phase) {

@@ -77,8 +77,6 @@ struct MorphConfig
     /** MSAT for the L3 level (see defaultMsatL3). */
     MsatConfig msatL3 = defaultMsatL3;
     ConflictPolicy conflict = ConflictPolicy::MergeAggressive;
-    /** Threads share one address space (multithreaded workload). */
-    bool sharedAddressSpace = false;
 
     /**
      * Section 5.3: QoS-aware MSAT throttling. Enabled by default
@@ -87,22 +85,6 @@ struct MorphConfig
      * bench isolates its effect.
      */
     bool qosThrottling = true;
-
-    /**
-     * Condition-(i) churn guard: the under-utilized merge partner
-     * must have filled less than this multiple of its capacity
-     * during the epoch, or its "spare" space is a stream conveyor
-     * rather than usable capacity. Uses the per-slice miss
-     * registers the Section 5.3 QoS hardware already provides.
-     */
-    double coldChurnLimit = 6.0;
-
-    /**
-     * Hysteresis: a group formed by a merge may only be split
-     * again after this many epoch decisions. Damps merge/split
-     * oscillation when a footprint sits near a threshold.
-     */
-    std::uint32_t minEpochsBeforeSplit = 2;
 
     /**
      * Section 5.5 extension: allow merged groups whose size is not
@@ -290,15 +272,15 @@ class MorphController
     template <class Ar, class Self>
     static void checkpointFields(Ar &ar, Self &self);
 
-    MergeEval evaluateMerge(const LevelSignals &level,
+    MergeEval evaluateMerge(const DecisionInputs &in,
+                            const LevelSignals &level,
                             const MsatConfig &msat,
                             const std::vector<SliceId> &a,
-                            const std::vector<SliceId> &b,
-                            FaultInjector *faults) const;
-    SplitEval evaluateSplit(const LevelSignals &level,
+                            const std::vector<SliceId> &b) const;
+    SplitEval evaluateSplit(const DecisionInputs &in,
+                            const LevelSignals &level,
                             const MsatConfig &msat,
-                            const std::vector<SliceId> &group,
-                            FaultInjector *faults) const;
+                            const std::vector<SliceId> &group) const;
 
     /** Count a merge by its justifying condition. */
     void countMergeCondition(const MergeEval &eval);

@@ -238,6 +238,12 @@ struct DecisionInputs
     const std::vector<std::uint64_t> *l2MergeStamps = nullptr;
     const std::vector<std::uint64_t> *l3MergeStamps = nullptr;
     /**
+     * The threads share one address space, as the hierarchy's
+     * coherence says: enables condition (ii) data-sharing merges and
+     * the sharing veto on interference splits.
+     */
+    bool sharedAddressSpace = false;
+    /**
      * Classification-corruption fault injection (explicit effect;
      * nullptr = no faults).
      */

@@ -12,8 +12,8 @@ CacheLevelSignals::mergeSignals(const std::vector<SliceId> &a,
                                 const std::vector<SliceId> &b) const
 {
     MergeSignals s;
-    s.utilA = model_.utilization(a);
-    s.utilB = model_.utilization(b);
+    s.utilA = model_.acfvs().utilization(a);
+    s.utilB = model_.acfvs().utilization(b);
     s.fillPressureA = model_.fillPressure(a);
     s.fillPressureB = model_.fillPressure(b);
     return s;
@@ -24,8 +24,8 @@ CacheLevelSignals::splitSignals(const std::vector<SliceId> &first,
                                 const std::vector<SliceId> &second) const
 {
     SplitSignals s;
-    s.utilFirst = model_.utilization(first);
-    s.utilSecond = model_.utilization(second);
+    s.utilFirst = model_.acfvs().utilization(first);
+    s.utilSecond = model_.acfvs().utilization(second);
     return s;
 }
 
@@ -33,13 +33,13 @@ double
 CacheLevelSignals::overlap(const std::vector<SliceId> &a,
                            const std::vector<SliceId> &b) const
 {
-    return model_.overlap(a, b);
+    return model_.acfvs().overlap(a, b);
 }
 
 double
 CacheLevelSignals::utilization(const std::vector<SliceId> &slices) const
 {
-    return model_.utilization(slices);
+    return model_.acfvs().utilization(slices);
 }
 
 std::string

@@ -19,10 +19,8 @@ namespace morphcache {
 namespace {
 
 std::unique_ptr<Workload>
-makeWorkload(const RunSpec &spec, const GeneratorParams &gen,
-             bool &shared_space)
+makeWorkload(const RunSpec &spec, const GeneratorParams &gen)
 {
-    shared_space = false;
     const auto colon = spec.workload.find(':');
     if (colon == std::string::npos)
         throw ConfigError("bad workload '" + spec.workload + "'");
@@ -47,7 +45,6 @@ makeWorkload(const RunSpec &spec, const GeneratorParams &gen,
             throw ConfigError("'" + arg +
                               "' is not a PARSEC benchmark");
         }
-        shared_space = true;
         return std::make_unique<MultithreadedWorkload>(
             profile, spec.cores, gen, spec.seed);
     }
@@ -129,11 +126,11 @@ buildRun(const RunSpec &spec)
     const GeneratorParams gen = generatorFor(hier);
 
     BuiltRun run;
-    run.workload = makeWorkload(spec, gen, run.sharedSpace);
+    run.workload = makeWorkload(spec, gen);
+    run.sharedSpace = run.workload->sharedAddressSpace();
     hier.coherence = run.sharedSpace;
 
     MorphConfig morph;
-    morph.sharedAddressSpace = run.sharedSpace;
     morph.checkPolicy = checkPolicyFromName(spec.checkPolicy);
     morph.quarantineCleanEpochs = spec.quarantine;
     morph.faults = spec.faults;

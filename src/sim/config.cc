@@ -53,8 +53,8 @@ fastScaleHierarchy(std::uint32_t num_cores)
     // denser in (unscaled) cycle time; scale bus *bandwidth* along
     // by shrinking per-transaction occupancy while keeping the
     // paper's 15-cycle transaction latency.
-    params.l2.bus.occupancyCpuCyclesOverride = 1;
-    params.l3.bus.occupancyCpuCyclesOverride = 1;
+    params.l2.busOccupancyCycles = 1;
+    params.l3.busOccupancyCycles = 1;
     return withRealisticReplacement(std::move(params));
 }
 

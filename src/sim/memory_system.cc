@@ -1,39 +1,26 @@
 #include "sim/memory_system.hh"
 
+#include "common/logging.hh"
 #include "stats/registry.hh"
 #include "stats/tracing.hh"
 
 namespace morphcache {
 
-namespace {
-
 HierarchyParams
-withBusPenalty(HierarchyParams params, bool charge)
+staticLatencyModel(HierarchyParams params, RemoteCost cost)
 {
-    params.l2.chargeBusPenalty = charge;
-    params.l3.chargeBusPenalty = charge;
-    return params;
-}
-
-} // namespace
-
-HierarchyParams
-staticLatencyModel(HierarchyParams params, bool charge_remote)
-{
-    params.l2.chargeBusPenalty = false;
-    params.l3.chargeBusPenalty = false;
-    params.l2.remoteHitExtraCycles = charge_remote ? 15 : 0;
-    params.l3.remoteHitExtraCycles = charge_remote ? 15 : 0;
+    MC_ASSERT(cost != RemoteCost::Bus);
+    params.l2.remoteCost = cost;
+    params.l3.remoteCost = cost;
     return params;
 }
 
 StaticTopologySystem::StaticTopologySystem(
-    HierarchyParams params, const Topology &topology,
-    bool charge_remote, std::string name,
-    std::unique_ptr<LevelHooks> l2_policy,
+    HierarchyParams params, const Topology &topology, RemoteCost remote,
+    std::string name, std::unique_ptr<LevelHooks> l2_policy,
     std::unique_ptr<LevelHooks> l3_policy)
     : l2Policy_(std::move(l2_policy)), l3Policy_(std::move(l3_policy)),
-      hierarchy_(staticLatencyModel(std::move(params), charge_remote)),
+      hierarchy_(staticLatencyModel(std::move(params), remote)),
       name_(name.empty() ? topology.name() : std::move(name))
 {
     hierarchy_.reconfigure(topology);
@@ -105,7 +92,7 @@ StaticTopologySystem::loadState(CkptReader &r)
 
 MorphCacheSystem::MorphCacheSystem(HierarchyParams params,
                                    const MorphConfig &config)
-    : hierarchy_(withBusPenalty(std::move(params), true)),
+    : hierarchy_(std::move(params)),
       controller_(config, hierarchy_.numCores())
 {
     // MorphCache starts from the per-core private design point

@@ -81,25 +81,22 @@ class MemorySystem
 };
 
 /**
- * The fixed-interconnect latency rule of every static design (the
- * static topologies, PIPP, UCP, DSR and the ideal offline oracle).
- * A crossbar / NUCA fabric serves remote slices, so there is no
- * segmented-bus serialization to pay. With `charge_remote`, a
- * remote-slice hit costs the same +15-cycle wire premium a merged
- * MorphCache slice does; without it, the paper's flat 10/30-cycle
- * latencies at any sharing degree (Section 4).
+ * The remote-cost rule of every fixed design: `params` with both
+ * levels' remote-slice traffic priced at `cost`, never the segmented
+ * bus (a crossbar / NUCA fabric serves remote slices, so there is no
+ * segment to queue on). The static topologies, DSR and the ideal
+ * offline oracle pay RemoteCost::Premium, the 15 cycles an
+ * uncontended MorphCache transaction costs; PIPP, UCP and the
+ * latency-model ablation's paper-flat statics pay RemoteCost::None,
+ * Section 4's flat 10/30-cycle latencies at any sharing degree.
  */
 HierarchyParams staticLatencyModel(HierarchyParams params,
-                                   bool charge_remote);
+                                   RemoteCost cost);
 
 /**
  * A fixed cache topology: the paper's static baselines, and with
- * level policies attached, the PIPP, UCP and DSR baselines.
- *
- * Remote-slice traffic follows staticLatencyModel(): never the
- * segmented bus, and by default the remote premium. Passing
- * charge_remote=false grants the paper's flat latencies instead;
- * the latency-model ablation bench compares the two.
+ * level policies attached, the PIPP, UCP and DSR baselines. Its
+ * remote-slice traffic follows staticLatencyModel().
  */
 class StaticTopologySystem : public MemorySystem
 {
@@ -107,8 +104,8 @@ class StaticTopologySystem : public MemorySystem
     /**
      * @param params Hierarchy parameters.
      * @param topology Topology to hold for the whole run.
-     * @param charge_remote Charge remote-slice hits the fixed
-     *        premium (default) or grant the paper's flat latencies.
+     * @param remote Remote cost of both levels: the fixed premium
+     *        (default) or None, the paper's flat latencies.
      * @param name Display name; empty names the system after its
      *        topology.
      * @param l2_policy,l3_policy Owned level policies (null: the
@@ -117,7 +114,7 @@ class StaticTopologySystem : public MemorySystem
      */
     StaticTopologySystem(HierarchyParams params,
                          const Topology &topology,
-                         bool charge_remote = true,
+                         RemoteCost remote = RemoteCost::Premium,
                          std::string name = {},
                          std::unique_ptr<LevelHooks> l2_policy = {},
                          std::unique_ptr<LevelHooks> l3_policy = {});
@@ -157,14 +154,14 @@ class StaticTopologySystem : public MemorySystem
 /**
  * A MorphCache-managed hierarchy: starts from per-core private
  * slices, reconfigures at every epoch boundary, and pays the
- * segmented-bus penalty on merged-slice traffic.
+ * segmented bus (LevelParams' default RemoteCost::Bus) on
+ * merged-slice traffic.
  */
 class MorphCacheSystem : public MemorySystem
 {
   public:
     /**
-     * @param params Hierarchy parameters; bus-penalty flags are
-     *        forced on.
+     * @param params Hierarchy parameters.
      * @param config Controller configuration.
      */
     MorphCacheSystem(HierarchyParams params, const MorphConfig &config);

@@ -283,7 +283,7 @@ TEST(IdealOffline, RecordsEachEpochsMemoryMisses)
     // oracle chose. Its probes ran on copies, so the replay sees the
     // same streams, and each core's memory-access delta per epoch
     // is the miss count the oracle must have recorded.
-    Hierarchy hierarchy(staticLatencyModel(params, /*charge_remote=*/true));
+    Hierarchy hierarchy(staticLatencyModel(params, RemoteCost::Premium));
     hierarchy.reconfigure(candidates.front());
     MixWorkload replay(mixByName("MIX 09"), gen, 7);
     std::vector<double> cycles(16, 0.0), instrs(16, 0.0);

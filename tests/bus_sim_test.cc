@@ -8,6 +8,7 @@
 
 #include "common/rng.hh"
 #include "interconnect/bus_sim.hh"
+#include "interconnect/segmented_bus.hh"
 
 namespace morphcache {
 namespace {
@@ -31,7 +32,7 @@ TEST(BusSim, CompletionLatencySaturatesAtZero)
 
 TEST(BusSim, SingleTransactionLatency)
 {
-    SegmentedBusSim sim(4, BusParams{});
+    SegmentedBusSim sim(4);
     sim.configure({0, 0, 0, 0});
     sim.request(0, 0);
     const auto done = sim.advanceTo(100);
@@ -44,7 +45,7 @@ TEST(BusSim, SingleTransactionLatency)
 
 TEST(BusSim, BackToBackSerializesWithinSegment)
 {
-    SegmentedBusSim sim(4, BusParams{});
+    SegmentedBusSim sim(4);
     sim.configure({0, 0, 0, 0});
     sim.request(0, 0);
     sim.request(1, 0);
@@ -58,7 +59,7 @@ TEST(BusSim, BackToBackSerializesWithinSegment)
 
 TEST(BusSim, SegmentsRunInParallel)
 {
-    SegmentedBusSim sim(4, BusParams{});
+    SegmentedBusSim sim(4);
     sim.configure({0, 0, 1, 1});
     sim.request(0, 0);
     sim.request(2, 0);
@@ -70,7 +71,7 @@ TEST(BusSim, SegmentsRunInParallel)
 
 TEST(BusSim, RoundRobinFairUnderSaturation)
 {
-    SegmentedBusSim sim(8, BusParams{});
+    SegmentedBusSim sim(8);
     sim.configure(std::vector<std::uint32_t>(8, 0));
     // Keep every slice's queue non-empty for a long interval.
     for (int i = 0; i < 100; ++i) {
@@ -85,7 +86,7 @@ TEST(BusSim, RoundRobinFairUnderSaturation)
 
 TEST(BusSim, ThroughputIsOneTxnPerThreeBusCycles)
 {
-    SegmentedBusSim sim(2, BusParams{});
+    SegmentedBusSim sim(2);
     sim.configure({0, 0});
     for (int i = 0; i < 50; ++i)
         sim.request(0, 0);
@@ -99,10 +100,9 @@ TEST(BusSim, AgreesWithQueueingModelWhenUncontended)
 {
     // Sparse Poisson-ish arrivals: both models must report the
     // bare 15-cycle transaction latency.
-    BusParams params;
-    SegmentedBusSim sim(4, params);
+    SegmentedBusSim sim(4);
     sim.configure({0, 0, 0, 0});
-    SegmentedBus model(4, params);
+    SegmentedBus model(4, cpuCyclesPerBusCycle);
     model.configure({0, 0, 0, 0});
 
     Rng rng(3);
@@ -124,7 +124,7 @@ TEST(BusSim, AgreesWithQueueingModelWhenUncontended)
 
 TEST(BusSim, ReconfigureIsolatesSegmentsAfterwards)
 {
-    SegmentedBusSim sim(8, BusParams{});
+    SegmentedBusSim sim(8);
     sim.configure(std::vector<std::uint32_t>(8, 0));
     sim.request(0, 0);
     sim.advanceTo(100);

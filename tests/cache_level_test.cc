@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <string>
+
 #include "hierarchy/cache_level.hh"
 
 namespace morphcache {
@@ -20,7 +23,6 @@ smallLevel(std::uint32_t slices = 4)
     params.numSlices = slices;
     params.sliceGeom = CacheGeometry{16 * 1024, 4, 64}; // 256 lines
     params.localHitLatency = 10;
-    params.chargeBusPenalty = true;
     return params;
 }
 
@@ -59,23 +61,80 @@ TEST(CacheLevel, PrivateGroupsIsolate)
     EXPECT_FALSE(level.lookup(1, 0x100, 0).hit);
 }
 
-TEST(CacheLevel, MergedRemoteHitPays25Cycles)
+/** One row of the remote-cost table: a level under one cost. */
+struct RemoteCostRow
 {
-    CacheLevelModel level(smallLevel());
+    RemoteCost cost;
+    const char *level;
+    Cycle localHit;
+    /** Latency of a hit in the other slice of a merged pair. */
+    Cycle remoteHit;
+    /** Latency of a miss in the merged pair. */
+    Cycle mergedMiss;
+};
+
+class CacheLevelRemoteCost : public ::testing::TestWithParam<RemoteCostRow>
+{
+};
+
+const char *
+remoteCostName(RemoteCost cost)
+{
+    static constexpr const char *names[] = {"Bus", "Premium", "None"};
+    return names[static_cast<int>(cost)];
+}
+
+void
+PrintTo(const RemoteCostRow &row, std::ostream *os)
+{
+    *os << remoteCostName(row.cost) << ' ' << row.level;
+}
+
+TEST_P(CacheLevelRemoteCost, MergedRemoteHitAndMiss)
+{
+    const RemoteCostRow &row = GetParam();
+    LevelParams params = smallLevel();
+    params.name = row.level;
+    params.localHitLatency = row.localHit;
+    params.remoteCost = row.cost;
+    CacheLevelModel level(params);
     level.insert(0, 0x100, false);
     level.configure({{0, 1}, {2}, {3}});
     const auto out = level.lookup(1, 0x100, 0);
     EXPECT_TRUE(out.hit);
     EXPECT_TRUE(out.remote);
     EXPECT_EQ(out.slice, 0);
-    // 10 local + 15 bus = the paper's merged-hit latency.
-    EXPECT_EQ(out.latency, 25u);
+    EXPECT_EQ(out.latency, row.remoteHit);
+    // Long after the hit's transaction drained, so nothing queues.
+    const auto miss = level.lookup(1, 0x200, 1000);
+    EXPECT_FALSE(miss.hit);
+    EXPECT_EQ(miss.latency, row.mergedMiss);
+    EXPECT_EQ(level.bus().numTransactions(),
+              row.cost == RemoteCost::Bus ? 2u : 0u);
 }
+
+// The bus and the premium both add one 15-cycle transaction to a
+// remote hit (10 + 15 = the paper's 25-cycle merged L2 hit); only
+// the bus broadcasts a merged miss, a 10-cycle request-only
+// transaction.
+INSTANTIATE_TEST_SUITE_P(
+    RemoteCostTable, CacheLevelRemoteCost,
+    ::testing::Values(
+        RemoteCostRow{RemoteCost::Bus, "L2", 10, 25, 20},
+        RemoteCostRow{RemoteCost::Premium, "L2", 10, 25, 10},
+        RemoteCostRow{RemoteCost::None, "L2", 10, 10, 10},
+        RemoteCostRow{RemoteCost::Bus, "L3", 30, 45, 40},
+        RemoteCostRow{RemoteCost::Premium, "L3", 30, 45, 30},
+        RemoteCostRow{RemoteCost::None, "L3", 30, 30, 30}),
+    [](const ::testing::TestParamInfo<RemoteCostRow> &row) {
+        return remoteCostName(row.param.cost) +
+               std::string(row.param.level);
+    });
 
 TEST(CacheLevel, StaticModeDoesNotChargeBus)
 {
     LevelParams params = smallLevel();
-    params.chargeBusPenalty = false;
+    params.remoteCost = RemoteCost::None;
     CacheLevelModel level(params);
     level.insert(0, 0x100, false);
     level.configure({{0, 1}, {2}, {3}});
@@ -157,7 +216,7 @@ TEST(CacheLevel, AcfvTracksDispersedFootprint)
     // across sets): half the 128 ACFV bits.
     for (Addr granule = 0; granule < 64; ++granule)
         level.insert(0, granule * 64 + (granule % 64), false);
-    const double util = level.utilization({0});
+    const double util = level.acfvs().utilization(std::vector<SliceId>{0});
     EXPECT_GT(util, 0.35);
     EXPECT_LT(util, 0.6);
 }
@@ -171,7 +230,7 @@ TEST(CacheLevel, SequentialStreamReadsTinyFootprint)
     for (Addr a = 0; a < 4096; ++a)
         level.insert(0, a, false);
     // Slice holds <=256 lines = <=4 consecutive granules.
-    EXPECT_LT(level.utilization({0}), 0.10);
+    EXPECT_LT(level.acfvs().utilization(std::vector<SliceId>{0}), 0.10);
 }
 
 TEST(CacheLevel, ResetFootprintsClears)
@@ -179,9 +238,9 @@ TEST(CacheLevel, ResetFootprintsClears)
     CacheLevelModel level(smallLevel());
     for (Addr a = 0; a < 64; ++a)
         level.insert(0, a, false);
-    EXPECT_GT(level.utilization({0}), 0.0);
+    EXPECT_GT(level.acfvs().utilization(std::vector<SliceId>{0}), 0.0);
     level.resetFootprints();
-    EXPECT_EQ(level.utilization({0}), 0.0);
+    EXPECT_EQ(level.acfvs().utilization(std::vector<SliceId>{0}), 0.0);
 }
 
 TEST(CacheLevel, OverlapSeesSharedData)
@@ -193,11 +252,13 @@ TEST(CacheLevel, OverlapSeesSharedData)
         level.insert(0, granule * 64, false);
         level.insert(1, granule * 64, false);
     }
-    EXPECT_GT(level.overlap({0}, {1}), 0.9);
+    EXPECT_GT(level.acfvs().overlap(std::vector<SliceId>{0},
+                                    std::vector<SliceId>{1}), 0.9);
     // Core 2 touches disjoint granules.
     for (Addr granule = 32; granule < 64; ++granule)
         level.insert(2, granule * 64, false);
-    EXPECT_LT(level.overlap({0}, {2}), 0.3);
+    EXPECT_LT(level.acfvs().overlap(std::vector<SliceId>{0},
+                                    std::vector<SliceId>{2}), 0.3);
 }
 
 TEST(CacheLevel, MarkDirtyFindsGroupLines)

@@ -26,7 +26,6 @@ TEST(Config, PaperScaleMatchesTable3)
     EXPECT_EQ(params.l3.sliceGeom.assoc, 16u);
     EXPECT_EQ(params.l2.localHitLatency, 10u);
     EXPECT_EQ(params.l3.localHitLatency, 30u);
-    EXPECT_EQ(params.memLatency, 300u);
 }
 
 TEST(Config, FastScalePreservesRatios)
@@ -159,7 +158,7 @@ TEST(Config, ValidateRejectsLineSizeMismatchAcrossLevels)
 TEST(Config, ValidateRejectsZeroLatency)
 {
     HierarchyParams params = fastScaleHierarchy(4);
-    params.memLatency = 0;
+    params.l3.localHitLatency = 0;
     expectInvalid(params, "latencies must be nonzero");
 }
 

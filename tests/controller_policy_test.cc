@@ -46,7 +46,6 @@ TEST(ControllerPolicy, SplitHysteresisHoldsFreshMerges)
 {
     Hierarchy h(smallParams());
     MorphConfig config;
-    config.minEpochsBeforeSplit = 3;
     MorphController ctrl(config, 4);
 
     // Epoch 1: hot/cold pair -> merge.
@@ -57,19 +56,17 @@ TEST(ControllerPolicy, SplitHysteresisHoldsFreshMerges)
     ctrl.epochBoundary(h);
     ASSERT_EQ(h.l2().groupOf(0), h.l2().groupOf(1));
 
-    // Epochs 2-3: both halves run hot — split-desirable, but the
-    // hysteresis must hold the group together.
-    for (int e = 0; e < 2; ++e) {
-        touchFootprint(h, 0, 0.80);
-        touchFootprint(h, 1, 0.80);
-        touchFootprint(h, 2, 0.35);
-        touchFootprint(h, 3, 0.35);
-        ctrl.epochBoundary(h);
-        EXPECT_EQ(h.l2().groupOf(0), h.l2().groupOf(1))
-            << "split before hysteresis expired (epoch " << e << ")";
-    }
+    // Epoch 2: both halves run hot — split-desirable, but the
+    // two-decision hysteresis must hold the group together.
+    touchFootprint(h, 0, 0.80);
+    touchFootprint(h, 1, 0.80);
+    touchFootprint(h, 2, 0.35);
+    touchFootprint(h, 3, 0.35);
+    ctrl.epochBoundary(h);
+    EXPECT_EQ(h.l2().groupOf(0), h.l2().groupOf(1))
+        << "split before hysteresis expired";
 
-    // Epoch 4: hysteresis expired — now it may split.
+    // Epoch 3: hysteresis expired — now it may split.
     touchFootprint(h, 0, 0.80);
     touchFootprint(h, 1, 0.80);
     touchFootprint(h, 2, 0.35);
@@ -82,7 +79,6 @@ TEST(ControllerPolicy, ChurnGuardBlocksStreamingPartner)
 {
     Hierarchy h(smallParams());
     MorphConfig config;
-    config.coldChurnLimit = 3.0;
     MorphController ctrl(config, 4);
 
     // Core 0 hot; core 1 reads "cold" (tiny reused footprint) but
@@ -94,10 +90,10 @@ TEST(ControllerPolicy, ChurnGuardBlocksStreamingPartner)
     touchFootprint(h, 2, 0.35);
     touchFootprint(h, 3, 0.35);
 
-    // Sanity: core 1 reads under the MSAT low bound but with high
-    // fill pressure.
-    EXPECT_LT(h.l2().utilization({1}), 0.234);
-    EXPECT_GT(h.l2().fillPressure({1}), 3.0);
+    // Sanity: core 1 reads under the MSAT low bound but with fill
+    // pressure above the churn guard's 6x limit.
+    EXPECT_LT(h.l2().acfvs().utilization(std::vector<SliceId>{1}), 0.234);
+    EXPECT_GT(h.l2().fillPressure({1}), 6.0);
 
     ctrl.epochBoundary(h);
     EXPECT_NE(h.l2().groupOf(0), h.l2().groupOf(1));
@@ -114,7 +110,8 @@ TEST(ControllerPolicy, OverlapLiftIsZeroForUnrelatedFootprints)
         for (Addr g = 0; g < 90; ++g)
             h.access(read(1, other + g * 32 + (g % 32)), 0);
     }
-    EXPECT_LT(h.l2().overlap({0}, {1}), 0.45);
+    EXPECT_LT(h.l2().acfvs().overlap(std::vector<SliceId>{0},
+                                    std::vector<SliceId>{1}), 0.45);
 }
 
 TEST(ControllerPolicy, OverlapLiftIsHighForSharedFootprints)
@@ -127,7 +124,8 @@ TEST(ControllerPolicy, OverlapLiftIsHighForSharedFootprints)
             h.access(read(1, 0x300000 + g * 32 + (g % 32)), 0);
         }
     }
-    EXPECT_GT(h.l2().overlap({0}, {1}), 0.8);
+    EXPECT_GT(h.l2().acfvs().overlap(std::vector<SliceId>{0},
+                                    std::vector<SliceId>{1}), 0.8);
 }
 
 TEST(ControllerPolicy, ConditionTwoMergesModestButSharedGroups)
@@ -138,7 +136,6 @@ TEST(ControllerPolicy, ConditionTwoMergesModestButSharedGroups)
     // near-capacity utilization.
     Hierarchy h(smallParams(4, /*coherence=*/true));
     MorphConfig config;
-    config.sharedAddressSpace = true;
     MorphController ctrl(config, 4);
 
     for (int pass = 0; pass < 2; ++pass) {
@@ -160,7 +157,6 @@ TEST(ControllerPolicy, NoConditionTwoWithoutSharedSpace)
 {
     Hierarchy h(smallParams(4, /*coherence=*/false));
     MorphConfig config;
-    config.sharedAddressSpace = false;
     MorphController ctrl(config, 4);
 
     // Even perfectly overlapping footprints (same physical lines)

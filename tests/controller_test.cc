@@ -166,7 +166,6 @@ TEST(Controller, SharedDataMergesHotPairs)
         return p;
     }());
     MorphConfig config;
-    config.sharedAddressSpace = true;
     MorphController ctrl(config, 4);
 
     // Cores 0 and 1 touch the SAME lines (shared data), both hot.
@@ -187,7 +186,6 @@ TEST(Controller, WithoutSharedSpaceHotPairsStaySplit)
 {
     Hierarchy h(smallParams());
     MorphConfig config;
-    config.sharedAddressSpace = false; // multiprogrammed
     MorphController ctrl(config, 4);
 
     touchFootprint(h, 0, 0.80);

@@ -31,7 +31,7 @@ TEST(ReuseClearing, StreamEvictionsClearTheirBits)
     for (Addr a = 0; a < 4096; ++a)
         level.insert(0, a, false);
     // Only the resident window's few granules remain visible.
-    EXPECT_LT(level.utilization({0}), 0.10);
+    EXPECT_LT(level.acfvs().utilization(std::vector<SliceId>{0}), 0.10);
 }
 
 TEST(ReuseClearing, ReusedLinesKeepBitsThroughChurn)
@@ -47,7 +47,7 @@ TEST(ReuseClearing, ReusedLinesKeepBitsThroughChurn)
     };
     touch_all();
     touch_all(); // mark reused
-    const double before = level.utilization({0});
+    const double before = level.acfvs().utilization(std::vector<SliceId>{0});
     EXPECT_GT(before, 0.35);
 
     // ...then heavy streaming churn through the same slice, placed
@@ -57,7 +57,7 @@ TEST(ReuseClearing, ReusedLinesKeepBitsThroughChurn)
     // stream's own buckets).
     for (Addr a = 64 * 64; a < 2 * 64 * 64; ++a)
         level.insert(0, a, false);
-    EXPECT_GT(level.utilization({0}), 0.25);
+    EXPECT_GT(level.acfvs().utilization(std::vector<SliceId>{0}), 0.25);
 }
 
 TEST(FillPressure, DistinguishesStreamerFromIdle)
@@ -78,9 +78,7 @@ TEST(FillPressure, DistinguishesStreamerFromIdle)
 
 TEST(BusOccupancy, OverrideShrinksOccupancyNotLatency)
 {
-    BusParams params;
-    params.occupancyCpuCyclesOverride = 1;
-    SegmentedBus bus(4, params);
+    SegmentedBus bus(4, 1);
     bus.configure({0, 0, 0, 0});
     // Latency stays the full 15-cycle transaction...
     EXPECT_EQ(bus.transact(0, 100), 15u);
@@ -90,7 +88,7 @@ TEST(BusOccupancy, OverrideShrinksOccupancyNotLatency)
 
 TEST(BusOccupancy, RequestOnlyTransactionIsCheaper)
 {
-    SegmentedBus bus(4, BusParams{});
+    SegmentedBus bus(4, cpuCyclesPerBusCycle);
     bus.configure({0, 0, 0, 0});
     // Request-only (miss broadcast): 2 bus cycles = 10 CPU cycles.
     EXPECT_EQ(bus.transactRequest(0, 0), 10u);
@@ -98,7 +96,7 @@ TEST(BusOccupancy, RequestOnlyTransactionIsCheaper)
 
 TEST(BusOccupancy, QueueWaitCappedAtOneServiceRound)
 {
-    SegmentedBus bus(4, BusParams{});
+    SegmentedBus bus(4, cpuCyclesPerBusCycle);
     bus.configure({0, 0, 0, 0});
     // A fast core races far ahead on its own clock...
     for (int i = 0; i < 50; ++i)
@@ -111,7 +109,7 @@ TEST(BusOccupancy, QueueWaitCappedAtOneServiceRound)
 
 TEST(BusOccupancy, SegmentSizeBoundsTheCap)
 {
-    SegmentedBus bus(8, BusParams{});
+    SegmentedBus bus(8, cpuCyclesPerBusCycle);
     bus.configure({0, 0, 1, 1, 1, 1, 1, 1});
     for (int i = 0; i < 50; ++i)
         bus.transact(0, 1000000);
@@ -122,8 +120,7 @@ TEST(BusOccupancy, SegmentSizeBoundsTheCap)
 TEST(RemoteHitExtra, AddsFixedLatencyWithoutBus)
 {
     LevelParams params = smallLevel();
-    params.chargeBusPenalty = false;
-    params.remoteHitExtraCycles = 15;
+    params.remoteCost = RemoteCost::Premium;
     CacheLevelModel level(params);
     level.insert(0, 0x123, false);
     level.configure({{0, 1}});

@@ -565,7 +565,6 @@ tinyLevel(std::uint32_t slices)
     params.numSlices = slices;
     params.sliceGeom = CacheGeometry{16 * 1024, 4, 64};
     params.localHitLatency = 10;
-    params.chargeBusPenalty = true;
     return params;
 }
 

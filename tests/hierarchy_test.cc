@@ -110,10 +110,7 @@ TEST(Hierarchy, DirtyWritebackOnEviction)
 
 TEST(Hierarchy, MergedTopologyShowsRemoteHits)
 {
-    HierarchyParams params = smallParams();
-    params.l2.chargeBusPenalty = true;
-    params.l3.chargeBusPenalty = true;
-    Hierarchy h(params);
+    Hierarchy h(smallParams());
     Topology topo;
     topo.numCores = 4;
     topo.l2 = {{0, 1}, {2}, {3}};

@@ -133,40 +133,26 @@ TEST(ArbiterTree, GrantGoesToARequester)
 
 TEST(SegmentedBus, UncontendedLatencyIs15Cycles)
 {
-    SegmentedBus bus(16, BusParams{});
+    SegmentedBus bus(16, cpuCyclesPerBusCycle);
     bus.configure(std::vector<std::uint32_t>(16, 0));
     // 3 bus cycles x 5 CPU cycles = the paper's 15-cycle overhead.
     EXPECT_EQ(bus.transact(0, 0), 15u);
 }
 
-TEST(SegmentedBus, PipelinedLatencyIs10Cycles)
-{
-    BusParams params;
-    params.pipelined = true;
-    SegmentedBus bus(16, params);
-    bus.configure(std::vector<std::uint32_t>(16, 0));
-    EXPECT_EQ(bus.transact(0, 0), 10u); // footnote 2
-}
-
 TEST(SegmentedBus, ShortPipelinedTxnCyclesDoNotWrap)
 {
-    // The pipeline overlap is subtracted from busCyclesPerTxn, the
-    // one 3-cycle transaction every bus reads: a pipelined
-    // request-only transaction keeps one bus cycle instead of
-    // wrapping to a ~2^32-cycle occupancy.
-    EXPECT_EQ(BusParams{}.txnCpuCycles(), 15u);
-    EXPECT_EQ(BusParams{}.requestCpuCycles(), 10u);
-    BusParams pipelined;
-    pipelined.pipelined = true;
-    EXPECT_EQ(pipelined.txnCpuCycles(), 2 * cpuCyclesPerBusCycle);
-    EXPECT_EQ(pipelined.requestCpuCycles(), cpuCyclesPerBusCycle);
+    // Both latencies derive from the one 3-cycle transaction every
+    // bus reads; a request-only transaction drops its data phase
+    // and keeps the other two bus cycles.
+    EXPECT_EQ(busTxnCpuCycles, 15u);
+    EXPECT_EQ(busRequestCpuCycles, 10u);
 }
 
 TEST(SegmentedBus, ContentionQueues)
 {
     // Split-transaction (default): the second requester waits for
     // the first one's data phase (1 bus cycle = 5 CPU cycles).
-    SegmentedBus bus(4, BusParams{});
+    SegmentedBus bus(4, cpuCyclesPerBusCycle);
     bus.configure({0, 0, 0, 0});
     EXPECT_EQ(bus.transact(0, 100), 15u);
     EXPECT_EQ(bus.transact(1, 100), 20u);
@@ -175,9 +161,7 @@ TEST(SegmentedBus, ContentionQueues)
 
 TEST(SegmentedBus, SerializedContentionQueues)
 {
-    BusParams params;
-    params.splitTransaction = false;
-    SegmentedBus bus(4, params);
+    SegmentedBus bus(4, busTxnCpuCycles);
     bus.configure({0, 0, 0, 0});
     EXPECT_EQ(bus.transact(0, 100), 15u);
     // Whole transactions serialize in the conservative model.
@@ -187,7 +171,7 @@ TEST(SegmentedBus, SerializedContentionQueues)
 
 TEST(SegmentedBus, SegmentsAreIndependent)
 {
-    SegmentedBus bus(4, BusParams{});
+    SegmentedBus bus(4, cpuCyclesPerBusCycle);
     bus.configure({0, 0, 1, 1});
     EXPECT_EQ(bus.transact(0, 0), 15u);
     EXPECT_EQ(bus.transact(2, 0), 15u); // different segment: no wait
@@ -196,7 +180,7 @@ TEST(SegmentedBus, SegmentsAreIndependent)
 
 TEST(SegmentedBus, IdleGapClearsQueue)
 {
-    SegmentedBus bus(2, BusParams{});
+    SegmentedBus bus(2, cpuCyclesPerBusCycle);
     bus.configure({0, 0});
     bus.transact(0, 0);
     EXPECT_EQ(bus.transact(1, 1000), 15u);
@@ -208,7 +192,7 @@ TEST(SegmentedBus, ReconfigureClearsOccupancy)
     // that reconfiguration drains in-flight transactions, so the
     // first post-reconfig transaction must wait zero cycles even if
     // the old segment was saturated.
-    SegmentedBus bus(4, BusParams{});
+    SegmentedBus bus(4, cpuCyclesPerBusCycle);
     bus.configure({0, 0, 0, 0});
     for (SliceId s = 0; s < 4; ++s)
         bus.transact(s, 0);
@@ -227,7 +211,7 @@ TEST(SegmentedBus, ReconfigureClearsOccupancyUnderRemapping)
     // Occupancy accumulated under the *old* representative mapping
     // must not be re-read under the *new* mapping after a
     // merge/split reshapes which slice fronts each segment.
-    SegmentedBus bus(4, BusParams{});
+    SegmentedBus bus(4, cpuCyclesPerBusCycle);
     bus.configure({0, 0, 1, 1});
     for (int r = 0; r < 3; ++r) {
         bus.transact(0, 0); // saturate segment of slices {0,1}
@@ -244,7 +228,7 @@ TEST(SegmentedBus, NormalizationUsesFirstOccurrence)
 {
     // Arbitrary (sparse, unordered) group ids normalize to dense
     // first-occurrence representatives.
-    SegmentedBus bus(5, BusParams{});
+    SegmentedBus bus(5, cpuCyclesPerBusCycle);
     bus.configure({7, 7, 3, 3, 9});
     EXPECT_EQ(bus.groupOf(0), 0u);
     EXPECT_EQ(bus.groupOf(1), 0u);
@@ -260,7 +244,7 @@ TEST(SegmentedBus, NormalizationUsesFirstOccurrence)
 
 TEST(SegmentedBus, NormalizationHandlesInterleavedGroups)
 {
-    SegmentedBus bus(4, BusParams{});
+    SegmentedBus bus(4, cpuCyclesPerBusCycle);
     bus.configure({5, 8, 5, 8});
     EXPECT_EQ(bus.groupOf(0), 0u);
     EXPECT_EQ(bus.groupOf(1), 1u);

@@ -50,6 +50,7 @@ TEST(ModelChecker, ExactReachableStatesN8)
     EXPECT_TRUE(checker.run());
     EXPECT_EQ(checker.stats().states, 222u);
     EXPECT_EQ(checker.stats().statesExpanded, 222u);
+    EXPECT_EQ(checker.stats().transitions, 112453u);
     EXPECT_FALSE(checker.counterexample().has_value());
 }
 

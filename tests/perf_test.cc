@@ -195,14 +195,14 @@ TEST(AllocMeter, AcfvQueriesDoNotAllocate)
     const CacheLevelModel &level = h.l2();
     const std::vector<SliceId> a = {0, 1};
     const std::vector<SliceId> b = {2, 3};
-    ASSERT_GT(level.sliceAcfPopcount(0), 0u);
+    ASSERT_GT(level.acfvs().sliceAcfPopcount(0), 0u);
 
     const bool was = AllocMeter::enabled();
     AllocMeter::setEnabled(true);
     const AllocSnapshot before = AllocMeter::snapshot();
-    double sink = level.overlap(a, b) + level.utilization(a);
+    double sink = level.acfvs().overlap(a, b) + level.acfvs().utilization(a);
     for (SliceId s = 0; s < 4; ++s)
-        sink += level.sliceAcfPopcount(s);
+        sink += level.acfvs().sliceAcfPopcount(s);
     const AllocSnapshot after = AllocMeter::snapshot();
     AllocMeter::setEnabled(was);
 

@@ -178,7 +178,6 @@ TEST_P(ControllerStorm, TopologyAlwaysValidUnderRandomTraffic)
     const std::uint32_t cores = 8;
     Hierarchy h(propParams(cores));
     MorphConfig config;
-    config.minEpochsBeforeSplit = 0; // maximum churn
     MorphController ctrl(config, cores);
     Rng rng(static_cast<std::uint64_t>(seed));
 
@@ -207,6 +206,7 @@ TEST_P(ControllerStorm, TopologyAlwaysValidUnderRandomTraffic)
         checkInclusion(h);
     }
     EXPECT_EQ(ctrl.stats().decisions, 12u);
+    EXPECT_GT(ctrl.stats().merges, 0u); // the storm reconfigures
 }
 
 TEST_P(ControllerStorm, ArbitrarySizesStayContiguousAndValid)
@@ -216,7 +216,6 @@ TEST_P(ControllerStorm, ArbitrarySizesStayContiguousAndValid)
     Hierarchy h(propParams(cores));
     MorphConfig config;
     config.allowArbitraryGroupSizes = true;
-    config.minEpochsBeforeSplit = 0;
     MorphController ctrl(config, cores);
     Rng rng(static_cast<std::uint64_t>(seed) ^ 0x77);
 
@@ -241,6 +240,7 @@ TEST_P(ControllerStorm, ArbitrarySizesStayContiguousAndValid)
         ASSERT_TRUE(isContiguous(h.topology().l2));
         ASSERT_TRUE(isContiguous(h.topology().l3));
     }
+    EXPECT_GT(ctrl.stats().merges, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ControllerStorm,

@@ -100,11 +100,11 @@ TEST(StaticSystem, ChargesBusOnRemoteHitsByDefault)
 
 TEST(StaticSystem, FlatLatencyModeMatchesPaperAssumption)
 {
-    // charge_remote=false reproduces Section 4's idealization: fixed
+    // RemoteCost::None reproduces Section 4's idealization: fixed
     // local latency at any sharing degree.
     StaticTopologySystem sys(testHier(),
                              Topology::symmetric(4, 4, 1, 1),
-                             /*charge_remote=*/false);
+                             RemoteCost::None);
     sys.access(MemAccess{0, 0x8000, AccessType::Read}, 0);
     const auto result =
         sys.access(MemAccess{3, 0x8000, AccessType::Read}, 1000);

@@ -477,10 +477,9 @@ TEST_P(LevelLockstep, GroupWalksMatchPerMemberProbes)
     LevelParams params;
     params.numSlices = slices;
     params.sliceGeom = CacheGeometry{kSets * assoc * 64, assoc, 64};
-    // A fixed remote extra instead of the bus: the latency then
+    // The fixed remote premium instead of the bus: the latency then
     // follows from the hit and remote flags alone.
-    params.chargeBusPenalty = false;
-    params.remoteHitExtraCycles = 15;
+    params.remoteCost = RemoteCost::Premium;
     CacheLevelModel level(params);
     RecencyHooks recency;
     std::vector<std::vector<Addr>> pools;

@@ -155,9 +155,7 @@ TEST_P(EveryParsecApp, RunsUnderMorphCache)
 
     MultithreadedWorkload workload(profileByName(GetParam()), 16,
                                    gen, 7);
-    MorphConfig config;
-    config.sharedAddressSpace = true;
-    MorphCacheSystem system(hier, config);
+    MorphCacheSystem system(hier, MorphConfig{});
     SimParams sim;
     sim.refsPerEpochPerCore = 1200;
     sim.epochs = 3;

@@ -2,8 +2,8 @@
 # Static-analysis CI leg: mc_analyze (wrap-safety, checkpoint
 # coverage, determinism, runner concurrency, and the write-path,
 # globals and include conventions), clang-tidy over the compilation
-# database, cppcheck, and a fast model-check of the reconfiguration
-# engine. Fails on any finding.
+# database, cppcheck, and model checks of the reconfiguration engine
+# at 8 and 16 cores. Fails on any finding.
 #
 # Run from the repo root: tools/ci_static_analysis.sh [build-dir]
 #
@@ -90,6 +90,21 @@ fi
 
 echo "== model check: reconfiguration engine (N=8, full) =="
 "$builddir"/tools/mc_modelcheck --cores 8
+
+echo "== model check: reconfiguration engine (N=16, cluster) =="
+# The core count every benchmark workload runs. Its counts pin the
+# reachable decision space: a change to any decision rule or
+# threshold moves them.
+out=$("$builddir"/tools/mc_modelcheck --cores 16)
+echo "$out"
+case "$out" in
+    *" states=49961 "*" transitions=1250789 "*) ;;
+    *)
+        echo "FAIL: 16-core decision space moved (expected" \
+             "states=49961 transitions=1250789)" >&2
+        exit 1
+        ;;
+esac
 
 echo "== model check: mutation legs must produce counterexamples =="
 for bug in skip-forced-l3-merge ignore-alignment \
